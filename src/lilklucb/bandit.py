@@ -132,9 +132,6 @@ def lil_klucb(
         rivals[top] = -math.inf
         challenger = int(np.argmax(rivals))
         if leader_lcb > rivals[challenger]:
-            assert leader_lcb > max(
-                u for i, u in enumerate(ucbs) if i != top
-            ), "stopping rule fired while a rival upper bound still overlaps"
             stopped = True
             break
         if budget is not None and total + 2 > budget:
@@ -143,7 +140,6 @@ def lil_klucb(
         pull(top)
         pull(challenger)
         total += 2
-    assert total == sum(s.pulls for s in stats)
     return RunRecord(
         recommended=top,
         total_samples=total,

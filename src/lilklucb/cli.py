@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import hardness_sums, lil_klucb, predicted_complexity, ucb_race
-from .confidence import SCHEME_KINDS, BoundScheme, coverage_envelope
+from .confidence import KL_PRIME, SCHEME_KINDS, BoundScheme, coverage_envelope
 from .data_ingest import ExperimentOutput, parse_contest_csv, write_output
 from .environments import bernoulli_environment, from_contest, parametric_means
 
@@ -229,6 +229,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"--delta must lie in (0, 1), got {config.delta}")
     if config.tilt < 1 or config.tilt & (config.tilt - 1):
         raise ConfigError(f"--bound-n must be a power of two >= 1, got {config.tilt}")
+    if KL_PRIME in config.schemes and config.tilt <= math.e:
+        raise ConfigError(f"{KL_PRIME} requires --bound-n > e (use >= 4), got {config.tilt}")
     if config.reps < 1:
         raise ConfigError("--reps must be >= 1")
     if config.parallel < 1:

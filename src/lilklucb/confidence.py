@@ -24,8 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from .kl_math import (
-    as_prob,
+    _bracketed_newton,
+    _expansion_root,
     _kl,
+    as_prob,
     kl_lower_inverse,
     kl_upper_inverse,
     tilted_kl_lower_inverse,
@@ -167,36 +169,32 @@ def sg2_radius(t: int, delta: float) -> float:
     return math.sqrt(math.log(math.pi * math.pi * t * t / (6.0 * delta)) / (2.0 * t))
 
 
-def _first_arg_upper_inverse(mu: float, bound: float) -> float:
-    """Largest x >= mu with D(x, mu) <= bound (inverse in the first argument)."""
-    if _kl(1.0, mu) <= bound:
-        return 1.0
-    lo, hi = mu, 1.0
-    for _ in range(200):
-        if hi - lo < 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if _kl(mid, mu) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+# Absolute tolerance of the first-argument inverses behind the coverage
+# envelope; finer than BISECTION_TOL because the envelope is scaled by t.
+_FIRST_ARG_TOL = 1e-13
 
 
-def _first_arg_lower_inverse(mu: float, bound: float) -> float:
-    """Smallest x <= mu with D(x, mu) <= bound."""
-    if _kl(0.0, mu) <= bound:
-        return 0.0
-    lo, hi = 0.0, mu
-    for _ in range(200):
-        if hi - lo < 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if _kl(mid, mu) <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _first_arg_inverse(mu: float, bound: float, edge: float, start: float | None = None) -> float:
+    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= bound.
+
+    This inverts D in its first argument.  D(x, mu) is convex in x and 0 at
+    x = mu, so the feasible set is an interval.  ``start`` is the first
+    Newton point; by default it is the root of the expansion
+    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu).
+    A degenerate mu (0 or 1) is returned as is: D(x, mu) is infinite at
+    every other x.
+    """
+    if mu == 0.0 or mu == 1.0:
+        return mu
+    if _kl(edge, mu) <= bound:
+        return edge
+    if start is None:
+        start = _expansion_root(mu, bound, edge, 1.0, 1.0 / 6.0)
+    # slope of D(x, mu) in x; x / mu overflows to +inf for a subnormal mu,
+    # and the solver bisects on an infinite slope
+    return _bracketed_newton(
+        lambda x: (_kl(x, mu), math.log(x / mu) - math.log((1.0 - x) / (1.0 - mu))),
+        bound, mu, edge, start=start, tol=_FIRST_ARG_TOL)
 
 
 def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "upper") -> float:
@@ -213,10 +211,10 @@ def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "uppe
     thr = threshold(scheme, t)
     weight = scheme.tilt / (scheme.tilt + 1.0)
     if side == "upper":
-        reach = _first_arg_upper_inverse(mu, thr)
+        reach = _first_arg_inverse(mu, thr, 1.0)
         return min(1.0 - mu, (reach - mu) / weight)
     if side == "lower":
-        reach = _first_arg_lower_inverse(mu, thr)
+        reach = _first_arg_inverse(mu, thr, 0.0)
         return min(mu, (mu - reach) / weight)
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
@@ -285,22 +283,25 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     low = np.empty(t_max)
     high = np.empty(t_max)
     tilt = scheme.tilt
+    zu = zl = None
     for t in range(1, t_max + 1):
         if scheme.kind in (SG1, SG2):
             r = sg1_radius(scheme, t) if scheme.kind == SG1 else sg2_radius(t, scheme.delta)
             low[t - 1] = mu - r
             high[t - 1] = mu + r
             continue
+        # Both kl schemes invert D(., mu) at the threshold; the roots move
+        # toward mu as t grows, so each solve starts from the previous root.
         thr = threshold(scheme, t)
+        zu = _first_arg_inverse(mu, thr, 1.0, start=zu)
+        zl = _first_arg_inverse(mu, thr, 0.0, start=zl)
         if scheme.kind == KL_TILTED:
             # m exits when the tilted divergence at the true mean exceeds the
-            # budget: D((tilt*m + mu)/(tilt+1), mu) > thr.  Solving the
-            # mixture point for m via the first-argument inverses of D(., mu):
-            zu = _first_arg_upper_inverse(mu, thr)
-            zl = _first_arg_lower_inverse(mu, thr)
+            # budget: D((tilt*m + mu)/(tilt+1), mu) > thr, and the mixture
+            # point (tilt*m + mu)/(tilt+1) is the first-argument inverse.
             high[t - 1] = mu + (tilt + 1.0) / tilt * (zu - mu)
             low[t - 1] = mu - (tilt + 1.0) / tilt * (mu - zl)
         else:  # KL_PRIME: exit when D(m, mu) > thr on the matching side
-            high[t - 1] = _first_arg_upper_inverse(mu, thr)
-            low[t - 1] = _first_arg_lower_inverse(mu, thr)
+            high[t - 1] = zu
+            low[t - 1] = zl
     return low, high

@@ -4,6 +4,13 @@ Exact binary KL divergence, numerical inverses of the divergence in its
 second argument (plain and tilted variants), and Chernoff information via
 bisection on the equal-divergence crossing point.
 
+Every inverse runs one bracketed Newton solver (``_bracketed_newton``): it
+keeps a bracket with the root inside, takes Newton steps from the analytic
+derivative and bisects whenever a step is unsafe.  Contract: the returned
+point is feasible (its divergence, as ``_kl`` computes it, is within the
+budget) and lies within BISECTION_TOL of the point where ``_kl`` crosses
+the budget.
+
 All logarithms are natural.  Inputs are validated on entry; degenerate
 cases follow the conventions 0*log(0) = 0 and D(p, q) = +inf exactly when
 q is degenerate and p disagrees with it.  All functions are pure and safe
@@ -14,14 +21,10 @@ from __future__ import annotations
 
 import math
 
-# Absolute tolerance on the probability argument of every bisection, with a
-# hard iteration cap so the cost is deterministic.
+# Absolute tolerance on the probability argument of every inverse and of the
+# Chernoff bisection, with a hard iteration cap so the cost is bounded.
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
-
-# Pre-scan resolution used to guard the tilted inverses against a
-# non-monotone divergence map (never observed; see tilted_kl_upper_inverse).
-_SCAN_POINTS = 64
 
 
 def as_prob(value: float, name: str = "probability") -> float:
@@ -62,49 +65,108 @@ def bernoulli_kl(p: float, q: float) -> float:
     return _kl(as_prob(p, "p"), as_prob(q, "q"))
 
 
+def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
+                      start: float | None = None, tol: float = BISECTION_TOL) -> float:
+    """Feasible point within ``tol`` of the root of f(x) = bound between two ends.
+
+    ``f(x)`` returns (value, slope); f is monotone between the ends with
+    f(feasible) <= bound < f(infeasible), and is evaluated only strictly
+    inside them.  Each evaluated point replaces the end on its side, so the
+    bracket always holds the root.  The next point is a Newton step in
+    log|infeasible - x|, where a divergence with its log singularity at that
+    end is nearly linear and no step crosses the end; it is the midpoint
+    instead when the slope is not finite or points the wrong way, or the
+    step leaves the bracket or exceeds half the step before last.  Points
+    stay tol/2 inside the bracket, so iterates closing in from one side end
+    with a point on the other.  Returns the feasible end once the ends are
+    within ``tol``; ``start`` is the first point if it lies inside the
+    bracket.
+    """
+    # Work in y = d*x so that the bracket is ordered lo < hi; negation is
+    # exact, so the mirror adds no rounding.
+    d = 1.0 if infeasible > feasible else -1.0
+    lo, hi = d * feasible, d * infeasible
+    edge = hi
+    half = 0.5 * tol
+    y = d * start if start is not None and lo < d * start < hi else 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        if y < lo + half:
+            y = lo + half
+        elif y > hi - half:
+            y = hi - half
+        value, slope = f(d * y)
+        if value <= bound:
+            lo = y
+        else:
+            hi = y
+        gap = edge - y
+        scale = d * slope * gap
+        nxt = math.nan
+        if 0.0 < scale < math.inf:
+            ratio = (value - bound) / scale
+            if ratio < 50.0:  # beyond it the point leaves [0, 1] anyway
+                nxt = edge - gap * math.exp(ratio)
+        if not (lo <= nxt <= hi and abs(nxt - y) <= 0.5 * step_before):
+            nxt = 0.5 * (lo + hi)
+        step_before, step = step, abs(nxt - y)
+        y = nxt
+    return d * lo
+
+
+def _expansion_root(p: float, bound: float, edge: float, stretch: float, skew: float) -> float:
+    """Where a divergence at p reaches ``bound`` toward ``edge``, by its Taylor expansion.
+
+    The divergence is taken as r^2 / (2 v s^2) - skew (1 - 2p) r^3 / (v s)^2
+    in r = m - p, with v = p (1 - p) and s = ``stretch``; the root is solved
+    to first order in the cubic term.
+    """
+    r = math.copysign(stretch * math.sqrt(2.0 * bound * p * (1.0 - p)), edge - p)
+    return p + r + 2.0 * skew * stretch * stretch * bound * (1.0 - 2.0 * p)
+
+
+def _invert(p: float, bound: float, edge: float, tilt: int | None = None) -> float:
+    """Farthest m from p toward ``edge`` (0 or 1) with divergence within ``bound``.
+
+    The divergence is the tilted one, or the plain D(p, m) for tilt None
+    (its limit as tilt grows).  Newton starts at the root of its expansion
+    at p: stretch (tilt+1)/tilt and skew (2 tilt + 3) / (6 (tilt+1)), from
+    q - p = r/(tilt+1) and m - q = r tilt/(tilt+1); plain: 1 and 1/3.
+    """
+    if math.isinf(bound):
+        return edge
+    if bound == 0.0 or p == edge:
+        return p
+    if tilt is None:
+        stretch, skew = 1.0, 1.0 / 3.0
+        f = lambda m: (_kl(p, m), (m - p) / (m * (1.0 - m)))  # D(p, m) and its slope in m
+    else:
+        stretch, skew = (tilt + 1.0) / tilt, (2.0 * tilt + 3.0) / (6.0 * (tilt + 1.0))
+        f = lambda m: _tilted_div_and_slope(p, m, tilt)
+    return _bracketed_newton(f, bound, p, edge,
+                             start=_expansion_root(p, bound, edge, stretch, skew))
+
+
 def kl_upper_inverse(p: float, bound: float) -> float:
     """Largest m >= p with D(p, m) <= bound.
 
     D(p, m) is continuous and strictly increasing in m on [p, 1], so the
-    feasible set is an interval [p, m*]; bisection returns a feasible point
-    within BISECTION_TOL of m*.  Returns 1.0 for an infinite budget.
+    feasible set is an interval [p, m*]; the bracketed Newton solve returns
+    a feasible point within BISECTION_TOL of m*.  Returns 1.0 for an
+    infinite budget.
     """
     p = as_prob(p, "p")
     bound = as_divergence(bound, "bound")
-    if math.isinf(bound):
-        return 1.0
-    if bound == 0.0 or p == 1.0:
-        return p if p < 1.0 else 1.0
-    lo, hi = p, 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _kl(p, mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _invert(p, bound, 1.0)
 
 
 def kl_lower_inverse(p: float, bound: float) -> float:
     """Smallest m <= p with D(p, m) <= bound; mirror of kl_upper_inverse on [0, p]."""
     p = as_prob(p, "p")
     bound = as_divergence(bound, "bound")
-    if math.isinf(bound):
-        return 0.0
-    if bound == 0.0 or p == 0.0:
-        return p
-    lo, hi = 0.0, p
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _kl(p, mid) <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _invert(p, bound, 0.0)
 
 
 def _check_tilt(tilt: int) -> int:
@@ -113,56 +175,38 @@ def _check_tilt(tilt: int) -> int:
     return tilt
 
 
-def _tilted_div_above(p: float, m: float, tilt: int) -> float:
-    """D((tilt*p + m)/(tilt+1), m), the tilted divergence used by the inverses."""
-    return _kl((tilt * p + m) / (tilt + 1.0), m)
+def _tilted_div_and_slope(p: float, m: float, tilt: int) -> tuple[float, float]:
+    """D(q, m) at the mixture q = (tilt*p + m)/(tilt+1), and its derivative in m.
 
-
-def _scan_is_monotone(p: float, lo: float, hi: float, tilt: int, increasing: bool) -> bool:
-    """Coarse 64-point check that the tilted divergence moves one way on [lo, hi]."""
-    step = (hi - lo) / (_SCAN_POINTS - 1)
-    prev = _tilted_div_above(p, lo, tilt)
-    for i in range(1, _SCAN_POINTS):
-        cur = _tilted_div_above(p, lo + i * step, tilt)
-        if increasing and cur < prev - 1e-9:
-            return False
-        if not increasing and cur > prev + 1e-9:
-            return False
-        prev = cur
-    return True
+    With dq/dm = 1/(tilt+1), the chain rule gives
+    (log(q(1-m) / (m(1-q))) + tilt (m-p) / (m(1-m))) / (tilt+1); the slope is
+    NaN (so the solver bisects) if q rounds onto 0 or 1.  Requires 0 < m < 1.
+    """
+    q = (tilt * p + m) / (tilt + 1.0)
+    if not 0.0 < q < 1.0:
+        return _kl(q, m), math.nan
+    # the two logs of _kl's interior branch, in its order, so the value is
+    # bit-identical to _kl(q, m)
+    up = math.log(q / m)
+    down = math.log((1.0 - q) / (1.0 - m))
+    value = q * up + (1.0 - q) * down
+    return value, (up - down + tilt * (m - p) / (m * (1.0 - m))) / (tilt + 1.0)
 
 
 def tilted_kl_upper_inverse(p: float, bound: float, tilt: int) -> float:
     """Largest m >= p with D((tilt*p + m)/(tilt+1), m) <= bound.
 
-    The map m -> D((tilt*p + m)/(tilt+1), m) vanishes at m = p and is
-    nondecreasing on [p, 1] (the partial-fraction identity
-    1/(m(1-m)) = 1/m + 1/(1-m) bounds its derivative below by zero), so
-    plain bisection applies.  A coarse pre-scan guards that claim; on a
-    detected reversal the solver falls back to bracketing the last
-    sub-level crossing found by the scan.
+    The map m -> D((tilt*p + m)/(tilt+1), m) is monotone on each side of p:
+    the divergence is jointly convex and m -> ((tilt*p + m)/(tilt+1), m) is
+    affine, so the map is convex in m; it is 0 at m = p and nonnegative,
+    hence nondecreasing on [p, 1] and nonincreasing on [0, p].  The feasible
+    set on [p, 1] is therefore an interval [p, m*], and the bracketed Newton
+    solve returns a feasible point within BISECTION_TOL of m*.
     """
     p = as_prob(p, "p")
     bound = as_divergence(bound, "bound")
     _check_tilt(tilt)
-    if math.isinf(bound):
-        return 1.0
-    if bound == 0.0 or p == 1.0:
-        return p if p < 1.0 else 1.0
-    if not _scan_is_monotone(p, p, 1.0, tilt, increasing=True):
-        return _last_sublevel_point(
-            lambda m: _tilted_div_above(p, m, tilt), p, 1.0, bound
-        )
-    lo, hi = p, 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _tilted_div_above(p, mid, tilt) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _invert(p, bound, 1.0, tilt)
 
 
 def tilted_kl_lower_inverse(p: float, bound: float, tilt: int) -> float:
@@ -170,66 +214,7 @@ def tilted_kl_lower_inverse(p: float, bound: float, tilt: int) -> float:
     p = as_prob(p, "p")
     bound = as_divergence(bound, "bound")
     _check_tilt(tilt)
-    if math.isinf(bound):
-        return 0.0
-    if bound == 0.0 or p == 0.0:
-        return p
-    if not _scan_is_monotone(p, 0.0, p, tilt, increasing=False):
-        return _first_sublevel_point(
-            lambda m: _tilted_div_above(p, m, tilt), 0.0, p, bound
-        )
-    lo, hi = 0.0, p
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _tilted_div_above(p, mid, tilt) <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _last_sublevel_point(fn, lo: float, hi: float, bound: float) -> float:
-    """Fallback for a non-monotone fn: largest x in [lo, hi] with fn(x) <= bound."""
-    step = (hi - lo) / (_SCAN_POINTS - 1)
-    feasible = [i for i in range(_SCAN_POINTS) if fn(lo + i * step) <= bound]
-    if not feasible:
-        return lo
-    j = feasible[-1]
-    if j == _SCAN_POINTS - 1:
-        return hi
-    a, b = lo + j * step, lo + (j + 1) * step
-    for _ in range(BISECTION_MAX_ITER):
-        if b - a < BISECTION_TOL:
-            break
-        mid = 0.5 * (a + b)
-        if fn(mid) <= bound:
-            a = mid
-        else:
-            b = mid
-    return a
-
-
-def _first_sublevel_point(fn, lo: float, hi: float, bound: float) -> float:
-    """Fallback for a non-monotone fn: smallest x in [lo, hi] with fn(x) <= bound."""
-    step = (hi - lo) / (_SCAN_POINTS - 1)
-    feasible = [i for i in range(_SCAN_POINTS) if fn(lo + i * step) <= bound]
-    if not feasible:
-        return hi
-    j = feasible[0]
-    if j == 0:
-        return lo
-    a, b = lo + (j - 1) * step, lo + j * step
-    for _ in range(BISECTION_MAX_ITER):
-        if b - a < BISECTION_TOL:
-            break
-        mid = 0.5 * (a + b)
-        if fn(mid) <= bound:
-            b = mid
-        else:
-            a = mid
-    return b
+    return _invert(p, bound, 0.0, tilt)
 
 
 def chernoff_crossing(x: float, y: float) -> float:

@@ -106,6 +106,15 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             build_config(argv)
 
+    def test_kl_prime_low_tilt_rejected_before_any_run(self, tmp_path):
+        argv = ["simulate", "--n", "50", "--budget", "400", "--reps", "20",
+                "--scheme", "kl,kl-prime", "--bound-n", "2",
+                "--output", str(tmp_path / "o.csv")]
+        with pytest.raises(ConfigError, match="kl-prime"):
+            build_config(argv)
+        assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_exit_codes(self, tmp_path):
         assert main(["simulate", "--budget", "4", "--output", "x.csv",
                      "--delta", "2"]) == 1

@@ -1,0 +1,92 @@
+"""Property tests for the divergence maps the inverses rely on, and for the
+tolerance contract every inverse keeps.
+
+The contract, for each of the six inverses (plain and tilted kl_math
+inverses, and the first-argument inverses behind the coverage envelope):
+the result is feasible as ``_kl`` computes it, the budget is exceeded one
+tolerance beyond it on the outer side, and inside the region criterion 6
+samples the divergence at the result is within 1e-9 of the budget.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lilklucb import confidence
+from lilklucb.kl_math import (
+    BISECTION_TOL,
+    _kl,
+    kl_lower_inverse,
+    kl_upper_inverse,
+    tilted_kl_lower_inverse,
+    tilted_kl_upper_inverse,
+)
+
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+TILTS = st.sampled_from([1, 2, 8, 64, 1024])
+UNIT = st.floats(0.0, 1.0)
+# interior p, and p within 1e-6 of either edge (both edges included)
+PROBS = st.one_of(st.floats(0.01, 0.99), st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0))
+# From criterion 6's smallest budget up.  Far below it the rounding noise of
+# _kl near the root (~1e-16) exceeds its change over one tolerance, so no
+# solver that evaluates _kl could place the outer point.
+BUDGETS = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 50.0))
+
+
+def _tilted(p, m, tilt):
+    return _kl((tilt * p + m) / (tilt + 1.0), m)
+
+
+# name -> (inverse(p, budget, tilt), divergence(p, m, tilt), outer direction, tolerance)
+INVERSES = {
+    "kl_upper": (lambda p, b, tilt: kl_upper_inverse(p, b),
+                 lambda p, m, tilt: _kl(p, m), 1.0, BISECTION_TOL),
+    "kl_lower": (lambda p, b, tilt: kl_lower_inverse(p, b),
+                 lambda p, m, tilt: _kl(p, m), -1.0, BISECTION_TOL),
+    "tilted_upper": (tilted_kl_upper_inverse, _tilted, 1.0, BISECTION_TOL),
+    "tilted_lower": (tilted_kl_lower_inverse, _tilted, -1.0, BISECTION_TOL),
+    "first_arg_upper": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 1.0),
+                        lambda mu, x, tilt: _kl(x, mu), 1.0, confidence._FIRST_ARG_TOL),
+    "first_arg_lower": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 0.0),
+                        lambda mu, x, tilt: _kl(x, mu), -1.0, confidence._FIRST_ARG_TOL),
+}
+NAMES = st.sampled_from(sorted(INVERSES))
+
+
+@PROPERTY
+@given(p=UNIT, tilt=TILTS, upper=st.booleans(), u=UNIT, v=UNIT)
+def test_tilted_map_is_monotone_on_each_side(p, tilt, upper, u, v):
+    # m -> D((tilt*p + m)/(tilt+1), m) is nondecreasing on [p, 1] and
+    # nonincreasing on [0, p]: moving away from p never lowers it
+    near, far = sorted((u, v))
+    if upper:
+        m_near, m_far = p + near * (1.0 - p), p + far * (1.0 - p)
+    else:
+        m_near, m_far = p - near * p, p - far * p
+    d_near = _tilted(p, min(m_near, 1.0), tilt)
+    d_far = _tilted(p, min(m_far, 1.0), tilt)
+    assert d_near <= d_far + 1e-12 * (1.0 + d_far)
+
+
+@PROPERTY
+@given(name=NAMES, p=PROBS, budget=BUDGETS, tilt=TILTS)
+def test_inverse_is_feasible_and_tight(name, p, budget, tilt):
+    inverse, div, outward, tol = INVERSES[name]
+    m = inverse(p, budget, tilt)
+    assert 0.0 <= m <= 1.0
+    assert (m - p) * outward >= 0.0
+    assert div(p, m, tilt) <= budget
+    beyond = m + outward * tol
+    if 0.0 <= beyond <= 1.0:
+        assert div(p, beyond, tilt) > budget
+
+
+@PROPERTY
+@given(name=NAMES, p=st.floats(0.01, 0.99), frac=st.floats(0.0, 0.95), tilt=TILTS)
+def test_inverse_hits_budget_where_criterion_6_samples(name, p, frac, tilt):
+    inverse, div, outward, _ = INVERSES[name]
+    cap = div(p, 0.995 if outward > 0 else 0.005, tilt)
+    budget = max(1e-6, frac * cap)
+    assert math.isclose(div(p, inverse(p, budget, tilt), tilt), budget, rel_tol=0.0, abs_tol=1e-9)
