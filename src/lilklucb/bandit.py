@@ -8,6 +8,8 @@ evaluator for the predicted sample-complexity of an instance.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -76,14 +78,79 @@ def top_index(stats, rng: np.random.Generator) -> int:
     return _argmax_random_tie(means, rng)
 
 
-def _cached_bound(cache: dict, side: str, scheme: BoundScheme, stats: ArmStats) -> float:
-    key = (side, scheme.kind, scheme.tilt, scheme.delta, stats.pulls, stats.reward_sum)
-    value = cache.get(key)
-    if value is None:
-        fn = upper_bound if side == "u" else lower_bound
-        value = fn(scheme, stats)
-        cache[key] = value
-    return value
+class _IncrementalMax:
+    """Running maximum of per-arm values, picked with ``_argmax_random_tie``'s rule.
+
+    ``holders`` maps each value some arm holds to the ascending list of those
+    arms; ``heap`` holds negated values, and an entry whose value no arm holds
+    any more is dropped once it reaches the top.  ``pick`` returns the single
+    arm at the maximum or ``ties[rng.integers(len(ties))]``: the same arm,
+    from the same generator draws, as ``np.flatnonzero(values == values.max())``
+    would give.  Moving one arm costs O(log n) heap work.
+    """
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.holders: dict[float, list[int]] = {}
+        for arm, value in enumerate(self.values):
+            self.holders.setdefault(value, []).append(arm)
+        self.heap = [-value for value in self.holders]
+        heapq.heapify(self.heap)
+
+    def move(self, arm: int, value: float) -> None:
+        old = self.values[arm]
+        if value == old:
+            return
+        ties = self.holders[old]
+        if len(ties) == 1:
+            del self.holders[old]
+        else:
+            ties.remove(arm)
+        self.values[arm] = value
+        ties = self.holders.get(value)
+        if ties is None:
+            self.holders[value] = [arm]
+            heapq.heappush(self.heap, -value)
+        else:
+            bisect.insort(ties, arm)
+
+    def pick(self, rng: np.random.Generator) -> int:
+        heap, holders = self.heap, self.holders
+        while -heap[0] not in holders:
+            heapq.heappop(heap)
+        ties = holders[-heap[0]]
+        if len(ties) == 1:
+            return ties[0]
+        return ties[rng.integers(len(ties))]
+
+
+def _bound_table(cache: dict, side: str, scheme: BoundScheme) -> dict:
+    """The (pulls, reward_sum) -> bound table of one side ("u"/"l") and scheme."""
+    return cache.setdefault((side, scheme), {})
+
+
+def _puller(env: Environment, scheme: BoundScheme, rng: np.random.Generator,
+            cache: dict, pulls: list, sums: list):
+    """A function that pulls arm i once and returns its new upper bound.
+
+    Per-arm pull counts and reward sums live in the flat lists ``pulls`` and
+    ``sums``; upper bounds are looked up in the scheme's table in ``cache``.
+    """
+    table = _bound_table(cache, "u", scheme)
+
+    def pull(i: int) -> float:
+        reward = environments.sample(env, i, rng)
+        if not 0.0 <= reward <= 1.0:
+            raise ValueError(f"rewards must lie in [0, 1], got {reward!r}")
+        pulls[i] += 1
+        sums[i] += reward
+        key = (pulls[i], sums[i])
+        ucb = table.get(key)
+        if ucb is None:
+            ucb = table[key] = upper_bound(scheme, ArmStats(*key))
+        return ucb
+
+    return pull
 
 
 def lil_klucb(
@@ -103,8 +170,8 @@ def lil_klucb(
     (lowest index on ties).  Stops with ``stopped=False`` once another round
     would exceed ``budget``.
 
-    ``bound_cache`` may be shared across runs of the same scheme to reuse
-    bound inversions keyed by (pulls, reward_sum).
+    ``bound_cache`` may be shared across runs to reuse bound inversions; it
+    holds one table per (side, scheme) keyed by (pulls, reward_sum).
     """
     n = env.n_arms
     if n < 2:
@@ -113,37 +180,34 @@ def lil_klucb(
         raise ValueError("budget must cover one initialization pull per arm")
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
-    stats = [ArmStats() for _ in range(n)]
-    means = np.empty(n)
-    ucbs = np.empty(n)
-
-    def pull(i: int) -> None:
-        stats[i].update(environments.sample(env, i, rng))
-        means[i] = stats[i].mean
-        ucbs[i] = _cached_bound(cache, "u", scheme, stats[i])
-
-    for i in range(n):
-        pull(i)
+    lcb_table = _bound_table(cache, "l", leader_scheme)
+    pulls = [0] * n
+    sums = [0.0] * n
+    pull = _puller(env, scheme, rng, cache, pulls, sums)
+    ucbs = [pull(i) for i in range(n)]
     total = n
     while True:
-        top = _argmax_random_tie(means, rng)
-        leader_lcb = _cached_bound(cache, "l", leader_scheme, stats[top])
+        top = _argmax_random_tie(np.divide(sums, pulls), rng)
+        key = (pulls[top], sums[top])
+        leader_lcb = lcb_table.get(key)
+        if leader_lcb is None:
+            leader_lcb = lcb_table[key] = lower_bound(leader_scheme, ArmStats(*key))
         rivals = ucbs.copy()
         rivals[top] = -math.inf
-        challenger = int(np.argmax(rivals))
+        challenger = max(range(n), key=rivals.__getitem__)  # first index on ties
         if leader_lcb > rivals[challenger]:
             stopped = True
             break
         if budget is not None and total + 2 > budget:
             stopped = False
             break
-        pull(top)
-        pull(challenger)
+        ucbs[top] = pull(top)
+        ucbs[challenger] = pull(challenger)
         total += 2
     return RunRecord(
         recommended=top,
         total_samples=total,
-        per_arm_pulls=tuple(s.pulls for s in stats),
+        per_arm_pulls=tuple(pulls),
         stopped=stopped,
         snapshots=(),
         seed=seed,
@@ -169,10 +233,13 @@ def ucb_race(
     """Fixed-budget UCB loop recording top-k membership of the true best arm.
 
     After one initialization pull per arm, every step pulls the arm with the
-    highest upper bound (ties broken at random).  A snapshot is recorded at
-    initialization and every ``snapshot_every`` samples thereafter (plus at
-    the final budget), flagging whether arm 0 currently sits among the k
-    highest empirical means.
+    highest upper bound.  Ties are broken uniformly at random: with m > 1
+    arms at the maximum, the ``rng.integers(m)``-th of them in index order
+    is pulled, and a unique maximum draws nothing.  Only the pulled arm's
+    bound changes, so the maximum is kept incrementally at O(log n) per pull.
+    A snapshot is recorded at initialization and every ``snapshot_every``
+    samples thereafter (plus at the final budget), flagging whether arm 0
+    currently sits among the k highest empirical means.
     """
     n = env.n_arms
     if k < 1 or k > n:
@@ -182,28 +249,22 @@ def ucb_race(
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     cache = {} if bound_cache is None else bound_cache
-    stats = [ArmStats() for _ in range(n)]
-    means = np.empty(n)
-    ucbs = np.empty(n)
-
-    def pull(i: int) -> None:
-        stats[i].update(environments.sample(env, i, rng))
-        means[i] = stats[i].mean
-        ucbs[i] = _cached_bound(cache, "u", scheme, stats[i])
-
-    for i in range(n):
-        pull(i)
+    pulls = [0] * n
+    sums = [0.0] * n
+    pull = _puller(env, scheme, rng, cache, pulls, sums)
+    best = _IncrementalMax([pull(i) for i in range(n)])
     total = n
-    snapshots = [(total, _best_arm_in_top_k(means, k, rng))]
+    snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
     while total < budget:
-        pull(_argmax_random_tie(ucbs, rng))
+        arm = best.pick(rng)
+        best.move(arm, pull(arm))
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
-            snapshots.append((total, _best_arm_in_top_k(means, k, rng)))
+            snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
     return RunRecord(
-        recommended=_argmax_random_tie(means, rng),
+        recommended=_argmax_random_tie(np.divide(sums, pulls), rng),
         total_samples=total,
-        per_arm_pulls=tuple(s.pulls for s in stats),
+        per_arm_pulls=tuple(pulls),
         stopped=False,
         snapshots=tuple(snapshots),
         seed=seed,

@@ -3,17 +3,20 @@
 Subcommands: simulate | replay | identify | table1 | coverage.  Every
 command is deterministic given --seed (repetition r gets its own generator
 seeded with seed XOR splitmix64(r)); --parallel only changes wall time.
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration error (flags, config file, or the
+contest CSV's contents), 2 I/O error, 3 internal error (with a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import statistics
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,6 +176,8 @@ def build_config(argv=None) -> RunConfig:
                 overrides = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON in {config_path}: {e}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{config_path} must hold a JSON object")
         unknown = set(overrides) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -195,28 +200,33 @@ def build_config(argv=None) -> RunConfig:
     else:
         schemes = tuple(schemes)
     means = raw["means"]
-    config = RunConfig(
-        command=args.command,
-        schemes=schemes,
-        n_values=_parse_int_list(raw["n"], "--n"),
-        alpha_values=_parse_float_list(raw["alpha"], "--alpha"),
-        budget=raw["budget"],
-        reps=int(raw["reps"]),
-        delta=float(raw["delta"]),
-        tilt=int(raw["bound_n"]),
-        k=int(raw["k"]),
-        seed=int(seed),
-        parallel=int(raw["parallel"]),
-        input=raw["input"],
-        output=raw["output"],
-        format=raw["format"],
-        mu=float(raw["mu"]),
-        t_max=int(raw["t_max"]),
-        snapshot_every=raw["snapshot_every"],
-        means=tuple(float(m) for m in means) if means is not None else None,
-        grid_points=int(raw["grid_points"]),
-    )
-    validate_config(config)
+    try:
+        config = RunConfig(
+            command=args.command,
+            schemes=schemes,
+            n_values=_parse_int_list(raw["n"], "--n"),
+            alpha_values=_parse_float_list(raw["alpha"], "--alpha"),
+            budget=raw["budget"],
+            reps=int(raw["reps"]),
+            delta=float(raw["delta"]),
+            tilt=int(raw["bound_n"]),
+            k=int(raw["k"]),
+            seed=int(seed),
+            parallel=int(raw["parallel"]),
+            input=raw["input"],
+            output=raw["output"],
+            format=raw["format"],
+            mu=float(raw["mu"]),
+            t_max=int(raw["t_max"]),
+            snapshot_every=raw["snapshot_every"],
+            means=tuple(float(m) for m in means) if means is not None else None,
+            grid_points=int(raw["grid_points"]),
+        )
+        validate_config(config)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a config-file value of the wrong type
+        raise ConfigError(f"invalid configuration value: {exc}") from None
     return config
 
 
@@ -259,6 +269,11 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("--k must be >= 1")
     if cmd == "replay" and config.input is None:
         raise ConfigError("replay requires --input")
+    if cmd == "identify":
+        if config.means is not None and len(config.means) < 2:
+            raise ConfigError("means must list at least 2 arms")
+        if config.grid_points < 3:
+            raise ConfigError("grid_points must be >= 3")
     if cmd in ("identify", "coverage") and len(config.schemes) != 1:
         raise ConfigError(f"{cmd} takes a single --scheme")
     if cmd == "table1":
@@ -273,36 +288,41 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("--t-max must be >= 1")
 
 
-def _race_task(task, cache):
-    env, scheme, budget, snapshot_every, k, rep_seed = task
+# Bound tables of the process running repetitions (see _map_tasks).
+_bound_cache: dict = {}
+
+
+def _reset_bound_cache() -> None:
+    global _bound_cache
+    _bound_cache = {}
+
+
+def _run_task(task):
+    """Run one repetition with this process's bound cache.
+
+    A task ("race", env, scheme, budget, snapshot_every, k, seed) returns the
+    race's snapshots; ("identify", env, scheme, budget, seed) returns the
+    identification run's record.
+    """
+    loop, *args, rep_seed = task
     rng = np.random.default_rng(rep_seed)
-    record = ucb_race(env, scheme, budget, snapshot_every, k, rng,
-                      seed=rep_seed, bound_cache=cache)
-    return record.snapshots
+    if loop == "race":
+        return ucb_race(*args, rng, seed=rep_seed, bound_cache=_bound_cache).snapshots
+    return lil_klucb(*args, rng, seed=rep_seed, bound_cache=_bound_cache)
 
 
-def _race_worker(task):
-    return _race_task(task, None)
+def _map_tasks(tasks, parallel: int):
+    """Run tasks in repetition order, optionally across processes.
 
-
-def _identify_task(task, cache):
-    env, scheme, budget, rep_seed = task
-    rng = np.random.default_rng(rep_seed)
-    return lil_klucb(env, scheme, budget, rng, seed=rep_seed, bound_cache=cache)
-
-
-def _identify_worker(task):
-    return _identify_task(task, None)
-
-
-def _map_tasks(worker, serial_fn, tasks, parallel: int):
-    """Run tasks in repetition order, optionally across processes."""
+    Every process running tasks starts one fresh bound cache, shared by the
+    tasks it runs: the pool initializer gives each worker its own.
+    """
     if parallel > 1:
         chunk = max(1, len(tasks) // (parallel * 4))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunk))
-    cache: dict = {}
-    return [serial_fn(task, cache) for task in tasks]
+        with ProcessPoolExecutor(max_workers=parallel, initializer=_reset_bound_cache) as pool:
+            return list(pool.map(_run_task, tasks, chunksize=chunk))
+    _reset_bound_cache()
+    return [_run_task(task) for task in tasks]
 
 
 def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> ExperimentOutput:
@@ -313,10 +333,11 @@ def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> Exp
     if config.k > env.n_arms:
         raise ConfigError(f"--k must be <= the number of arms ({env.n_arms})")
     tasks = [
-        (env, scheme, config.budget, snapshot_every, config.k, derive_seed(config.seed, r))
+        ("race", env, scheme, config.budget, snapshot_every, config.k,
+         derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
-    all_snapshots = _map_tasks(_race_worker, _race_task, tasks, config.parallel)
+    all_snapshots = _map_tasks(tasks, config.parallel)
     counts = [c for c, _ in all_snapshots[0]]
     flags = np.array([[flag for _, flag in snaps] for snaps in all_snapshots], dtype=float)
     probs = flags.mean(axis=0)
@@ -336,18 +357,29 @@ def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> Exp
     return ExperimentOutput(metadata, ("samples", "membership_probability"), rows)
 
 
+def _config_environment(config: RunConfig):
+    """(means, environment) of simulate/identify; bad config means are a ConfigError."""
+    means = config.means or parametric_means(config.n, config.alpha)
+    try:
+        return means, bernoulli_environment(means, seed=config.seed)
+    except ValueError as exc:
+        raise ConfigError(f"means: {exc}") from None
+
+
 def cmd_simulate(config: RunConfig) -> dict[str, ExperimentOutput]:
     """UCB race on the parametric instance; one membership curve per scheme."""
-    means = config.means or parametric_means(config.n, config.alpha)
-    env = bernoulli_environment(means, seed=config.seed)
+    _, env = _config_environment(config)
     extra = {"n": env.n_arms, "alpha": config.alpha}
     return {kind: _race_experiment(env, kind, config, extra) for kind in config.schemes}
 
 
 def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
     """UCB race on bootstrap replay of contest votes; one curve per scheme."""
-    dataset = parse_contest_csv(config.input)
-    env = from_contest(dataset, seed=config.seed)
+    try:
+        dataset = parse_contest_csv(config.input)
+        env = from_contest(dataset, seed=config.seed)
+    except (ValueError, csv.Error) as exc:  # the file's contents, not an I/O failure
+        raise ConfigError(f"contest data: {exc}") from None
     extra = {
         "n": env.n_arms,
         "contest_id": dataset.contest_id,
@@ -358,16 +390,15 @@ def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
 
 def cmd_identify(config: RunConfig) -> ExperimentOutput:
     """Repeated adaptive identification; error rate, sample costs, predicted bound."""
-    means = config.means or parametric_means(config.n, config.alpha)
-    env = bernoulli_environment(means, seed=config.seed)
+    means, env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
     if config.budget is not None and config.budget < env.n_arms:
         raise ConfigError(f"--budget must be >= the number of arms ({env.n_arms})")
     tasks = [
-        (env, scheme, config.budget, derive_seed(config.seed, r))
+        ("identify", env, scheme, config.budget, derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
-    records = _map_tasks(_identify_worker, _identify_task, tasks, config.parallel)
+    records = _map_tasks(tasks, config.parallel)
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)
     pulls = np.array([rec.per_arm_pulls for rec in records], dtype=float)
@@ -524,12 +555,16 @@ def main(argv=None) -> int:
     try:
         config = build_config(argv)
         paths = run(config)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"lilklucb: configuration error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"lilklucb: i/o error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # anything else is a fault of the program, not of its input
+        traceback.print_exc()
+        print("lilklucb: internal error", file=sys.stderr)
+        return 3
     for path in paths:
         print(path)
     return 0

@@ -1,14 +1,19 @@
 """Tests for the identification engine, the UCB race, and the complexity evaluator."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lilklucb.bandit import (
     ArmStats,
     ComplexityBound,
     RunRecord,
+    _argmax_random_tie,
+    _IncrementalMax,
     _schedule,
     hardness_sums,
     lil_klucb,
@@ -72,6 +77,31 @@ class TestTopIndex:
         picks = [top_index(stats, rng) for _ in range(10_000)]
         freq = sum(picks) / len(picks)
         assert abs(freq - 0.5) <= 0.02
+
+
+# A few values, 1.0 (the saturated upper bound) among them, so ties are common.
+TIE_VALUES = st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0])
+
+
+class TestIncrementalMax:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        initial=st.lists(TIE_VALUES, min_size=1, max_size=12),
+        updates=st.lists(st.tuples(st.integers(0, 11), TIE_VALUES), max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pick_matches_argmax_random_tie(self, initial, updates, seed):
+        values = list(initial)
+        best = _IncrementalMax(values)
+        rng = np.random.default_rng(seed)
+        for arm, value in [(None, None)] + updates:
+            if arm is not None:
+                arm %= len(values)
+                values[arm] = value
+                best.move(arm, value)
+            reference = copy.deepcopy(rng)
+            assert best.pick(rng) == _argmax_random_tie(np.array(values), reference)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestLilKlucb:

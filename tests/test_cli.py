@@ -115,6 +115,39 @@ class TestConfigHandling:
         assert main(argv) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_unsorted_config_means_exit_1(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": [0.2, 0.8, 0.5]}))
+        for cmd in (["identify"], ["simulate", "--budget", "30"]):
+            assert main(cmd + ["--config", str(cfg), "--reps", "2",
+                               "--output", str(tmp_path / "o.csv")]) == 1
+
+    def test_malformed_contest_csv_exits_1(self, tmp_path):
+        path = tmp_path / "contest_1.csv"
+        path.write_text("caption,unfunny,somewhat_funny,funny\na,1,x,3\nb,2,2,2\n")
+        assert main(["replay", "--input", str(path), "--budget", "50", "--reps", "2",
+                     "--output", str(tmp_path / "r.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "content", [{"delta": "tiny"}, [1, 2], {"means": [0.5]}, {"grid_points": 2}])
+    def test_bad_config_file_exits_1(self, tmp_path, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["identify", "--config", str(cfg), "--reps", "2",
+                     "--output", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize("error", [ValueError("internal"), OverflowError("internal")])
+    def test_internal_fault_exits_3_with_traceback(self, tmp_path, monkeypatch, capsys, error):
+        from lilklucb import cli
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "hardness_sums", broken)
+        assert main(["table1", "--n", "8,16,32,64", "--output", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal error" in err
+
     def test_exit_codes(self, tmp_path):
         assert main(["simulate", "--budget", "4", "--output", "x.csv",
                      "--delta", "2"]) == 1
@@ -143,12 +176,19 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_does_not_change_output(self, tmp_path):
-        argv = ["simulate", "--n", "10", "--alpha", "1", "--budget", "300",
-                "--reps", "6", "--k", "2", "--seed", "17"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(argv + ["--output", str(a)]) == 0
-        assert main(argv + ["--parallel", "3", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        simulate = ["simulate", "--n", "10", "--alpha", "1", "--budget", "300",
+                    "--reps", "6", "--k", "2", "--seed", "17"]
+        replay = ["replay", "--input", str(_contest_file(tmp_path)), "--budget", "150",
+                  "--reps", "5", "--k", "1", "--seed", "6", "--scheme", "kl,sg1"]
+        for case, argv in enumerate([simulate, simulate + ["--scheme", "kl,sg1"], replay]):
+            a, b = tmp_path / f"a{case}.csv", tmp_path / f"b{case}.csv"
+            assert main(argv + ["--output", str(a)]) == 0
+            assert main(argv + ["--parallel", "3", "--output", str(b)]) == 0
+            serial = sorted(tmp_path.glob(f"a{case}*.csv"))
+            assert len(serial) == (1 if case == 0 else 2)
+            for path in serial:
+                twin = path.with_name("b" + path.name[1:])
+                assert path.read_bytes() == twin.read_bytes(), path.name
 
     def test_easy_instance_ends_confident(self, tmp_path):
         config = build_config(
