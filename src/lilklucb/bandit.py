@@ -60,22 +60,17 @@ class RunRecord:
             raise ValueError("snapshots must be sorted by total sample count")
 
 
-def _argmax_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
-    best = values.max()
-    ties = np.flatnonzero(values == best)
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(ties.size)])
+def _argmax_random_tie(values, rng: np.random.Generator) -> int:
+    """Index of the largest value, ties broken at random.
 
-
-def top_index(stats, rng: np.random.Generator) -> int:
-    """Index of the arm with the highest empirical mean, ties broken at random."""
-    if not stats:
-        raise ValueError("need at least one arm")
-    if any(s.pulls < 1 for s in stats):
-        raise ValueError("every arm needs at least one pull before ranking")
-    means = np.array([s.mean for s in stats])
-    return _argmax_random_tie(means, rng)
+    With m > 1 values at the maximum, the ``rng.integers(m)``-th of them in
+    index order is returned; a unique maximum draws nothing.
+    """
+    best = max(values)
+    ties = [i for i, value in enumerate(values) if value == best]
+    if len(ties) == 1:
+        return ties[0]
+    return ties[rng.integers(len(ties))]
 
 
 class _IncrementalMax:
@@ -187,7 +182,7 @@ def lil_klucb(
     ucbs = [pull(i) for i in range(n)]
     total = n
     while True:
-        top = _argmax_random_tie(np.divide(sums, pulls), rng)
+        top = _argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng)
         key = (pulls[top], sums[top])
         leader_lcb = lcb_table.get(key)
         if leader_lcb is None:
@@ -262,7 +257,7 @@ def ucb_race(
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
     return RunRecord(
-        recommended=_argmax_random_tie(np.divide(sums, pulls), rng),
+        recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng),
         total_samples=total,
         per_arm_pulls=tuple(pulls),
         stopped=False,

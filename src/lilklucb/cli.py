@@ -166,6 +166,17 @@ def _parse_float_list(value, flag: str) -> tuple[float, ...]:
         raise ConfigError(f"{flag} must be a number or comma-separated numbers") from None
 
 
+def _optional_count(value, key: str) -> int | None:
+    """None, an int, or an integral float as an int; anything else (bools too) is a ConfigError."""
+    if value is None:
+        return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def build_config(argv=None) -> RunConfig:
     args = _build_parser().parse_args(argv)
     raw = dict(DEFAULTS)
@@ -206,7 +217,7 @@ def build_config(argv=None) -> RunConfig:
             schemes=schemes,
             n_values=_parse_int_list(raw["n"], "--n"),
             alpha_values=_parse_float_list(raw["alpha"], "--alpha"),
-            budget=raw["budget"],
+            budget=_optional_count(raw["budget"], "budget"),
             reps=int(raw["reps"]),
             delta=float(raw["delta"]),
             tilt=int(raw["bound_n"]),
@@ -218,7 +229,7 @@ def build_config(argv=None) -> RunConfig:
             format=raw["format"],
             mu=float(raw["mu"]),
             t_max=int(raw["t_max"]),
-            snapshot_every=raw["snapshot_every"],
+            snapshot_every=_optional_count(raw["snapshot_every"], "snapshot_every"),
             means=tuple(float(m) for m in means) if means is not None else None,
             grid_points=int(raw["grid_points"]),
         )
@@ -462,6 +473,21 @@ def cmd_table1(config: RunConfig) -> ExperimentOutput:
     return ExperimentOutput(metadata, ("n", "alpha", "kl_sum", "sg_sum"), tuple(rows))
 
 
+def _bernoulli_draws(rng: np.random.Generator, mu: float, size) -> np.ndarray:
+    """``rng.binomial(1, mu, size) == 1``, bit for bit and draw for draw.
+
+    NumPy draws a Bernoulli by inversion on the smaller of mu and 1 - mu:
+    one uniform u per draw against q = exp(log(1 - p)) (libm, as
+    ``math.exp``/``math.log`` are), giving u > q for p = mu <= 1/2 and
+    u <= q for p = 1 - mu.  mu = 0 draws nothing.
+    """
+    if mu == 0.0:
+        return np.zeros(size, dtype=bool)
+    if mu <= 0.5:
+        return rng.random(size) > math.exp(math.log(1.0 - mu))
+    return rng.random(size) <= math.exp(math.log(1.0 - (1.0 - mu)))
+
+
 def coverage_rates(
     scheme: BoundScheme,
     mu: float,
@@ -472,21 +498,29 @@ def coverage_rates(
 ) -> dict[str, float]:
     """Monte-Carlo anytime miss rates of [lower_bound, upper_bound] around mu.
 
-    Simulates iid Bernoulli(mu) streams and counts trajectories whose
-    empirical mean ever crosses the precomputed exit curves within t_max
-    samples, which is exactly the event that mu leaves the interval.
+    Simulates iid Bernoulli(mu) streams, ``batch_size`` trajectories at a
+    time, and counts those whose running sum ever crosses the exit curves
+    of ``coverage_envelope`` within t_max samples, which is exactly the
+    event that mu leaves the interval.  An integer sum s exceeds h*t exactly
+    when s > floor(h*t), and falls below l*t exactly when s < ceil(l*t), so
+    the curves are integers and the sums stay in the smallest integer type
+    that holds them.  The draws are ``rng.binomial(1, mu)``'s, so the
+    batch size changes no rate.
     """
     low, high = coverage_envelope(scheme, mu, t_max)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise RuntimeError(f"coverage envelope of {scheme.kind} at mu={mu} is not finite")
+    dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max > t_max)
     t = np.arange(1, t_max + 1, dtype=np.float64)
-    low_sum = low * t
-    high_sum = high * t
+    high_sum = np.clip(np.floor(high * t), -1, t_max + 1).astype(dtype)
+    low_sum = np.clip(np.ceil(low * t), -1, t_max + 1).astype(dtype)
     rng = np.random.default_rng(seed)
     below = above = joint = 0
     remaining = trajectories
     while remaining > 0:
         b = min(batch_size, remaining)
         remaining -= b
-        sums = np.cumsum(rng.binomial(1, mu, size=(b, t_max)), axis=1)
+        sums = np.cumsum(_bernoulli_draws(rng, mu, (b, t_max)), axis=1, dtype=dtype)
         hit_high = (sums > high_sum).any(axis=1)  # mu fell below its lower bound
         hit_low = (sums < low_sum).any(axis=1)    # mu rose above its upper bound
         below += int(hit_high.sum())

@@ -25,6 +25,7 @@ import numpy as np
 
 from .kl_math import (
     _bracketed_newton,
+    _bracketed_newton_array,
     _expansion_root,
     _kl,
     as_prob,
@@ -197,6 +198,34 @@ def _first_arg_inverse(mu: float, bound: float, edge: float, start: float | None
         bound, mu, edge, start=start, tol=_FIRST_ARG_TOL)
 
 
+def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
+    """``_first_arg_inverse`` for every budget in ``bounds`` at once.
+
+    Same cases and rules, on NumPy arrays: a degenerate mu is returned as
+    is, a budget with D(edge, mu) within it gives ``edge``, and every other
+    budget is solved by ``_bracketed_newton_array`` from the root of the
+    expansion.  NumPy's vector log may differ from ``math.log`` in the last
+    bit, so an entry can differ from the scalar inverse by rounding; each
+    lies within _FIRST_ARG_TOL of where the array divergence crosses its
+    budget.
+    """
+    if mu == 0.0 or mu == 1.0:
+        return np.full(bounds.shape, mu)
+    out = np.full(bounds.shape, edge)
+    solve = ~(_kl(edge, mu) <= bounds)
+    b = bounds[solve]
+    start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * b * mu * (1.0 - mu))
+             + b * (1.0 - 2.0 * mu) / 3.0)
+
+    def f(x):
+        up = np.log(x / mu)
+        down = np.log((1.0 - x) / (1.0 - mu))
+        return x * up + (1.0 - x) * down, up - down
+
+    out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
+    return out
+
+
 def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "upper") -> float:
     """The deviation budget z_t at sample size t around a known mean.
 
@@ -217,20 +246,6 @@ def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "uppe
         reach = _first_arg_inverse(mu, thr, 0.0)
         return min(mu, (mu - reach) / weight)
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-
-
-@dataclass(frozen=True)
-class DeviationSequence:
-    """The per-t deviation budgets of a ``kl`` scheme around a fixed mean."""
-
-    scheme: BoundScheme
-    mu: float
-
-    def upper(self, t: int) -> float:
-        return deviation_envelope(self.scheme, self.mu, t, "upper")
-
-    def lower(self, t: int) -> float:
-        return deviation_envelope(self.scheme, self.mu, t, "lower")
 
 
 def upper_bound(scheme: BoundScheme, stats) -> float:
@@ -276,32 +291,28 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     or m > high[t-1] (mu below the interval).  This reduces Monte-Carlo
     coverage checks to comparing running sums against precomputed curves
     instead of inverting bounds along every trajectory.
+
+    The budgets (``threshold``) and radii are the scalar functions' values;
+    the kl schemes invert D(., mu) at all t_max budgets per side in one
+    array solve (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
     """
     mu = as_prob(mu, "mu")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
-    low = np.empty(t_max)
-    high = np.empty(t_max)
-    tilt = scheme.tilt
-    zu = zl = None
-    for t in range(1, t_max + 1):
-        if scheme.kind in (SG1, SG2):
-            r = sg1_radius(scheme, t) if scheme.kind == SG1 else sg2_radius(t, scheme.delta)
-            low[t - 1] = mu - r
-            high[t - 1] = mu + r
-            continue
-        # Both kl schemes invert D(., mu) at the threshold; the roots move
-        # toward mu as t grows, so each solve starts from the previous root.
-        thr = threshold(scheme, t)
-        zu = _first_arg_inverse(mu, thr, 1.0, start=zu)
-        zl = _first_arg_inverse(mu, thr, 0.0, start=zl)
-        if scheme.kind == KL_TILTED:
-            # m exits when the tilted divergence at the true mean exceeds the
-            # budget: D((tilt*m + mu)/(tilt+1), mu) > thr, and the mixture
-            # point (tilt*m + mu)/(tilt+1) is the first-argument inverse.
-            high[t - 1] = mu + (tilt + 1.0) / tilt * (zu - mu)
-            low[t - 1] = mu - (tilt + 1.0) / tilt * (mu - zl)
-        else:  # KL_PRIME: exit when D(m, mu) > thr on the matching side
-            high[t - 1] = zu
-            low[t - 1] = zl
-    return low, high
+    ts = range(1, t_max + 1)
+    if scheme.kind in (SG1, SG2):
+        if scheme.kind == SG1:
+            r = np.fromiter((sg1_radius(scheme, t) for t in ts), float, t_max)
+        else:
+            r = np.fromiter((sg2_radius(t, scheme.delta) for t in ts), float, t_max)
+        return mu - r, mu + r
+    thr = np.fromiter((threshold(scheme, t) for t in ts), float, t_max)
+    zu = _first_arg_inverses(mu, thr, 1.0)
+    zl = _first_arg_inverses(mu, thr, 0.0)
+    if scheme.kind == KL_TILTED:
+        # m exits when the tilted divergence at the true mean exceeds the
+        # budget: D((tilt*m + mu)/(tilt+1), mu) > thr, and the mixture point
+        # (tilt*m + mu)/(tilt+1) is the first-argument inverse.
+        stretch = (scheme.tilt + 1.0) / scheme.tilt
+        return mu - stretch * (mu - zl), mu + stretch * (zu - mu)
+    return zl, zu  # KL_PRIME: exit when D(m, mu) > thr on the matching side

@@ -9,7 +9,8 @@ keeps a bracket with the root inside, takes Newton steps from the analytic
 derivative and bisects whenever a step is unsafe.  Contract: the returned
 point is feasible (its divergence, as ``_kl`` computes it, is within the
 budget) and lies within BISECTION_TOL of the point where ``_kl`` crosses
-the budget.
+the budget.  ``_bracketed_newton_array`` runs the same rules on a whole
+array of budgets at once.
 
 All logarithms are natural.  Inputs are validated on entry; degenerate
 cases follow the conventions 0*log(0) = 0 and D(p, q) = +inf exactly when
@@ -20,6 +21,8 @@ for concurrent use.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Absolute tolerance on the probability argument of every inverse and of the
 # Chernoff bisection, with a hard iteration cap so the cost is bounded.
@@ -114,6 +117,57 @@ def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
         step_before, step = step, abs(nxt - y)
         y = nxt
     return d * lo
+
+
+def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
+                            start, tol: float = BISECTION_TOL) -> np.ndarray:
+    """``_bracketed_newton`` for every budget in ``bounds`` at once.
+
+    One function f, mapping an array of points to arrays of (value, slope),
+    and one pair of ends serve every entry; each entry keeps its own bracket
+    and step history and runs the scalar solver's rules: the Newton step in
+    log|infeasible - x|, the midpoint on an unsafe step, points tol/2 inside
+    the bracket, and the feasible end once the ends are within ``tol``.
+    ``start`` (broadcast against ``bounds``) is each entry's first point if
+    it lies inside the bracket.  Entries leave the iteration as they finish.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    d = 1.0 if infeasible > feasible else -1.0
+    edge = d * infeasible
+    half = 0.5 * tol
+    lo = np.full(bounds.shape, d * feasible)
+    hi = np.full(bounds.shape, edge)
+    y = np.broadcast_to(d * np.asarray(start, dtype=float), bounds.shape)
+    y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
+    step = step_before = hi - lo
+    out = np.empty(bounds.shape)
+    live = np.arange(bounds.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(BISECTION_MAX_ITER):
+            done = hi - lo <= tol
+            if done.any():
+                out[live[done]] = d * lo[done]
+                keep = ~done
+                live, lo, hi, y, step, step_before, bounds = (
+                    a[keep] for a in (live, lo, hi, y, step, step_before, bounds))
+            if live.size == 0:
+                break
+            y = np.where(y < lo + half, lo + half, np.where(y > hi - half, hi - half, y))
+            value, slope = f(d * y)
+            below = value <= bounds
+            lo = np.where(below, y, lo)
+            hi = np.where(below, hi, y)
+            gap = edge - y
+            scale = d * slope * gap
+            ratio = (value - bounds) / scale
+            newton = (0.0 < scale) & (scale < math.inf) & (ratio < 50.0)
+            nxt = np.where(newton, edge - gap * np.exp(np.where(newton, ratio, 0.0)), math.nan)
+            safe = (lo <= nxt) & (nxt <= hi) & (np.abs(nxt - y) <= 0.5 * step_before)
+            nxt = np.where(safe, nxt, 0.5 * (lo + hi))
+            step_before, step = step, np.abs(nxt - y)
+            y = nxt
+    out[live] = d * lo
+    return out
 
 
 def _expansion_root(p: float, bound: float, edge: float, stretch: float, skew: float) -> float:
@@ -269,21 +323,3 @@ def chernoff_information(x: float, y: float) -> float:
     z = chernoff_crossing(a, b)
     return 0.5 * (_kl(z, a) + _kl(z, b))
 
-
-def chernoff_floor(mu: float, delta_gap: float) -> float:
-    """Closed-form lower bound on chernoff_information(mu, mu + delta_gap).
-
-    Evaluates -log(sqrt(mu*(mu+gap)) + sqrt((1-mu)*(1-mu-gap))); used as a
-    test oracle bounding the Chernoff information from below.
-    """
-    mu = as_prob(mu, "mu")
-    delta_gap = float(delta_gap)
-    if math.isnan(delta_gap) or delta_gap < 0.0:
-        raise ValueError(f"delta_gap must be >= 0, got {delta_gap!r}")
-    if mu + delta_gap > 1.0:
-        raise ValueError(f"mu + delta_gap must not exceed 1, got {mu + delta_gap!r}")
-    upper = mu + delta_gap
-    s = math.sqrt(mu * upper) + math.sqrt(max(0.0, (1.0 - mu) * (1.0 - upper)))
-    if s == 0.0:
-        return math.inf
-    return -math.log(s)

@@ -15,13 +15,13 @@ from lilklucb.confidence import BoundScheme, deviation_envelope, untilt_factor
 from lilklucb.environments import bernoulli_environment, parametric_means
 from lilklucb.kl_math import (
     bernoulli_kl,
-    chernoff_floor,
     chernoff_information,
     kl_lower_inverse,
     kl_upper_inverse,
     tilted_kl_lower_inverse,
     tilted_kl_upper_inverse,
 )
+from test_kl_math import chernoff_floor
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

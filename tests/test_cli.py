@@ -1,6 +1,7 @@
 """Tests for the command-line front end: config handling, commands, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,29 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(content))
         assert main(["identify", "--config", str(cfg), "--reps", "2",
                      "--output", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize("key", ["budget", "snapshot_every"])
+    @pytest.mark.parametrize("value", ["100", True, 100.5, math.nan])
+    def test_non_integer_count_in_config_file_exits_1(self, tmp_path, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["simulate", "--n", "5", "--reps", "2", "--config", str(cfg),
+                "--output", str(tmp_path / "o.csv")]
+        if key != "budget":
+            argv += ["--budget", "40"]
+        with pytest.raises(ConfigError, match=key):
+            build_config(argv)
+        assert main(argv) == 1
+
+    def test_integral_float_count_in_config_file_is_an_int(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"budget": 40.0, "snapshot_every": 10.0}))
+        argv = ["simulate", "--n", "5", "--reps", "2", "--config", str(cfg),
+                "--output", str(tmp_path / "o.csv")]
+        config = build_config(argv)
+        assert (config.budget, config.snapshot_every) == (40, 10)
+        assert type(config.budget) is int and type(config.snapshot_every) is int
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("error", [ValueError("internal"), OverflowError("internal")])
     def test_internal_fault_exits_3_with_traceback(self, tmp_path, monkeypatch, capsys, error):

@@ -1,6 +1,7 @@
 """Tests for the anytime confidence sequences and their constants."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from lilklucb.confidence import (
     SG1,
     SG2,
     BoundScheme,
-    DeviationSequence,
     coverage_envelope,
     deviation_envelope,
     kappa,
@@ -25,6 +25,20 @@ from lilklucb.confidence import (
     upper_bound,
 )
 from lilklucb.kl_math import bernoulli_kl, kl_lower_inverse, kl_upper_inverse
+
+
+@dataclass(frozen=True)
+class DeviationSequence:
+    """The per-t deviation budgets of a ``kl`` scheme around a fixed mean."""
+
+    scheme: BoundScheme
+    mu: float
+
+    def upper(self, t: int) -> float:
+        return deviation_envelope(self.scheme, self.mu, t, "upper")
+
+    def lower(self, t: int) -> float:
+        return deviation_envelope(self.scheme, self.mu, t, "lower")
 
 
 def _stats(pulls: int, mean: float) -> ArmStats:

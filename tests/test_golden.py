@@ -42,6 +42,13 @@ CASES = {
     "coverage-kl-prime": ["coverage", "--scheme", "kl-prime", "--mu", "0.7",
                           "--t-max", "400", "--reps", "300", "--delta", "0.05",
                           "--seed", "4"],
+    # every miss rate nonzero (see test_nonzero_coverage_goldens), so a
+    # changed draw or exit curve shows; mu = 0.6 takes the mu > 1/2 branch of
+    # the Bernoulli draw
+    "coverage-kl-nonzero": ["coverage", "--scheme", "kl", "--mu", "0.5",
+                            "--delta", "0.5", "--t-max", "1000", "--reps", "4000"],
+    "coverage-sg1-nonzero": ["coverage", "--scheme", "sg1", "--mu", "0.6",
+                             "--delta", "0.9", "--t-max", "1000", "--reps", "4000"],
 }
 
 
@@ -61,6 +68,14 @@ def test_output_matches_golden(name, fmt, tmp_path):
         golden = GOLDEN / path.name
         assert golden.is_file(), f"no golden fixture {golden.name}"
         assert path.read_bytes() == golden.read_bytes(), f"{path.name} differs from its golden"
+
+
+@pytest.mark.parametrize("name", ["coverage-kl-nonzero", "coverage-sg1-nonzero"])
+def test_nonzero_coverage_goldens(name):
+    metadata = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["metadata"]
+    rates = [metadata[event] for event in
+             ("true_mean_below_lower", "true_mean_above_upper", "joint")]
+    assert all(rate > 0.0 for rate in rates), rates
 
 
 def _regenerate() -> None:

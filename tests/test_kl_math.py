@@ -10,7 +10,6 @@ from lilklucb.kl_math import (
     as_prob,
     bernoulli_kl,
     chernoff_crossing,
-    chernoff_floor,
     chernoff_information,
     kl_lower_inverse,
     kl_upper_inverse,
@@ -23,6 +22,25 @@ from lilklucb.kl_math import (
 KL_03_07 = 0.33891914415488137971
 
 PROB_GRID = np.round(np.arange(0.01, 1.0, 0.01), 2)
+
+
+def chernoff_floor(mu: float, delta_gap: float) -> float:
+    """Closed-form lower bound on chernoff_information(mu, mu + delta_gap).
+
+    Evaluates -log(sqrt(mu*(mu+gap)) + sqrt((1-mu)*(1-mu-gap))); a test
+    oracle bounding the Chernoff information from below.
+    """
+    mu = as_prob(mu, "mu")
+    delta_gap = float(delta_gap)
+    if math.isnan(delta_gap) or delta_gap < 0.0:
+        raise ValueError(f"delta_gap must be >= 0, got {delta_gap!r}")
+    if mu + delta_gap > 1.0:
+        raise ValueError(f"mu + delta_gap must not exceed 1, got {mu + delta_gap!r}")
+    upper = mu + delta_gap
+    s = math.sqrt(mu * upper) + math.sqrt(max(0.0, (1.0 - mu) * (1.0 - upper)))
+    if s == 0.0:
+        return math.inf
+    return -math.log(s)
 
 
 class TestValidation:
