@@ -12,11 +12,12 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import environments
-from .confidence import BoundScheme, kappa, lower_bound, upper_bound
+from .confidence import KL_TILTED, BoundScheme, lower_bound, threshold, upper_bound
 from .environments import Environment, gap_family
 from .kl_math import chernoff_information
 
@@ -50,7 +51,6 @@ class RunRecord:
     per_arm_pulls: tuple[int, ...]
     stopped: bool
     snapshots: tuple[tuple[int, bool], ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.total_samples != sum(self.per_arm_pulls):
@@ -119,9 +119,11 @@ class _IncrementalMax:
         return ties[rng.integers(len(ties))]
 
 
-def _bound_table(cache: dict, side: str, scheme: BoundScheme) -> dict:
-    """The (pulls, reward_sum) -> bound table of one side ("u"/"l") and scheme."""
-    return cache.setdefault((side, scheme), {})
+def _cached(table: dict, bound, scheme: BoundScheme, key: tuple) -> float:
+    """``bound(scheme, ArmStats(*key))`` through ``table``, keyed by (pulls, reward_sum)."""
+    if key not in table:
+        table[key] = bound(scheme, ArmStats(*key))
+    return table[key]
 
 
 def _puller(env: Environment, scheme: BoundScheme, rng: np.random.Generator,
@@ -129,16 +131,19 @@ def _puller(env: Environment, scheme: BoundScheme, rng: np.random.Generator,
     """A function that pulls arm i once and returns its new upper bound.
 
     Per-arm pull counts and reward sums live in the flat lists ``pulls`` and
-    ``sums``; upper bounds are looked up in the scheme's table in ``cache``.
+    ``sums``; upper bounds are looked up in the table ``cache[("u", scheme)]``.
+    With ``look=False`` the pull draws and counts but looks nothing up.
     """
-    table = _bound_table(cache, "u", scheme)
+    table = cache.setdefault(("u", scheme), {})
 
-    def pull(i: int) -> float:
+    def pull(i: int, look: bool = True) -> float | None:
         reward = environments.sample(env, i, rng)
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"rewards must lie in [0, 1], got {reward!r}")
         pulls[i] += 1
         sums[i] += reward
+        if not look:
+            return None
         key = (pulls[i], sums[i])
         ucb = table.get(key)
         if ucb is None:
@@ -153,7 +158,6 @@ def lil_klucb(
     scheme: BoundScheme,
     budget: int | None,
     rng: np.random.Generator,
-    seed: int = 0,
     bound_cache: dict | None = None,
 ) -> RunRecord:
     """Adaptive identification run; returns the recommended arm and its trace.
@@ -165,8 +169,13 @@ def lil_klucb(
     (lowest index on ties).  Stops with ``stopped=False`` once another round
     would exceed ``budget``.
 
+    A round evaluates only the bounds it reads: the leader's upper bound
+    once another arm leads, its lower bound (never above its mean) only if
+    every rival's upper bound is below that mean.  Bounds are pure in their
+    key, so record and generator state equal those of evaluating them all.
+
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
-    holds one table per (side, scheme) keyed by (pulls, reward_sum).
+    holds one table per (side "u"/"l", scheme) keyed by (pulls, reward_sum).
     """
     n = env.n_arms
     if n < 2:
@@ -175,28 +184,32 @@ def lil_klucb(
         raise ValueError("budget must cover one initialization pull per arm")
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
-    lcb_table = _bound_table(cache, "l", leader_scheme)
+    ucb_table = cache.setdefault(("u", scheme), {})
+    lcb_table = cache.setdefault(("l", leader_scheme), {})
     pulls = [0] * n
     sums = [0.0] * n
     pull = _puller(env, scheme, rng, cache, pulls, sums)
     ucbs = [pull(i) for i in range(n)]
+    stale = None  # the arm whose entry in ucbs predates its last pull
     total = n
     while True:
-        top = _argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng)
-        key = (pulls[top], sums[top])
-        leader_lcb = lcb_table.get(key)
-        if leader_lcb is None:
-            leader_lcb = lcb_table[key] = lower_bound(leader_scheme, ArmStats(*key))
+        means = [s / p for s, p in zip(sums, pulls)]
+        top = _argmax_random_tie(means, rng)
+        if stale is not None and stale != top:
+            ucbs[stale] = _cached(ucb_table, upper_bound, scheme, (pulls[stale], sums[stale]))
+            stale = None
         rivals = ucbs.copy()
         rivals[top] = -math.inf
         challenger = max(range(n), key=rivals.__getitem__)  # first index on ties
-        if leader_lcb > rivals[challenger]:
+        if rivals[challenger] < means[top] and _cached(
+                lcb_table, lower_bound, leader_scheme, (pulls[top], sums[top])) > rivals[challenger]:
             stopped = True
             break
         if budget is not None and total + 2 > budget:
             stopped = False
             break
-        ucbs[top] = pull(top)
+        pull(top, look=False)
+        stale = top
         ucbs[challenger] = pull(challenger)
         total += 2
     return RunRecord(
@@ -205,7 +218,6 @@ def lil_klucb(
         per_arm_pulls=tuple(pulls),
         stopped=stopped,
         snapshots=(),
-        seed=seed,
     )
 
 
@@ -222,7 +234,6 @@ def ucb_race(
     snapshot_every: int,
     k: int,
     rng: np.random.Generator,
-    seed: int = 0,
     bound_cache: dict | None = None,
 ) -> RunRecord:
     """Fixed-budget UCB loop recording top-k membership of the true best arm.
@@ -262,7 +273,6 @@ def ucb_race(
         per_arm_pulls=tuple(pulls),
         stopped=False,
         snapshots=tuple(snapshots),
-        seed=seed,
     )
 
 
@@ -290,12 +300,6 @@ class ComplexityBound:
         expected = self.best_arm_term + math.fsum(self.per_arm_terms)
         if not math.isclose(self.total, expected, rel_tol=1e-9):
             raise ValueError("total must equal the sum of its terms")
-
-
-def _schedule(tilt: int, delta: float):
-    """Threshold schedule t -> ln(kappa * log2(2t) / delta) / t at one confidence."""
-    kap = kappa(tilt, delta)
-    return lambda t: max(0.0, math.log(kap * math.log2(2.0 * t) / delta) / t)
 
 
 def _first_crossing(f, target: float) -> int:
@@ -369,8 +373,8 @@ def predicted_complexity(
             best = (total, float(v), _bound_term(d_best, (n - 1) / delta), tuple(arm_terms))
     total, witness, best_term, arm_terms = best
 
-    pair_schedule = _schedule(tilt, delta * delta)
-    leader_schedule = _schedule(tilt, delta / (n - 1))
+    pair_schedule = partial(threshold, BoundScheme(KL_TILTED, tilt, delta * delta))
+    leader_schedule = partial(threshold, BoundScheme(KL_TILTED, tilt, delta / (n - 1)))
     crossings = tuple(
         _first_crossing(pair_schedule, chernoff_information(mu_i, witness))
         for mu_i in mus[1:]

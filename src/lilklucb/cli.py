@@ -285,6 +285,8 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("means must list at least 2 arms")
         if config.grid_points < 3:
             raise ConfigError("grid_points must be >= 3")
+    if cmd in ("table1", "coverage") and config.parallel > 1:
+        raise ConfigError(f"{cmd} runs in one process; --parallel must be 1")
     if cmd in ("identify", "coverage") and len(config.schemes) != 1:
         raise ConfigError(f"{cmd} takes a single --scheme")
     if cmd == "table1":
@@ -318,8 +320,8 @@ def _run_task(task):
     loop, *args, rep_seed = task
     rng = np.random.default_rng(rep_seed)
     if loop == "race":
-        return ucb_race(*args, rng, seed=rep_seed, bound_cache=_bound_cache).snapshots
-    return lil_klucb(*args, rng, seed=rep_seed, bound_cache=_bound_cache)
+        return ucb_race(*args, rng, bound_cache=_bound_cache).snapshots
+    return lil_klucb(*args, rng, bound_cache=_bound_cache)
 
 
 def _map_tasks(tasks, parallel: int):
@@ -372,7 +374,7 @@ def _config_environment(config: RunConfig):
     """(means, environment) of simulate/identify; bad config means are a ConfigError."""
     means = config.means or parametric_means(config.n, config.alpha)
     try:
-        return means, bernoulli_environment(means, seed=config.seed)
+        return means, bernoulli_environment(means)
     except ValueError as exc:
         raise ConfigError(f"means: {exc}") from None
 
@@ -388,7 +390,7 @@ def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
     """UCB race on bootstrap replay of contest votes; one curve per scheme."""
     try:
         dataset = parse_contest_csv(config.input)
-        env = from_contest(dataset, seed=config.seed)
+        env = from_contest(dataset)
     except (ValueError, csv.Error) as exc:  # the file's contents, not an I/O failure
         raise ConfigError(f"contest data: {exc}") from None
     extra = {
@@ -488,24 +490,28 @@ def _bernoulli_draws(rng: np.random.Generator, mu: float, size) -> np.ndarray:
     return rng.random(size) <= math.exp(math.log(1.0 - (1.0 - mu)))
 
 
+_BATCH_DRAWS = 2**17
+
+
 def coverage_rates(
     scheme: BoundScheme,
     mu: float,
     t_max: int,
     trajectories: int,
     seed: int,
-    batch_size: int = 512,
 ) -> dict[str, float]:
     """Monte-Carlo anytime miss rates of [lower_bound, upper_bound] around mu.
 
-    Simulates iid Bernoulli(mu) streams, ``batch_size`` trajectories at a
-    time, and counts those whose running sum ever crosses the exit curves
-    of ``coverage_envelope`` within t_max samples, which is exactly the
-    event that mu leaves the interval.  An integer sum s exceeds h*t exactly
-    when s > floor(h*t), and falls below l*t exactly when s < ceil(l*t), so
-    the curves are integers and the sums stay in the smallest integer type
-    that holds them.  The draws are ``rng.binomial(1, mu)``'s, so the
-    batch size changes no rate.
+    Simulates iid Bernoulli(mu) streams, as many trajectories at a time as
+    fit in _BATCH_DRAWS draws (at least one, so memory stays a few megabytes
+    at any t_max), and counts those whose running sum ever crosses the exit
+    curves of ``coverage_envelope`` within t_max samples, which is exactly
+    the event that mu leaves the interval.  An integer sum s exceeds h*t
+    exactly when s > floor(h*t), and falls below l*t exactly when
+    s < ceil(l*t), so the curves are integers and the sums stay in the
+    smallest integer type that holds them.  The draws are
+    ``rng.binomial(1, mu)``'s, consumed in order, so the batch size changes
+    no rate.
     """
     low, high = coverage_envelope(scheme, mu, t_max)
     if not (np.isfinite(low).all() and np.isfinite(high).all()):
@@ -516,10 +522,9 @@ def coverage_rates(
     low_sum = np.clip(np.ceil(low * t), -1, t_max + 1).astype(dtype)
     rng = np.random.default_rng(seed)
     below = above = joint = 0
-    remaining = trajectories
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        remaining -= b
+    rows = max(1, _BATCH_DRAWS // t_max)
+    for start in range(0, trajectories, rows):
+        b = min(rows, trajectories - start)
         sums = np.cumsum(_bernoulli_draws(rng, mu, (b, t_max)), axis=1, dtype=dtype)
         hit_high = (sums > high_sum).any(axis=1)  # mu fell below its lower bound
         hit_low = (sums < low_sum).any(axis=1)    # mu rose above its upper bound

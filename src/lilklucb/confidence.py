@@ -268,7 +268,7 @@ def upper_bound(scheme: BoundScheme, stats) -> float:
 
 
 def lower_bound(scheme: BoundScheme, stats) -> float:
-    """Anytime lower confidence limit; mirror of upper_bound, clamped at 0."""
+    """Mirror of upper_bound, clamped at 0; never above the empirical mean, exactly as floats."""
     t = stats.pulls
     if t < 1:
         raise ValueError("lower_bound requires at least one sample")

@@ -97,13 +97,11 @@ ArmDistribution = Union[Bernoulli, Discrete, Bootstrap]
 class Environment:
     """A fixed set of arms with known means, arm 0 strictly best.
 
-    Immutable; concurrent runs should derive independent generators (e.g.
-    via with_seed) rather than share one.
+    Immutable; concurrent runs should not share one generator.
     """
 
     arms: tuple[ArmDistribution, ...]
     true_means: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.arms) != len(self.true_means):
@@ -123,12 +121,6 @@ class Environment:
     @property
     def n_arms(self) -> int:
         return len(self.arms)
-
-    def with_seed(self, seed: int) -> "Environment":
-        return Environment(self.arms, self.true_means, seed)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def sample(env: Environment, arm: int, rng: np.random.Generator) -> float:
@@ -156,16 +148,15 @@ def gap_family(n: int, alpha: float) -> tuple[float, ...]:
     return tuple((i / n) ** alpha for i in range(1, n + 1))
 
 
-def bernoulli_environment(means, seed: int = 0) -> Environment:
+def bernoulli_environment(means) -> Environment:
     """Environment of independent Bernoulli arms with the given mean profile."""
     means = tuple(float(m) for m in means)
-    return Environment(tuple(Bernoulli(m) for m in means), means, seed)
+    return Environment(tuple(Bernoulli(m) for m in means), means)
 
 
 def from_contest(
     dataset: ContestDataset,
     star_map: dict[int, float] | None = None,
-    seed: int = 0,
 ) -> Environment:
     """Bootstrap environment from contest vote counts.
 
@@ -197,4 +188,4 @@ def from_contest(
         raise ValueError("top two pool means are tied; no unique best arm")
     arms = tuple(Bootstrap(pools[i]) for i in order)
     true_means = tuple(means[i] for i in order)
-    return Environment(arms, true_means, seed)
+    return Environment(arms, true_means)

@@ -52,7 +52,7 @@ def test_criterion_2_two_delta_pac():
     """Error rate of the identification loop stays within the 2-delta budget."""
     delta, runs = 0.05, 400
     cap = 2 * delta + 3.0 * math.sqrt(2 * delta * (1 - 2 * delta) / runs)
-    env = bernoulli_environment((0.8, 0.6, 0.4, 0.2), seed=77)
+    env = bernoulli_environment((0.8, 0.6, 0.4, 0.2))
     scheme = BoundScheme("kl", 8, delta)
     cache: dict = {}
     errors = 0
@@ -101,7 +101,7 @@ def test_criterion_4_relative_efficiency():
     """The tilted-KL race reaches 0.9 membership well before the matched
     sub-Gaussian race on the desk-scaled linear-gap instance."""
     n, reps, budget, k = 200, 100, 12_000, 5
-    env = bernoulli_environment(parametric_means(n, 1.0), seed=11)
+    env = bernoulli_environment(parametric_means(n, 1.0))
     crossings = {}
     for kind in ("kl", "sg1"):
         scheme = BoundScheme(kind, 8, 0.01)

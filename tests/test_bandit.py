@@ -2,26 +2,27 @@
 
 import copy
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lilklucb import bandit
 from lilklucb.bandit import (
     ArmStats,
     ComplexityBound,
     RunRecord,
     _argmax_random_tie,
     _IncrementalMax,
-    _schedule,
     hardness_sums,
     lil_klucb,
     predicted_complexity,
     ucb_race,
 )
-from lilklucb.confidence import BoundScheme, threshold
-from lilklucb.environments import bernoulli_environment
+from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
+from lilklucb.environments import bernoulli_environment, sample
 from lilklucb.kl_math import (
     chernoff_information,
     tilted_kl_lower_inverse,
@@ -146,7 +147,7 @@ class TestLilKlucb:
             lil_klucb(env, BoundScheme("kl", 8, 0.01), 1, np.random.default_rng(0))
 
     def test_single_arm_rejected(self):
-        env = bernoulli_environment((0.9,), seed=0)
+        env = bernoulli_environment((0.9,))
         with pytest.raises(ValueError):
             lil_klucb(env, BoundScheme("kl", 8, 0.01), None, np.random.default_rng(0))
 
@@ -157,10 +158,10 @@ class TestLilKlucb:
         assert record.total_samples == sum(record.per_arm_pulls)
 
     def test_bit_for_bit_determinism(self):
-        env = bernoulli_environment((0.8, 0.5, 0.3), seed=9)
+        env = bernoulli_environment((0.8, 0.5, 0.3))
         scheme = BoundScheme("kl", 8, 0.05)
-        a = lil_klucb(env, scheme, 2000, np.random.default_rng(31), seed=31)
-        b = lil_klucb(env, scheme, 2000, np.random.default_rng(31), seed=31)
+        a = lil_klucb(env, scheme, 2000, np.random.default_rng(31))
+        b = lil_klucb(env, scheme, 2000, np.random.default_rng(31))
         assert a == b
 
     def test_far_apart_arms_are_identified_reliably(self):
@@ -181,6 +182,96 @@ class TestLilKlucb:
         for kind in ("kl", "kl-prime", "sg1", "sg2"):
             record = lil_klucb(env, BoundScheme(kind, 8, 0.05), 50_000, np.random.default_rng(2))
             assert record.recommended == 0
+
+
+def _eager_lil_klucb(env, scheme, budget, rng, cache):
+    """The identification loop evaluating every bound it keeps, every round.
+
+    Reference for ``lil_klucb``, which skips the bounds no decision reads:
+    after each pull it looks up the arm's upper bound, and each round it
+    looks up the leader's lower bound before the stopping test.
+    """
+    n = env.n_arms
+    leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
+
+    def cached(side, bound, bscheme, i):
+        key = (pulls[i], sums[i])
+        table = cache.setdefault((side, bscheme), {})
+        if key not in table:
+            table[key] = bound(bscheme, ArmStats(*key))
+        return table[key]
+
+    def pull(i):
+        reward = sample(env, i, rng)
+        pulls[i] += 1
+        sums[i] += reward
+        return cached("u", upper_bound, scheme, i)
+
+    pulls = [0] * n
+    sums = [0.0] * n
+    ucbs = [pull(i) for i in range(n)]
+    total = n
+    while True:
+        top = _argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng)
+        leader_lcb = cached("l", lower_bound, leader_scheme, top)
+        rivals = ucbs.copy()
+        rivals[top] = -math.inf
+        challenger = max(range(n), key=rivals.__getitem__)
+        if leader_lcb > rivals[challenger]:
+            stopped = True
+            break
+        if budget is not None and total + 2 > budget:
+            stopped = False
+            break
+        ucbs[top] = pull(top)
+        ucbs[challenger] = pull(challenger)
+        total += 2
+    return RunRecord(top, total, tuple(pulls), stopped, ())
+
+
+class TestLazyBounds:
+    # near ties with frequent leader changes and budget stops, a sure
+    # success against a near-sure one, tied rivals, and an instance every
+    # scheme separates within its budget
+    INSTANCES = (
+        ((0.5, 0.48, 0.47), 3000),
+        ((1.0, 0.99, 0.0), 4000),
+        ((0.55, 0.5, 0.5, 0.45, 0.2), 5000),
+        ((0.9, 0.6, 0.3), 3000),
+    )
+
+    @pytest.mark.parametrize("kind", ["kl", "kl-prime", "sg1", "sg2"])
+    def test_matches_the_eager_loop(self, kind):
+        scheme = BoundScheme(kind, 8, 0.05)
+        shared, reference_cache = {}, {}
+        stops = []
+        for means, budget in self.INSTANCES:
+            env = bernoulli_environment(means)
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                reference_rng = np.random.default_rng(seed)
+                record = lil_klucb(env, scheme, budget, rng, bound_cache=shared)
+                expected = _eager_lil_klucb(env, scheme, budget, reference_rng, reference_cache)
+                assert record == expected, (means, seed)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+                stops.append(record.stopped)
+        assert stops.count(False) >= 10 and stops.count(True) >= 10
+
+    def test_leader_upper_bound_is_not_evaluated(self, monkeypatch):
+        # sure success against sure failure: arm 0 leads every round, so only
+        # its initial upper bound is needed, and no two keys ever coincide
+        calls = []
+
+        def counted(scheme, stats):
+            calls.append(stats.pulls)
+            return upper_bound(scheme, stats)
+
+        monkeypatch.setattr(bandit, "upper_bound", counted)
+        env = bernoulli_environment((1.0, 0.0))
+        record = lil_klucb(env, BoundScheme("kl", 8, 0.05), None, np.random.default_rng(0))
+        assert record.stopped and record.total_samples > 10
+        assert len(calls) < record.total_samples
+        assert len(calls) == record.per_arm_pulls[1] + 1
 
 
 class TestUcbRace:
@@ -207,10 +298,10 @@ class TestUcbRace:
         assert [c for c, _ in record.snapshots] == [2, 6, 10, 14, 18, 21]
 
     def test_determinism(self):
-        env = bernoulli_environment((0.7, 0.5, 0.2), seed=4)
+        env = bernoulli_environment((0.7, 0.5, 0.2))
         scheme = BoundScheme("sg1", 8, 0.01)
-        a = ucb_race(env, scheme, 500, 20, 2, np.random.default_rng(11), seed=11)
-        b = ucb_race(env, scheme, 500, 20, 2, np.random.default_rng(11), seed=11)
+        a = ucb_race(env, scheme, 500, 20, 2, np.random.default_rng(11))
+        b = ucb_race(env, scheme, 500, 20, 2, np.random.default_rng(11))
         assert a == b
 
     def test_membership_curve_rises_to_a_confident_finish(self):
@@ -239,13 +330,13 @@ class TestPredictedComplexity:
 
     def test_crossing_indices_are_exact(self):
         bound = predicted_complexity((0.9, 0.4, 0.2), 0.05, 33)
-        f = _schedule(8, 0.05 * 0.05)
+        f = partial(threshold, BoundScheme("kl", 8, 0.05 * 0.05))
         for mu_i, xi in zip((0.4, 0.2), bound.crossing_indices):
             target = chernoff_information(mu_i, bound.witness_mus[0])
             assert f(xi) < target
             if xi > 1:
                 assert f(xi - 1) >= target
-        g = _schedule(8, 0.05 / 2.0)
+        g = partial(threshold, BoundScheme("kl", 8, 0.05 / 2.0))
         target = chernoff_information(0.9, bound.witness_mus[0])
         assert g(bound.best_arm_crossing) < target
         if bound.best_arm_crossing > 1:

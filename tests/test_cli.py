@@ -172,6 +172,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--t-max", "50", "--reps", "4"],
+        ["table1", "--n", "8,16,32,64"],
+    ])
+    def test_parallel_rejected_where_it_would_be_ignored(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--parallel", "1", "--output", str(out)]) == 0
+        out.unlink()
+        with pytest.raises(ConfigError, match="--parallel"):
+            build_config(argv + ["--parallel", "2", "--output", str(out)])
+        assert main(argv + ["--parallel", "2", "--output", str(out)]) == 1
+        assert not out.exists()
+
     def test_exit_codes(self, tmp_path):
         assert main(["simulate", "--budget", "4", "--output", "x.csv",
                      "--delta", "2"]) == 1

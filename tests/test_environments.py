@@ -121,12 +121,6 @@ class TestEnvironment:
         with pytest.raises(IndexError):
             sample(env, 2, np.random.default_rng(0))
 
-    def test_with_seed_keeps_arms(self):
-        env = bernoulli_environment((0.9, 0.1), seed=1)
-        clone = env.with_seed(77)
-        assert clone.seed == 77
-        assert clone.arms == env.arms
-
 
 def _dataset(rows):
     return ContestDataset(

@@ -1,5 +1,6 @@
-"""Property tests for the divergence maps the inverses rely on, and for the
-tolerance contract every inverse keeps.
+"""Property tests for the divergence maps the inverses rely on, for the
+tolerance contract every inverse keeps, and for the bounds never crossing
+the empirical mean.
 
 The contract, for each of the six inverses (plain and tilted kl_math
 inverses, and the first-argument inverses behind the coverage envelope):
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilklucb import confidence
+from lilklucb.bandit import ArmStats
 from lilklucb.kl_math import (
     BISECTION_TOL,
     _kl,
@@ -90,3 +92,20 @@ def test_inverse_hits_budget_where_criterion_6_samples(name, p, frac, tilt):
     cap = div(p, 0.995 if outward > 0 else 0.005, tilt)
     budget = max(1e-6, frac * cap)
     assert math.isclose(div(p, inverse(p, budget, tilt), tilt), budget, rel_tol=0.0, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(confidence.SCHEME_KINDS),
+    tilt=st.sampled_from([4, 8, 64]),
+    delta=st.sampled_from([0.001, 0.05, 0.5]),
+    pulls=st.integers(1, 10**6),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
+)
+def test_bounds_bracket_the_empirical_mean(kind, tilt, delta, pulls, share):
+    # exact as floats: lil_klucb skips the leader's lower bound whenever a
+    # rival's upper bound is at least the leader's mean
+    stats = ArmStats(pulls, float(round(share * pulls)))
+    scheme = confidence.BoundScheme(kind, tilt, delta)
+    mean = stats.reward_sum / stats.pulls
+    assert confidence.lower_bound(scheme, stats) <= mean <= confidence.upper_bound(scheme, stats)
