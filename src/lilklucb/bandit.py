@@ -22,26 +22,6 @@ from .environments import Environment, gap_family
 from .kl_math import chernoff_information
 
 
-@dataclass
-class ArmStats:
-    """Pull count and running reward sum for one arm."""
-
-    pulls: int = 0
-    reward_sum: float = 0.0
-
-    def update(self, reward: float) -> None:
-        if not 0.0 <= reward <= 1.0:
-            raise ValueError(f"rewards must lie in [0, 1], got {reward!r}")
-        self.pulls += 1
-        self.reward_sum += reward
-
-    @property
-    def mean(self) -> float:
-        if self.pulls < 1:
-            raise ValueError("mean undefined before the first pull")
-        return self.reward_sum / self.pulls
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Full trace of one bandit run."""
@@ -120,35 +100,27 @@ class _IncrementalMax:
 
 
 def _cached(table: dict, bound, scheme: BoundScheme, key: tuple) -> float:
-    """``bound(scheme, ArmStats(*key))`` through ``table``, keyed by (pulls, reward_sum)."""
-    if key not in table:
-        table[key] = bound(scheme, ArmStats(*key))
-    return table[key]
+    """``bound(scheme, *key)`` through ``table``, keyed by (pulls, reward_sum)."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = bound(scheme, *key)
+    return value
 
 
-def _puller(env: Environment, scheme: BoundScheme, rng: np.random.Generator,
-            cache: dict, pulls: list, sums: list):
-    """A function that pulls arm i once and returns its new upper bound.
+def _puller(env: Environment, rng: np.random.Generator, pulls: list, sums: list):
+    """A function that pulls arm i once and returns its new key (pulls, reward_sum).
 
     Per-arm pull counts and reward sums live in the flat lists ``pulls`` and
-    ``sums``; upper bounds are looked up in the table ``cache[("u", scheme)]``.
-    With ``look=False`` the pull draws and counts but looks nothing up.
+    ``sums``; rewards outside [0, 1] are rejected.
     """
-    table = cache.setdefault(("u", scheme), {})
 
-    def pull(i: int, look: bool = True) -> float | None:
+    def pull(i: int) -> tuple[int, float]:
         reward = environments.sample(env, i, rng)
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"rewards must lie in [0, 1], got {reward!r}")
         pulls[i] += 1
         sums[i] += reward
-        if not look:
-            return None
-        key = (pulls[i], sums[i])
-        ucb = table.get(key)
-        if ucb is None:
-            ucb = table[key] = upper_bound(scheme, ArmStats(*key))
-        return ucb
+        return pulls[i], sums[i]
 
     return pull
 
@@ -188,8 +160,8 @@ def lil_klucb(
     lcb_table = cache.setdefault(("l", leader_scheme), {})
     pulls = [0] * n
     sums = [0.0] * n
-    pull = _puller(env, scheme, rng, cache, pulls, sums)
-    ucbs = [pull(i) for i in range(n)]
+    pull = _puller(env, rng, pulls, sums)
+    ucbs = [_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)]
     stale = None  # the arm whose entry in ucbs predates its last pull
     total = n
     while True:
@@ -208,9 +180,9 @@ def lil_klucb(
         if budget is not None and total + 2 > budget:
             stopped = False
             break
-        pull(top, look=False)
+        pull(top)
         stale = top
-        ucbs[challenger] = pull(challenger)
+        ucbs[challenger] = _cached(ucb_table, upper_bound, scheme, pull(challenger))
         total += 2
     return RunRecord(
         recommended=top,
@@ -255,15 +227,16 @@ def ucb_race(
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     cache = {} if bound_cache is None else bound_cache
+    ucb_table = cache.setdefault(("u", scheme), {})
     pulls = [0] * n
     sums = [0.0] * n
-    pull = _puller(env, scheme, rng, cache, pulls, sums)
-    best = _IncrementalMax([pull(i) for i in range(n)])
+    pull = _puller(env, rng, pulls, sums)
+    best = _IncrementalMax([_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)])
     total = n
     snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
     while total < budget:
         arm = best.pick(rng)
-        best.move(arm, pull(arm))
+        best.move(arm, _cached(ucb_table, upper_bound, scheme, pull(arm)))
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))

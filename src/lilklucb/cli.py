@@ -292,8 +292,8 @@ def validate_config(config: RunConfig) -> None:
     if cmd == "table1":
         if len(config.n_values) < 4:
             raise ConfigError("table1 needs at least 4 values of --n to fit slopes")
-        if any(n < 2 for n in config.n_values):
-            raise ConfigError("--n values must be >= 2")
+        if any(n < 3 for n in config.n_values):
+            raise ConfigError("table1 --n values must be >= 3: at n = 2 the KL hardness sum is 0")
     if cmd == "coverage":
         if not 0.0 <= config.mu <= 1.0:
             raise ConfigError(f"--mu must lie in [0, 1], got {config.mu}")

@@ -248,38 +248,32 @@ def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "uppe
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def upper_bound(scheme: BoundScheme, stats) -> float:
-    """Anytime upper confidence limit for the mean behind ``stats``.
-
-    ``stats`` is anything exposing ``pulls`` and ``mean``; at least one
-    sample is required.
-    """
-    t = stats.pulls
-    if t < 1:
+def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
+    """Anytime upper confidence limit for the mean reward_sum / pulls of a key with pulls >= 1."""
+    if pulls < 1:
         raise ValueError("upper_bound requires at least one sample")
-    mu_hat = stats.mean
+    mu_hat = reward_sum / pulls
     if scheme.kind == KL_TILTED:
-        return tilted_kl_upper_inverse(mu_hat, threshold(scheme, t), scheme.tilt)
+        return tilted_kl_upper_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:
-        return kl_upper_inverse(mu_hat, threshold(scheme, t))
+        return kl_upper_inverse(mu_hat, threshold(scheme, pulls))
     if scheme.kind == SG1:
-        return min(1.0, mu_hat + sg1_radius(scheme, t))
-    return min(1.0, mu_hat + sg2_radius(t, scheme.delta))
+        return min(1.0, mu_hat + sg1_radius(scheme, pulls))
+    return min(1.0, mu_hat + sg2_radius(pulls, scheme.delta))
 
 
-def lower_bound(scheme: BoundScheme, stats) -> float:
+def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     """Mirror of upper_bound, clamped at 0; never above the empirical mean, exactly as floats."""
-    t = stats.pulls
-    if t < 1:
+    if pulls < 1:
         raise ValueError("lower_bound requires at least one sample")
-    mu_hat = stats.mean
+    mu_hat = reward_sum / pulls
     if scheme.kind == KL_TILTED:
-        return tilted_kl_lower_inverse(mu_hat, threshold(scheme, t), scheme.tilt)
+        return tilted_kl_lower_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:
-        return kl_lower_inverse(mu_hat, threshold(scheme, t))
+        return kl_lower_inverse(mu_hat, threshold(scheme, pulls))
     if scheme.kind == SG1:
-        return max(0.0, mu_hat - sg1_radius(scheme, t))
-    return max(0.0, mu_hat - sg2_radius(t, scheme.delta))
+        return max(0.0, mu_hat - sg1_radius(scheme, pulls))
+    return max(0.0, mu_hat - sg2_radius(pulls, scheme.delta))
 
 
 def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):

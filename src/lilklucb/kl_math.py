@@ -1,8 +1,8 @@
 """Bernoulli information-theoretic primitives.
 
 Exact binary KL divergence, numerical inverses of the divergence in its
-second argument (plain and tilted variants), and Chernoff information via
-bisection on the equal-divergence crossing point.
+second argument (plain and tilted variants), and Chernoff information at
+the equal-divergence crossing point, which has a closed form.
 
 Every inverse runs one bracketed Newton solver (``_bracketed_newton``): it
 keeps a bracket with the root inside, takes Newton steps from the analytic
@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-# Absolute tolerance on the probability argument of every inverse and of the
-# Chernoff bisection, with a hard iteration cap so the cost is bounded.
+# Absolute tolerance on the probability argument of every inverse, with a
+# hard iteration cap so the cost is bounded.
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
 
@@ -274,8 +274,13 @@ def tilted_kl_lower_inverse(p: float, bound: float, tilt: int) -> float:
 def chernoff_crossing(x: float, y: float) -> float:
     """The unique z between x and y with D(z, x) = D(z, y).
 
-    Returns x when x == y.  At a degenerate endpoint (0 or 1) the crossing
-    collapses onto that endpoint and the boundary value is returned.
+    For a < b, D(z, a) - D(z, b) = z log(b/a) + (1 - z) log((1-b)/(1-a)) is
+    linear in z, with root z = u / (u + w) for u = log1p((b-a)/(1-b)) and
+    w = log1p((b-a)/a); log1p keeps full relative accuracy for b near a.
+    Where (b-a)/a overflows (a subnormal), w = log b - log a.  The result is
+    clamped to [a, b].  Returns x when x == y; at a degenerate endpoint (0
+    or 1) the crossing collapses onto that endpoint and the boundary value
+    is returned.
     """
     x = as_prob(x, "x")
     y = as_prob(y, "y")
@@ -288,16 +293,10 @@ def chernoff_crossing(x: float, y: float) -> float:
         return 0.0
     if b == 1.0:
         return 1.0
-    lo, hi = a, b
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _kl(mid, a) <= _kl(mid, b):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    u = math.log1p((b - a) / (1.0 - b))
+    ratio = (b - a) / a
+    w = math.log1p(ratio) if ratio < math.inf else math.log(b) - math.log(a)
+    return min(max(u / (u + w), a), b)
 
 
 def chernoff_information(x: float, y: float) -> float:

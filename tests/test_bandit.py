@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from lilklucb import bandit
 from lilklucb.bandit import (
-    ArmStats,
     ComplexityBound,
     RunRecord,
     _argmax_random_tie,
@@ -22,31 +21,12 @@ from lilklucb.bandit import (
     ucb_race,
 )
 from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
-from lilklucb.environments import bernoulli_environment, sample
+from lilklucb.environments import Bernoulli, Environment, bernoulli_environment, sample
 from lilklucb.kl_math import (
     chernoff_information,
     tilted_kl_lower_inverse,
     tilted_kl_upper_inverse,
 )
-
-
-class TestArmStats:
-    def test_running_mean(self):
-        s = ArmStats()
-        s.update(1.0)
-        s.update(0.0)
-        s.update(0.5)
-        assert s.pulls == 3
-        assert s.mean == pytest.approx(0.5)
-
-    def test_rejects_out_of_range_reward(self):
-        s = ArmStats()
-        with pytest.raises(ValueError):
-            s.update(1.2)
-
-    def test_mean_requires_a_pull(self):
-        with pytest.raises(ValueError):
-            ArmStats().mean
 
 
 class TestRunRecord:
@@ -60,28 +40,28 @@ class TestRunRecord:
 
 
 def top_index(stats, rng: np.random.Generator) -> int:
-    """Index of the arm with the highest empirical mean, ties broken at random."""
+    """Index of the (pulls, reward_sum) key with the highest empirical mean, ties broken at random."""
     if not stats:
         raise ValueError("need at least one arm")
-    if any(s.pulls < 1 for s in stats):
+    if any(pulls < 1 for pulls, _ in stats):
         raise ValueError("every arm needs at least one pull before ranking")
-    return _argmax_random_tie([s.mean for s in stats], rng)
+    return _argmax_random_tie([reward_sum / pulls for pulls, reward_sum in stats], rng)
 
 
 class TestTopIndex:
     def test_strict_argmax(self):
-        stats = [ArmStats(1, 0.9), ArmStats(1, 0.1), ArmStats(1, 0.5)]
+        stats = [(1, 0.9), (1, 0.1), (1, 0.5)]
         assert top_index(stats, np.random.default_rng(0)) == 0
 
     def test_single_arm(self):
-        assert top_index([ArmStats(1, 0.3)], np.random.default_rng(0)) == 0
+        assert top_index([(1, 0.3)], np.random.default_rng(0)) == 0
 
     def test_rejects_unsampled_arm(self):
         with pytest.raises(ValueError):
-            top_index([ArmStats(1, 0.5), ArmStats()], np.random.default_rng(0))
+            top_index([(1, 0.5), (0, 0.0)], np.random.default_rng(0))
 
     def test_ties_split_uniformly(self):
-        stats = [ArmStats(2, 1.0), ArmStats(2, 1.0)]
+        stats = [(2, 1.0), (2, 1.0)]
         rng = np.random.default_rng(123)
         picks = [top_index(stats, rng) for _ in range(10_000)]
         freq = sum(picks) / len(picks)
@@ -198,7 +178,7 @@ def _eager_lil_klucb(env, scheme, budget, rng, cache):
         key = (pulls[i], sums[i])
         table = cache.setdefault((side, bscheme), {})
         if key not in table:
-            table[key] = bound(bscheme, ArmStats(*key))
+            table[key] = bound(bscheme, *key)
         return table[key]
 
     def pull(i):
@@ -262,9 +242,9 @@ class TestLazyBounds:
         # its initial upper bound is needed, and no two keys ever coincide
         calls = []
 
-        def counted(scheme, stats):
-            calls.append(stats.pulls)
-            return upper_bound(scheme, stats)
+        def counted(scheme, pulls, reward_sum):
+            calls.append(pulls)
+            return upper_bound(scheme, pulls, reward_sum)
 
         monkeypatch.setattr(bandit, "upper_bound", counted)
         env = bernoulli_environment((1.0, 0.0))
@@ -272,6 +252,30 @@ class TestLazyBounds:
         assert record.stopped and record.total_samples > 10
         assert len(calls) < record.total_samples
         assert len(calls) == record.per_arm_pulls[1] + 1
+
+
+class _FixedArm:
+    """An arm whose every draw is ``reward``, whatever mean it declares."""
+
+    def __init__(self, reward: float, mean: float):
+        self.reward = reward
+        self.mean = mean
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return self.reward
+
+
+class TestRewardRange:
+    @pytest.mark.parametrize("reward", [1.2, -0.1])
+    def test_loops_reject_out_of_range_rewards(self, reward):
+        # without the loops' own check the bad reward would still fail, later
+        # and with another message, when the mean reaches the KL inverse
+        env = Environment((Bernoulli(0.9), _FixedArm(reward, 0.5)), (0.9, 0.5))
+        scheme = BoundScheme("kl", 8, 0.05)
+        with pytest.raises(ValueError, match="rewards must lie in"):
+            ucb_race(env, scheme, 100, 10, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rewards must lie in"):
+            lil_klucb(env, scheme, 100, np.random.default_rng(0))
 
 
 class TestUcbRace:

@@ -101,6 +101,7 @@ class TestConfigHandling:
             ["table1", "--n", "100,200", "--output", "o.csv"],  # needs >= 4
             ["coverage", "--mu", "1.5", "--output", "o.csv"],
             ["coverage", "--t-max", "0", "--output", "o.csv"],
+            ["table1", "--n", "2,4,8,16", "--output", "o.csv"],  # n = 2: KL sum 0
         ],
     )
     def test_invalid_configs_raise(self, argv):

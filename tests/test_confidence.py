@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lilklucb.bandit import ArmStats
 from lilklucb.confidence import (
     KAPPA_TAIL_TERMS,
     KL_PRIME,
@@ -41,8 +40,9 @@ class DeviationSequence:
         return deviation_envelope(self.scheme, self.mu, t, "lower")
 
 
-def _stats(pulls: int, mean: float) -> ArmStats:
-    return ArmStats(pulls=pulls, reward_sum=mean * pulls)
+def _stats(pulls: int, mean: float) -> tuple[int, float]:
+    """The (pulls, reward_sum) key of ``pulls`` rewards averaging ``mean``."""
+    return pulls, mean * pulls
 
 
 class TestKappa:
@@ -233,19 +233,19 @@ class TestBounds:
         # within solver tolerance of the endpoints
         for kind in (SG1, SG2):
             scheme = BoundScheme(kind, 8, 0.01)
-            assert upper_bound(scheme, _stats(1, 0.3)) == 1.0
-            assert lower_bound(scheme, _stats(1, 0.3)) == 0.0
+            assert upper_bound(scheme, *_stats(1, 0.3)) == 1.0
+            assert lower_bound(scheme, *_stats(1, 0.3)) == 0.0
         for kind in (KL_TILTED, KL_PRIME):
             scheme = BoundScheme(kind, 8, 0.01)
-            assert upper_bound(scheme, _stats(1, 0.3)) >= 1.0 - 1e-5
-            assert lower_bound(scheme, _stats(1, 0.3)) <= 1e-5
+            assert upper_bound(scheme, *_stats(1, 0.3)) >= 1.0 - 1e-5
+            assert lower_bound(scheme, *_stats(1, 0.3)) <= 1e-5
 
     def test_rejects_unsampled_arm(self):
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
         with pytest.raises(ValueError):
-            upper_bound(scheme, ArmStats())
+            upper_bound(scheme, 0, 0.0)
         with pytest.raises(ValueError):
-            lower_bound(scheme, ArmStats())
+            lower_bound(scheme, 0, 0.0)
 
     def test_kl_prime_composes_documented_primitives(self):
         scheme = BoundScheme(KL_PRIME, 8, 0.01)
@@ -253,10 +253,10 @@ class TestBounds:
         budget = untilt_factor(8) * math.log(
             kappa(8, 0.01) * math.log2(2000.0) / 0.01
         ) / 1000.0
-        assert upper_bound(scheme, stats) == pytest.approx(
+        assert upper_bound(scheme, *stats) == pytest.approx(
             kl_upper_inverse(0.5, budget), abs=1e-12
         )
-        assert lower_bound(scheme, stats) == pytest.approx(
+        assert lower_bound(scheme, *stats) == pytest.approx(
             kl_lower_inverse(0.5, budget), abs=1e-12
         )
 
@@ -268,7 +268,7 @@ class TestBounds:
                 t = int(rng.integers(1, 5000))
                 mean = float(rng.uniform(0, 1))
                 stats = _stats(t, mean)
-                lo, hi = lower_bound(scheme, stats), upper_bound(scheme, stats)
+                lo, hi = lower_bound(scheme, *stats), upper_bound(scheme, *stats)
                 assert 0.0 <= lo <= mean <= hi <= 1.0
 
     def test_widths_shrink_in_t(self):
@@ -278,7 +278,7 @@ class TestBounds:
                 prev = None
                 for t in range(2, 500):
                     stats = _stats(t, mean)
-                    width = upper_bound(scheme, stats) - lower_bound(scheme, stats)
+                    width = upper_bound(scheme, *stats) - lower_bound(scheme, *stats)
                     if prev is not None:
                         assert width <= prev + 1e-12
                     prev = width
@@ -289,8 +289,8 @@ class TestBounds:
         for t in (100, 1000, 10_000, 100_000):
             for mean in (0.02, 0.98):
                 stats = _stats(t, mean)
-                sg_width = upper_bound(sg, stats) - lower_bound(sg, stats)
-                prime_width = upper_bound(prime, stats) - lower_bound(prime, stats)
+                sg_width = upper_bound(sg, *stats) - lower_bound(sg, *stats)
+                prime_width = upper_bound(prime, *stats) - lower_bound(prime, *stats)
                 assert sg_width > prime_width, (t, mean)
 
     def test_kl_prime_interval_nests_inside_sg1_for_extreme_means(self):
@@ -303,8 +303,8 @@ class TestBounds:
         for t in (400, 1000, 10_000, 100_000):
             for mean in means:
                 stats = _stats(t, float(mean))
-                assert lower_bound(sg, stats) <= lower_bound(prime, stats) + 1e-12
-                assert upper_bound(prime, stats) <= upper_bound(sg, stats) + 1e-12
+                assert lower_bound(sg, *stats) <= lower_bound(prime, *stats) + 1e-12
+                assert upper_bound(prime, *stats) <= upper_bound(sg, *stats) + 1e-12
 
 
 class TestSg2Radius:
@@ -348,12 +348,12 @@ class TestCoverageEnvelope:
             eps = 1e-6
             hi = high[t - 1]
             if hi + eps <= 1.0:
-                assert lower_bound(scheme, _stats(t, hi + eps)) > mu
-                assert lower_bound(scheme, _stats(t, hi - eps)) <= mu
+                assert lower_bound(scheme, *_stats(t, hi + eps)) > mu
+                assert lower_bound(scheme, *_stats(t, hi - eps)) <= mu
             lo = low[t - 1]
             if lo - eps >= 0.0:
-                assert upper_bound(scheme, _stats(t, lo - eps)) < mu
-                assert upper_bound(scheme, _stats(t, lo + eps)) >= mu
+                assert upper_bound(scheme, *_stats(t, lo - eps)) < mu
+                assert upper_bound(scheme, *_stats(t, lo + eps)) >= mu
 
     def test_degenerate_streams_never_exit(self):
         for kind in (KL_TILTED, KL_PRIME, SG1, SG2):

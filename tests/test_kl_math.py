@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -200,6 +201,33 @@ class TestChernoff:
                 d = chernoff_information(x, y)
                 assert d >= 0.5 * (x - y) ** 2 - 1e-12
                 assert d >= chernoff_floor(x, y - x) - 1e-12
+
+    def test_crossing_matches_a_60_digit_oracle(self):
+        # the crossing u / (u + w), u = log1p((b-a)/(1-b)), w = log(b/a), on
+        # the float inputs at 60 digits: random pairs, relative gaps
+        # 1e-12..1e-2, neighbouring floats (where rounding alone would leave
+        # [a, b]), subnormal and tiny a, and the largest b below 1
+        rng = np.random.default_rng(2024)
+        pairs = [tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(300)]
+        for gap in np.logspace(-12, -2, 11):
+            for a in rng.uniform(1e-3, 0.99, size=20):
+                pairs.append((a, a * (1.0 + gap)))
+        for a in rng.uniform(0.0, 1.0, size=100):
+            pairs.append((a, math.nextafter(math.nextafter(a, 1.0), 1.0)))
+        top = 1.0 - 2.0**-53
+        for a in (5e-324, 1e-320, 1e-300):
+            pairs += [(a, b) for b in (1e-3, 0.1, 0.5, 0.9, top)]
+        pairs += [(a, top) for a in (1e-6, 0.1, 0.5, 0.9, 1.0 - 2.0**-52)]
+        with mpmath.workdps(60):
+            for x, y in pairs:
+                a, b = sorted((float(x), float(y)))
+                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                u = mpmath.log1p((mb - ma) / (1 - mb))
+                w = mpmath.log(mb / ma)
+                expected = u / (u + w)
+                z = chernoff_crossing(x, y)
+                assert a <= z <= b, (x, y, z)
+                assert abs(z - expected) <= 1e-15 * expected, (x, y, z)
 
 
 class TestChernoffFloor:

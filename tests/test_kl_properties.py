@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilklucb import confidence
-from lilklucb.bandit import ArmStats
 from lilklucb.kl_math import (
     BISECTION_TOL,
     _kl,
@@ -105,7 +104,8 @@ def test_inverse_hits_budget_where_criterion_6_samples(name, p, frac, tilt):
 def test_bounds_bracket_the_empirical_mean(kind, tilt, delta, pulls, share):
     # exact as floats: lil_klucb skips the leader's lower bound whenever a
     # rival's upper bound is at least the leader's mean
-    stats = ArmStats(pulls, float(round(share * pulls)))
+    reward_sum = float(round(share * pulls))
     scheme = confidence.BoundScheme(kind, tilt, delta)
-    mean = stats.reward_sum / stats.pulls
-    assert confidence.lower_bound(scheme, stats) <= mean <= confidence.upper_bound(scheme, stats)
+    mean = reward_sum / pulls
+    assert (confidence.lower_bound(scheme, pulls, reward_sum) <= mean
+            <= confidence.upper_bound(scheme, pulls, reward_sum))
