@@ -18,7 +18,7 @@ import numpy as np
 
 from . import environments
 from .confidence import KL_TILTED, BoundScheme, lower_bound, threshold, upper_bound
-from .environments import Environment, gap_family
+from .environments import Environment, ScalarDraws, gap_family
 from .kl_math import chernoff_information
 
 
@@ -40,11 +40,13 @@ class RunRecord:
             raise ValueError("snapshots must be sorted by total sample count")
 
 
-def _argmax_random_tie(values, rng: np.random.Generator) -> int:
+def _argmax_random_tie(values, rng: np.random.Generator | ScalarDraws) -> int:
     """Index of the largest value, ties broken at random.
 
     With m > 1 values at the maximum, the ``rng.integers(m)``-th of them in
-    index order is returned; a unique maximum draws nothing.
+    index order is returned; a unique maximum draws nothing.  The loops pass
+    a ``ScalarDraws``, whose ``integers(m)`` is the Generator's value drawn
+    through the bit generator's C functions.
     """
     best = max(values)
     ties = [i for i, value in enumerate(values) if value == best]
@@ -61,7 +63,9 @@ class _IncrementalMax:
     any more is dropped once it reaches the top.  ``pick`` returns the single
     arm at the maximum or ``ties[rng.integers(len(ties))]``: the same arm,
     from the same generator draws, as ``np.flatnonzero(values == values.max())``
-    would give.  Moving one arm costs O(log n) heap work.
+    would give.  ``ucb_race`` passes a ``ScalarDraws``, which draws that
+    integer through the bit generator's C functions with the Generator's own
+    rule.  Moving one arm costs O(log n) heap work.
     """
 
     def __init__(self, values):
@@ -89,7 +93,7 @@ class _IncrementalMax:
         else:
             bisect.insort(ties, arm)
 
-    def pick(self, rng: np.random.Generator) -> int:
+    def pick(self, rng: np.random.Generator | ScalarDraws) -> int:
         heap, holders = self.heap, self.holders
         while -heap[0] not in holders:
             heapq.heappop(heap)
@@ -107,7 +111,7 @@ def _cached(table: dict, bound, scheme: BoundScheme, key: tuple) -> float:
     return value
 
 
-def _puller(env: Environment, rng: np.random.Generator, pulls: list, sums: list):
+def _puller(env: Environment, rng: ScalarDraws, pulls: list, sums: list):
     """A function that pulls arm i once and returns its new key (pulls, reward_sum).
 
     Per-arm pull counts and reward sums live in the flat lists ``pulls`` and
@@ -148,6 +152,11 @@ def lil_klucb(
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
     holds one table per (side "u"/"l", scheme) keyed by (pulls, reward_sum).
+
+    Rewards and tie-breaks are drawn through ``ScalarDraws(rng)``: the values
+    of ``rng``'s own scalar calls, from the bit generator's C functions.
+    Those calls bypass the Generator's lock, so no other thread may use
+    ``rng`` during the run.
     """
     n = env.n_arms
     if n < 2:
@@ -158,15 +167,16 @@ def lil_klucb(
     cache = {} if bound_cache is None else bound_cache
     ucb_table = cache.setdefault(("u", scheme), {})
     lcb_table = cache.setdefault(("l", leader_scheme), {})
+    draws = ScalarDraws(rng)
     pulls = [0] * n
     sums = [0.0] * n
-    pull = _puller(env, rng, pulls, sums)
+    pull = _puller(env, draws, pulls, sums)
     ucbs = [_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)]
     stale = None  # the arm whose entry in ucbs predates its last pull
     total = n
     while True:
         means = [s / p for s, p in zip(sums, pulls)]
-        top = _argmax_random_tie(means, rng)
+        top = _argmax_random_tie(means, draws)
         if stale is not None and stale != top:
             ucbs[stale] = _cached(ucb_table, upper_bound, scheme, (pulls[stale], sums[stale]))
             stale = None
@@ -218,6 +228,12 @@ def ucb_race(
     A snapshot is recorded at initialization and every ``snapshot_every``
     samples thereafter (plus at the final budget), flagging whether arm 0
     currently sits among the k highest empirical means.
+
+    Rewards and tie-breaks go through ``ScalarDraws(rng)``, which returns
+    ``rng``'s own scalar values from the bit generator's C functions, so the
+    draw rule above holds draw for draw; snapshots draw their arrays from
+    ``rng`` in the same stream.  The C calls bypass the Generator's lock, so
+    no other thread may use ``rng`` during the run.
     """
     n = env.n_arms
     if k < 1 or k > n:
@@ -228,20 +244,21 @@ def ucb_race(
         raise ValueError("snapshot_every must be >= 1")
     cache = {} if bound_cache is None else bound_cache
     ucb_table = cache.setdefault(("u", scheme), {})
+    draws = ScalarDraws(rng)
     pulls = [0] * n
     sums = [0.0] * n
-    pull = _puller(env, rng, pulls, sums)
+    pull = _puller(env, draws, pulls, sums)
     best = _IncrementalMax([_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)])
     total = n
     snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
     while total < budget:
-        arm = best.pick(rng)
+        arm = best.pick(draws)
         best.move(arm, _cached(ucb_table, upper_bound, scheme, pull(arm)))
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
     return RunRecord(
-        recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng),
+        recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], draws),
         total_samples=total,
         per_arm_pulls=tuple(pulls),
         stopped=False,

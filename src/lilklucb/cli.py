@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import hardness_sums, lil_klucb, predicted_complexity, ucb_race
-from .confidence import KL_PRIME, SCHEME_KINDS, BoundScheme, coverage_envelope
+from .confidence import KL_PRIME, MAX_TILT, SCHEME_KINDS, BoundScheme, coverage_envelope
 from .data_ingest import ExperimentOutput, parse_contest_csv, write_output
 from .environments import bernoulli_environment, from_contest, parametric_means
 
@@ -166,15 +166,17 @@ def _parse_float_list(value, flag: str) -> tuple[float, ...]:
         raise ConfigError(f"{flag} must be a number or comma-separated numbers") from None
 
 
-def _optional_count(value, key: str) -> int | None:
-    """None, an int, or an integral float as an int; anything else (bools too) is a ConfigError."""
-    if value is None:
-        return None
+def _count(value, key: str) -> int:
+    """An int, or an integral float as an int; anything else (bools too) is a ConfigError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _optional_count(value, key: str) -> int | None:
+    return None if value is None else _count(value, key)
 
 
 def build_config(argv=None) -> RunConfig:
@@ -218,20 +220,20 @@ def build_config(argv=None) -> RunConfig:
             n_values=_parse_int_list(raw["n"], "--n"),
             alpha_values=_parse_float_list(raw["alpha"], "--alpha"),
             budget=_optional_count(raw["budget"], "budget"),
-            reps=int(raw["reps"]),
+            reps=_count(raw["reps"], "reps"),
             delta=float(raw["delta"]),
-            tilt=int(raw["bound_n"]),
-            k=int(raw["k"]),
-            seed=int(seed),
-            parallel=int(raw["parallel"]),
+            tilt=_count(raw["bound_n"], "bound_n"),
+            k=_count(raw["k"], "k"),
+            seed=_count(seed, "seed"),
+            parallel=_count(raw["parallel"], "parallel"),
             input=raw["input"],
             output=raw["output"],
             format=raw["format"],
             mu=float(raw["mu"]),
-            t_max=int(raw["t_max"]),
+            t_max=_count(raw["t_max"], "t_max"),
             snapshot_every=_optional_count(raw["snapshot_every"], "snapshot_every"),
             means=tuple(float(m) for m in means) if means is not None else None,
-            grid_points=int(raw["grid_points"]),
+            grid_points=_count(raw["grid_points"], "grid_points"),
         )
         validate_config(config)
     except ConfigError:
@@ -248,8 +250,9 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"unknown scheme(s) {bad}; choose from {', '.join(SCHEME_KINDS)}")
     if not 0.0 < config.delta < 1.0:
         raise ConfigError(f"--delta must lie in (0, 1), got {config.delta}")
-    if config.tilt < 1 or config.tilt & (config.tilt - 1):
-        raise ConfigError(f"--bound-n must be a power of two >= 1, got {config.tilt}")
+    if not 1 <= config.tilt <= MAX_TILT or config.tilt & (config.tilt - 1):
+        raise ConfigError(
+            f"--bound-n must be a power of two in [1, {MAX_TILT}], got {config.tilt}")
     if KL_PRIME in config.schemes and config.tilt <= math.e:
         raise ConfigError(f"{KL_PRIME} requires --bound-n > e (use >= 4), got {config.tilt}")
     if config.reps < 1:

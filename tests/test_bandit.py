@@ -21,7 +21,15 @@ from lilklucb.bandit import (
     ucb_race,
 )
 from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
-from lilklucb.environments import Bernoulli, Environment, bernoulli_environment, sample
+from lilklucb.data_ingest import Caption, ContestDataset
+from lilklucb.environments import (
+    Bernoulli,
+    Environment,
+    bernoulli_environment,
+    from_contest,
+    parametric_means,
+    sample,
+)
 from lilklucb.kl_math import (
     chernoff_information,
     tilted_kl_lower_inverse,
@@ -323,6 +331,72 @@ class TestUcbRace:
         curve = np.mean(np.array(flags, dtype=float), axis=0)
         assert curve[-1] >= 0.95
         assert all(b >= a - 0.15 for a, b in zip(curve, curve[1:]))
+
+
+def _generator_ucb_race(env, scheme, budget, snapshot_every, k, rng):
+    """``ucb_race`` drawing every scalar from the Generator, scanning all bounds per pull.
+
+    Returns the record and the number of picks that broke a tie.
+    """
+    n = env.n_arms
+    cache = {}
+    pulls, sums, ucbs = [0] * n, [0.0] * n, [0.0] * n
+
+    def pull(i):
+        pulls[i] += 1
+        sums[i] += env.arms[i].draw(rng)
+        key = (pulls[i], sums[i])
+        if key not in cache:
+            cache[key] = upper_bound(scheme, *key)
+        ucbs[i] = cache[key]
+
+    def pick(values):
+        top = np.flatnonzero(values == values.max())
+        return int(top[rng.integers(len(top))]) if len(top) > 1 else int(top[0]), len(top) > 1
+
+    for i in range(n):
+        pull(i)
+    total, ties = n, 0
+    snapshots = [(total, bandit._best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
+    while total < budget:
+        arm, tied = pick(np.array(ucbs))
+        ties += tied
+        pull(arm)
+        total += 1
+        if (total - n) % snapshot_every == 0 or total == budget:
+            snapshots.append((total, bandit._best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
+    recommended, _ = pick(np.divide(sums, pulls))
+    return RunRecord(recommended, total, tuple(pulls), False, tuple(snapshots)), ties
+
+
+class TestRaceDraws:
+    def _assert_matches_generator_draws(self, env, kinds, budget, seeds):
+        picks = ties = 0
+        for kind in kinds:
+            scheme = BoundScheme(kind, 8, 0.05)
+            for seed in seeds:
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                record = ucb_race(env, scheme, budget, 50, 5, rng)
+                expected, tied = _generator_ucb_race(env, scheme, budget, 50, 5, reference_rng)
+                assert record == expected, (kind, seed)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+                picks += budget - env.n_arms
+                ties += tied
+        return picks, ties
+
+    def test_many_ties_match_the_generator(self):
+        # most picks break a tie: every sg1 bound of a high arm is clamped at 1
+        env = bernoulli_environment(parametric_means(50, 1.0))
+        picks, ties = self._assert_matches_generator_draws(env, ("kl", "sg1"), 1000, range(10))
+        assert ties > picks / 2
+
+    def test_bootstrap_arms_match_the_generator(self):
+        # pools of 1 (no draw), 6, 57 and 200 ratings
+        votes = [(0, 0, 1), (1, 2, 3), (10, 20, 27), (50, 100, 50), (30, 20, 7)]
+        dataset = ContestDataset(7, tuple(Caption(str(i), v) for i, v in enumerate(votes)))
+        env = from_contest(dataset)
+        picks, ties = self._assert_matches_generator_draws(env, ("kl",), 1000, range(10))
+        assert ties > 0
 
 
 class TestPredictedComplexity:

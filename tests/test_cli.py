@@ -102,6 +102,8 @@ class TestConfigHandling:
             ["coverage", "--mu", "1.5", "--output", "o.csv"],
             ["coverage", "--t-max", "0", "--output", "o.csv"],
             ["table1", "--n", "2,4,8,16", "--output", "o.csv"],  # n = 2: KL sum 0
+            # above MAX_TILT: rejected before kappa's series is allocated
+            ["simulate", "--budget", "400", "--bound-n", "1073741824", "--output", "o.csv"],
         ],
     )
     def test_invalid_configs_raise(self, argv):
@@ -138,27 +140,34 @@ class TestConfigHandling:
         assert main(["identify", "--config", str(cfg), "--reps", "2",
                      "--output", str(tmp_path / "o.csv")]) == 1
 
-    @pytest.mark.parametrize("key", ["budget", "snapshot_every"])
+    @pytest.mark.parametrize("key", ["budget", "snapshot_every", "reps", "k", "bound_n",
+                                     "seed", "parallel", "t_max", "grid_points"])
     @pytest.mark.parametrize("value", ["100", True, 100.5, math.nan])
     def test_non_integer_count_in_config_file_exits_1(self, tmp_path, key, value):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: value}))
-        argv = ["simulate", "--n", "5", "--reps", "2", "--config", str(cfg),
+        argv = ["simulate", "--n", "5", "--config", str(cfg),
                 "--output", str(tmp_path / "o.csv")]
         if key != "budget":
             argv += ["--budget", "40"]
+        if key != "reps":
+            argv += ["--reps", "2"]
         with pytest.raises(ConfigError, match=key):
             build_config(argv)
         assert main(argv) == 1
 
     def test_integral_float_count_in_config_file_is_an_int(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"budget": 40.0, "snapshot_every": 10.0}))
-        argv = ["simulate", "--n", "5", "--reps", "2", "--config", str(cfg),
+        counts = {"budget": 40.0, "snapshot_every": 10.0, "reps": 2.0, "bound_n": 8.0,
+                  "k": 2.0, "seed": 3.0, "parallel": 1.0, "t_max": 50.0, "grid_points": 9.0}
+        cfg.write_text(json.dumps(counts))
+        argv = ["simulate", "--n", "5", "--config", str(cfg),
                 "--output", str(tmp_path / "o.csv")]
         config = build_config(argv)
-        assert (config.budget, config.snapshot_every) == (40, 10)
-        assert type(config.budget) is int and type(config.snapshot_every) is int
+        values = (config.budget, config.snapshot_every, config.reps, config.tilt,
+                  config.k, config.seed, config.parallel, config.t_max, config.grid_points)
+        assert values == tuple(counts.values())
+        assert all(type(v) is int for v in values)
         assert main(argv) == 0
 
     @pytest.mark.parametrize("error", [ValueError("internal"), OverflowError("internal")])

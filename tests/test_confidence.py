@@ -10,6 +10,7 @@ from lilklucb.confidence import (
     KAPPA_TAIL_TERMS,
     KL_PRIME,
     KL_TILTED,
+    MAX_TILT,
     SG1,
     SG2,
     BoundScheme,
@@ -103,6 +104,8 @@ class TestBoundScheme:
             BoundScheme("nope", 8, 0.01)
         with pytest.raises(ValueError):
             BoundScheme(KL_TILTED, 6, 0.01)
+        with pytest.raises(ValueError, match="power of two in"):
+            BoundScheme(KL_TILTED, 2 * MAX_TILT, 0.01)
         with pytest.raises(ValueError):
             BoundScheme(KL_TILTED, 8, 0.0)
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from lilklucb.environments import (
     Bootstrap,
     Discrete,
     Environment,
+    ScalarDraws,
     bernoulli_environment,
     from_contest,
     gap_family,
@@ -174,3 +175,71 @@ class TestFromContest:
         rng = np.random.default_rng(3)
         draws = {sample(env, 0, rng) for _ in range(200)}
         assert draws <= {0.0, 0.5, 1.0}
+
+
+# every branch of integers(m): no draw at 1, Lemire with rare and with
+# frequent (about one in two at 2**31 + 1) rejections, the full 32-bit
+# range, and the 64-bit ranges handed to the Generator
+RANGES = (1, 2, 3, 57, 200, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+def _script(length: int, seed: int) -> list[tuple[str, int]]:
+    """Scalar draws of every range mixed with the Generator's array draws."""
+    ops = [("random", 0)] + [("integers", m) for m in RANGES]
+    ops += [("random_array", 3), ("integers_array", 57)]
+    picks = np.random.default_rng(seed).integers(len(ops), size=length)
+    return [ops[i] for i in picks]
+
+
+class TestScalarDraws:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox])
+    def test_same_values_and_state_as_the_generator(self, bit_generator):
+        rng = np.random.Generator(bit_generator(5))
+        reference = np.random.Generator(bit_generator(5))
+        draws = ScalarDraws(rng)
+        for op, arg in _script(3000, 1):
+            if op == "random":
+                got, want = draws.random(), reference.random()
+                assert type(got) is float
+            elif op == "integers":
+                got, want = draws.integers(arg), reference.integers(arg)
+                assert type(got) is int
+            elif op == "random_array":
+                got, want = rng.random(arg).tolist(), reference.random(arg).tolist()
+            else:
+                got = rng.integers(arg, size=3).tolist()
+                want = reference.integers(arg, size=3).tolist()
+            assert got == want, (op, arg)
+        # includes the buffered half word (has_uint32, uinteger) where there is one
+        assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
+
+    def test_invalid_range_raises_as_the_generator_does(self):
+        draws = ScalarDraws(np.random.default_rng(0))
+        for m in (0, -3):
+            with pytest.raises(ValueError):
+                draws.integers(m)
+
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            Bernoulli(0.3),
+            Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)),
+            Bootstrap((0.7,)),
+            Bootstrap(tuple(i / 56 for i in range(57))),
+        ],
+    )
+    def test_arms_draw_the_same_rewards(self, arm):
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        draws = ScalarDraws(rng)
+        assert [arm.draw(draws) for _ in range(500)] == [arm.draw(reference) for _ in range(500)]
+        assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
