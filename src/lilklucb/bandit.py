@@ -272,15 +272,16 @@ class ComplexityBound:
 
     ``total`` adds the best-arm term and one term per suboptimal arm, all up
     to the universal constant (reported with that constant set to 1).
+    ``witness`` is the mean separating every suboptimal arm from the best.
     ``crossing_indices`` holds, for each suboptimal arm, the first sample
     size at which the threshold schedule at confidence delta^2 drops below
-    the arm's Chernoff separation from its witness.
+    the arm's Chernoff separation from the witness.
     """
 
     per_arm_terms: tuple[float, ...]
     best_arm_term: float
     total: float
-    witness_mus: tuple[float, ...]
+    witness: float
     crossing_indices: tuple[int, ...]
     best_arm_crossing: int
 
@@ -376,7 +377,7 @@ def predicted_complexity(
         per_arm_terms=arm_terms,
         best_arm_term=best_term,
         total=total,
-        witness_mus=tuple(witness for _ in mus[1:]),
+        witness=witness,
         crossing_indices=crossings,
         best_arm_crossing=best_crossing,
     )

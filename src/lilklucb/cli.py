@@ -18,15 +18,16 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bandit import hardness_sums, lil_klucb, predicted_complexity, ucb_race
-from .confidence import KL_PRIME, MAX_TILT, SCHEME_KINDS, BoundScheme, coverage_envelope
+from .confidence import BoundScheme, coverage_envelope
 from .data_ingest import ExperimentOutput, parse_contest_csv, write_output
-from .environments import bernoulli_environment, from_contest, parametric_means
+from .environments import bernoulli_environment, from_contest, gap_family, parametric_means
 
 SEED_ENV_VAR = "LILKLUCB_SEED"
 
@@ -243,18 +244,20 @@ def build_config(argv=None) -> RunConfig:
     return config
 
 
+@contextmanager
+def _flags(names: str):
+    """Report a library rule's ValueError as a ConfigError naming the flags it read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{names}: {exc}") from None
+
+
 def validate_config(config: RunConfig) -> None:
-    """Reject invalid parameters before any computation starts."""
-    bad = [s for s in config.schemes if s not in SCHEME_KINDS]
-    if bad or not config.schemes:
-        raise ConfigError(f"unknown scheme(s) {bad}; choose from {', '.join(SCHEME_KINDS)}")
-    if not 0.0 < config.delta < 1.0:
-        raise ConfigError(f"--delta must lie in (0, 1), got {config.delta}")
-    if not 1 <= config.tilt <= MAX_TILT or config.tilt & (config.tilt - 1):
-        raise ConfigError(
-            f"--bound-n must be a power of two in [1, {MAX_TILT}], got {config.tilt}")
-    if KL_PRIME in config.schemes and config.tilt <= math.e:
-        raise ConfigError(f"{KL_PRIME} requires --bound-n > e (use >= 4), got {config.tilt}")
+    """Reject invalid parameters before any computation starts.
+
+    A command checks only the inputs it reads; a library rule, by calling its owner.
+    """
     if config.reps < 1:
         raise ConfigError("--reps must be >= 1")
     if config.parallel < 1:
@@ -265,15 +268,18 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("--output is required")
     if config.snapshot_every is not None and config.snapshot_every < 1:
         raise ConfigError("snapshot_every must be >= 1")
-    if any(a <= 0 for a in config.alpha_values):
-        raise ConfigError("--alpha values must be positive")
 
     cmd = config.command
+    if cmd != "table1":
+        if not config.schemes:
+            raise ConfigError("--scheme must name at least one scheme")
+        with _flags("--scheme, --bound-n, --delta"):
+            for kind in config.schemes:
+                BoundScheme(kind, config.tilt, config.delta)
     if cmd in ("simulate", "identify"):
         if len(config.n_values) != 1 or len(config.alpha_values) != 1:
             raise ConfigError(f"{cmd} takes a single --n and --alpha")
-        if config.means is None and config.n < 2:
-            raise ConfigError("--n must be >= 2")
+        _config_environment(config)
     if cmd in ("simulate", "replay"):
         if len(config.schemes) != len(set(config.schemes)):
             raise ConfigError("duplicate schemes requested")
@@ -297,6 +303,10 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("table1 needs at least 4 values of --n to fit slopes")
         if any(n < 3 for n in config.n_values):
             raise ConfigError("table1 --n values must be >= 3: at n = 2 the KL hardness sum is 0")
+        with _flags("--n, --alpha"):
+            for n in config.n_values:
+                for alpha in config.alpha_values:
+                    gap_family(n, alpha)
     if cmd == "coverage":
         if not 0.0 <= config.mu <= 1.0:
             raise ConfigError(f"--mu must lie in [0, 1], got {config.mu}")
@@ -374,12 +384,10 @@ def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> Exp
 
 
 def _config_environment(config: RunConfig):
-    """(means, environment) of simulate/identify; bad config means are a ConfigError."""
-    means = config.means or parametric_means(config.n, config.alpha)
-    try:
+    """(means, environment) of simulate/identify; an invalid instance is a ConfigError."""
+    with _flags("means" if config.means else "--n, --alpha"):
+        means = config.means or parametric_means(config.n, config.alpha)
         return means, bernoulli_environment(means)
-    except ValueError as exc:
-        raise ConfigError(f"means: {exc}") from None
 
 
 def cmd_simulate(config: RunConfig) -> dict[str, ExperimentOutput]:
@@ -434,7 +442,7 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
         "mean_total_samples": float(np.mean(totals)),
         "median_total_samples": float(statistics.median(totals)),
         "predicted_total": predicted.total,
-        "predicted_witness": predicted.witness_mus[0],
+        "predicted_witness": predicted.witness,
         "predicted_crossings": list(predicted.crossing_indices),
         "predicted_best_arm_crossing": predicted.best_arm_crossing,
         "empirical_over_predicted": float(np.mean(totals)) / predicted.total,
@@ -569,27 +577,18 @@ def _output_path(base: str, kind: str, multiple: bool) -> Path:
 
 def run(config: RunConfig) -> list[Path]:
     """Execute one command and write its output file(s)."""
+    if config.command == "simulate":
+        outputs = cmd_simulate(config)
+    elif config.command == "replay":
+        outputs = cmd_replay(config)
+    else:
+        cmd = {"identify": cmd_identify, "table1": cmd_table1, "coverage": cmd_coverage}
+        outputs = {config.command: cmd[config.command](config)}
     written = []
-    if config.command in ("simulate", "replay"):
-        cmd = cmd_simulate if config.command == "simulate" else cmd_replay
-        outputs = cmd(config)
-        multiple = len(outputs) > 1
-        for kind, out in outputs.items():
-            path = _output_path(config.output, kind, multiple)
-            write_output(out, path, config.format)
-            written.append(path)
-        return written
-    if config.command == "identify":
-        out = cmd_identify(config)
-    elif config.command == "table1":
-        out = cmd_table1(config)
-    elif config.command == "coverage":
-        out = cmd_coverage(config)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown command {config.command!r}")
-    path = Path(config.output)
-    write_output(out, path, config.format)
-    written.append(path)
+    for kind, out in outputs.items():
+        path = _output_path(config.output, kind, len(outputs) > 1)
+        write_output(out, path, config.format)
+        written.append(path)
     return written
 
 

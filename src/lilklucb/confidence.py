@@ -131,11 +131,10 @@ class BoundScheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; choose from {SCHEME_KINDS}")
-        _check_tilt_pow2(self.tilt)
-        _check_delta(self.delta)
+        # kappa checks the tilt, before its series allocates, and then delta
+        object.__setattr__(self, "kappa_cache", kappa(self.tilt, self.delta))
         if self.kind == KL_PRIME and self.tilt <= math.e:
             raise ValueError("kl-prime requires tilt > e (use tilt >= 4)")
-        object.__setattr__(self, "kappa_cache", kappa(self.tilt, self.delta))
         c = untilt_factor(self.tilt) if self.kind == KL_PRIME else 1.0
         object.__setattr__(self, "c_cache", c)
 

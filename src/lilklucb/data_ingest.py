@@ -1,10 +1,9 @@
 """Parsing of caption-contest vote tables and persistence of experiment outputs.
 
-The contest CSV schema varies between published contest files, so the four
-required columns (caption text plus 1/2/3-star vote counts) are configurable
-by name.  Experiment outputs round-trip through CSV (metadata as '#' comment
-lines, then a header and rows) or JSON (one object with "metadata",
-"columns" and "rows").
+A contest CSV has a header row naming the four columns of CONTEST_COLUMNS:
+the caption text and its 1/2/3-star vote counts.  Experiment outputs
+round-trip through CSV (metadata as '#' comment lines, then a header and
+rows) or JSON (one object with "metadata", "columns" and "rows").
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-DEFAULT_CONTEST_COLUMNS = ("caption", "unfunny", "somewhat_funny", "funny")
+CONTEST_COLUMNS = ("caption", "unfunny", "somewhat_funny", "funny")
 
 
 @dataclass(frozen=True)
@@ -46,32 +45,28 @@ class ContestDataset:
             raise ValueError("a contest dataset needs at least 2 captions")
 
 
-def parse_contest_csv(
-    path,
-    columns: tuple[str, str, str, str] = DEFAULT_CONTEST_COLUMNS,
-    contest_id: int | None = None,
-) -> ContestDataset:
+def parse_contest_csv(path) -> ContestDataset:
     """Parse a comma-separated vote table with a header row.
 
-    ``columns`` names the caption-text column and the 1/2/3-star count
-    columns, in that order.  Rows whose three counts sum to zero are dropped
-    with a warning reporting how many were removed.  When ``contest_id`` is
-    not given it is taken from the first run of digits in the file name
-    (0 if there is none).
+    The header must hold CONTEST_COLUMNS (other columns are ignored): the
+    caption text and the 1/2/3-star counts, in that order.  Rows whose
+    three counts sum to zero are dropped with a warning reporting how many
+    were removed.  The contest id is the first run of digits in the file
+    name (0 if there is none).
     """
     path = Path(path)
-    text_col, one_col, two_col, three_col = columns
+    text_col, *count_cols = CONTEST_COLUMNS
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
+        missing = [c for c in CONTEST_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
         captions = []
         dropped = 0
         for lineno, row in enumerate(reader, start=2):
             counts = []
-            for col in (one_col, two_col, three_col):
+            for col in count_cols:
                 raw = (row[col] or "").strip()
                 try:
                     counts.append(int(raw))
@@ -90,9 +85,8 @@ def parse_contest_csv(
         warnings.warn(f"{path}: dropped {dropped} zero-vote caption row(s)")
     if len(captions) < 2:
         raise ValueError(f"{path}: fewer than 2 captions with votes")
-    if contest_id is None:
-        match = re.search(r"\d+", path.stem)
-        contest_id = int(match.group()) if match else 0
+    match = re.search(r"\d+", path.stem)
+    contest_id = int(match.group()) if match else 0
     return ContestDataset(contest_id=contest_id, captions=tuple(captions))
 
 

@@ -1,17 +1,17 @@
 """Reward-generating processes for simulation experiments.
 
-Three arm families, all with support inside [0, 1]: parametric Bernoulli,
-finite discrete distributions, and bootstrap replay of an observed pool of
-ratings.  An Environment bundles one distribution per arm with the analytic
-means, ordered so arm 0 is the unique best arm.  Arms draw from a NumPy
-Generator or from ScalarDraws, which gives the same scalars faster.
+Two arm families, both with support inside [0, 1]: parametric Bernoulli,
+and bootstrap replay of an observed pool of contest ratings.  An
+Environment bundles one distribution per arm with the analytic means,
+ordered so arm 0 is the unique best arm.  Arms draw from a NumPy Generator
+or from ScalarDraws, which gives the same scalars faster.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -19,9 +19,8 @@ import numpy as np
 from .data_ingest import ContestDataset
 from .kl_math import as_prob
 
-# Star ratings collapse onto [0, 1] rewards; configurable because any
-# three increasing values in [0, 1] give a valid bounded-reward mapping.
-DEFAULT_STAR_MAP = {1: 0.0, 2: 0.5, 3: 1.0}
+# The reward of each star rating of a contest caption.
+STAR_REWARDS = {1: 0.0, 2: 0.5, 3: 1.0}
 
 MEAN_MATCH_TOL = 1e-12
 
@@ -44,35 +43,6 @@ class Bernoulli:
 
 
 @dataclass(frozen=True)
-class Discrete:
-    """Arm drawing from finitely many values in [0, 1] with fixed weights."""
-
-    values: tuple[float, ...]
-    weights: tuple[float, ...]
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.values or len(self.values) != len(self.weights):
-            raise ValueError("values and weights must be non-empty and equal length")
-        for v in self.values:
-            as_prob(v, "support value")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        object.__setattr__(self, "_cum", np.cumsum(np.asarray(self.weights)))
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(v * w for v, w in zip(self.values, self.weights))
-
-    def draw(self, rng: np.random.Generator) -> float:
-        idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return self.values[min(idx, len(self.values) - 1)]
-
-
-@dataclass(frozen=True)
 class Bootstrap:
     """Arm resampling uniformly with replacement from an observed pool."""
 
@@ -92,7 +62,7 @@ class Bootstrap:
         return self.pool[int(rng.integers(len(self.pool)))]
 
 
-ArmDistribution = Union[Bernoulli, Discrete, Bootstrap]
+ArmDistribution = Union[Bernoulli, Bootstrap]
 
 # The bit generator's C functions, re-typed to keep the GIL during the call:
 # they touch no Python object and return in well under a microsecond.
@@ -185,12 +155,20 @@ def parametric_means(n: int, alpha: float) -> tuple[float, ...]:
 
 
 def gap_family(n: int, alpha: float) -> tuple[float, ...]:
-    """Mean gaps (i/n)^alpha for i = 1..n, strictly increasing."""
+    """Mean gaps (i/n)^alpha for i = 1..n, positive and strictly increasing.
+
+    Raises ValueError where floats cannot hold that: a large alpha
+    underflows the smallest gaps to 0, a tiny one rounds them all to 1.
+    """
     if n < 1:
         raise ValueError(f"need at least 1 gap, got {n!r}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    return tuple((i / n) ** alpha for i in range(1, n + 1))
+    gaps = tuple((i / n) ** alpha for i in range(1, n + 1))
+    if not gaps[0] > 0.0 or any(b <= a for a, b in zip(gaps, gaps[1:])):
+        raise ValueError(
+            f"gaps (i/{n})^{alpha!r} are not positive and strictly increasing in floats")
+    return gaps
 
 
 def bernoulli_environment(means) -> Environment:
@@ -199,38 +177,24 @@ def bernoulli_environment(means) -> Environment:
     return Environment(tuple(Bernoulli(m) for m in means), means)
 
 
-def from_contest(
-    dataset: ContestDataset,
-    star_map: dict[int, float] | None = None,
-) -> Environment:
+def from_contest(dataset: ContestDataset) -> Environment:
     """Bootstrap environment from contest vote counts.
 
     Each caption becomes one arm whose pool holds its observed ratings mapped
-    through ``star_map``; arms are reordered by decreasing pool mean.  A tie
-    between the top two pool means is rejected rather than perturbed, since
-    identification experiments need a unique best arm.
+    through ``STAR_REWARDS``; arms are reordered by decreasing pool mean.  A
+    tie between the top two pool means is rejected (by Environment) rather
+    than perturbed, since identification experiments need a unique best arm.
     """
-    if star_map is None:
-        star_map = DEFAULT_STAR_MAP
-    if sorted(star_map) != [1, 2, 3]:
-        raise ValueError("star_map must have exactly the keys 1, 2, 3")
-    mapped = {s: as_prob(v, f"star_map[{s}]") for s, v in star_map.items()}
-
     pools = []
     means = []
     for cap in dataset.captions:
-        total = sum(cap.star_counts)
-        if total < 1:
-            raise ValueError(f"caption {cap.text!r} has no votes")
         pool = []
         for star, count in zip((1, 2, 3), cap.star_counts):
-            pool.extend([mapped[star]] * count)
+            pool.extend([STAR_REWARDS[star]] * count)
         pools.append(tuple(pool))
-        means.append(math.fsum(pool) / total)
+        means.append(math.fsum(pool) / len(pool))
 
     order = sorted(range(len(means)), key=lambda i: (-means[i], i))
-    if len(order) >= 2 and means[order[0]] == means[order[1]]:
-        raise ValueError("top two pool means are tied; no unique best arm")
     arms = tuple(Bootstrap(pools[i]) for i in order)
     true_means = tuple(means[i] for i in order)
     return Environment(arms, true_means)

@@ -410,12 +410,12 @@ class TestPredictedComplexity:
         bound = predicted_complexity((0.9, 0.4, 0.2), 0.05, 33)
         f = partial(threshold, BoundScheme("kl", 8, 0.05 * 0.05))
         for mu_i, xi in zip((0.4, 0.2), bound.crossing_indices):
-            target = chernoff_information(mu_i, bound.witness_mus[0])
+            target = chernoff_information(mu_i, bound.witness)
             assert f(xi) < target
             if xi > 1:
                 assert f(xi - 1) >= target
         g = partial(threshold, BoundScheme("kl", 8, 0.05 / 2.0))
-        target = chernoff_information(0.9, bound.witness_mus[0])
+        target = chernoff_information(0.9, bound.witness)
         assert g(bound.best_arm_crossing) < target
         if bound.best_arm_crossing > 1:
             assert g(bound.best_arm_crossing - 1) >= target
@@ -427,8 +427,8 @@ class TestPredictedComplexity:
 
     def test_witnesses_sit_strictly_between_the_means(self):
         bound = predicted_complexity((0.8, 0.6, 0.3), 0.05, 17)
-        for mu_i, w in zip((0.6, 0.3), bound.witness_mus):
-            assert mu_i < w < 0.8
+        for mu_i in (0.6, 0.3):
+            assert mu_i < bound.witness < 0.8
 
     def test_total_decomposes(self):
         bound = predicted_complexity((0.8, 0.6, 0.3), 0.05, 17)

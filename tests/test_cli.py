@@ -104,11 +104,20 @@ class TestConfigHandling:
             ["table1", "--n", "2,4,8,16", "--output", "o.csv"],  # n = 2: KL sum 0
             # above MAX_TILT: rejected before kappa's series is allocated
             ["simulate", "--budget", "400", "--bound-n", "1073741824", "--output", "o.csv"],
+            # NaN fails every comparison, so only a rule written as
+            # "not alpha > 0" rejects it
+            ["simulate", "--budget", "400", "--alpha", "nan", "--output", "o.csv"],
+            ["identify", "--alpha", "nan", "--output", "o.csv"],
+            ["table1", "--n", "8,16,32,64", "--alpha", "nan", "--output", "o.csv"],
+            # (1/8)^1000 underflows to a 0.0 gap; at 1e-17 every gap rounds to 1.0
+            ["table1", "--n", "8,16,32,64", "--alpha", "1000", "--output", "o.csv"],
+            ["table1", "--n", "8,16,32,64", "--alpha", "1e-17", "--output", "o.csv"],
         ],
     )
     def test_invalid_configs_raise(self, argv):
         with pytest.raises(ConfigError):
             build_config(argv)
+        assert main(argv) == 1
 
     def test_kl_prime_low_tilt_rejected_before_any_run(self, tmp_path):
         argv = ["simulate", "--n", "50", "--budget", "400", "--reps", "20",

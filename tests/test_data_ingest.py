@@ -75,11 +75,6 @@ class TestParseContestCsv:
         with pytest.raises(ValueError, match="negative vote count"):
             parse_contest_csv(path)
 
-    def test_custom_column_names(self, tmp_path):
-        path = _write(tmp_path, "text,one,two,three\na,4,0,0\nb,0,0,4\n")
-        ds = parse_contest_csv(path, columns=("text", "one", "two", "three"))
-        assert ds.captions[0].star_counts == (4, 0, 0)
-
     def test_contest_id_from_filename(self, tmp_path):
         path = _write(
             tmp_path,
@@ -87,7 +82,6 @@ class TestParseContestCsv:
             name="contest_731.csv",
         )
         assert parse_contest_csv(path).contest_id == 731
-        assert parse_contest_csv(path, contest_id=9).contest_id == 9
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

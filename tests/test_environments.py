@@ -9,7 +9,6 @@ from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
     Bernoulli,
     Bootstrap,
-    Discrete,
     Environment,
     ScalarDraws,
     bernoulli_environment,
@@ -18,6 +17,9 @@ from lilklucb.environments import (
     parametric_means,
     sample,
 )
+
+# A 1-, 2- and 3-star rating pool in proportions 0.2, 0.3, 0.5: the shape of a contest arm
+_STAR_POOL = (0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestParametricFamilies:
@@ -51,6 +53,12 @@ class TestParametricFamilies:
         gaps = gap_family(30, 1.3)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("alpha", [1000.0, 1e-17])
+    def test_gaps_not_representable_as_increasing_floats_raise(self, alpha):
+        # 1000: (1/8)^1000 underflows to 0; 1e-17: every gap rounds to 1
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gap_family(8, alpha)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             parametric_means(1, 1.0)
@@ -67,12 +75,6 @@ class TestDistributions:
         assert all(sample(env, 0, rng) == 1.0 for _ in range(20))
         assert all(sample(env, 1, rng) == 0.0 for _ in range(20))
 
-    def test_single_point_discrete(self):
-        arm = Discrete((0.5,), (1.0,))
-        rng = np.random.default_rng(1)
-        assert all(arm.draw(rng) == 0.5 for _ in range(20))
-        assert arm.mean == 0.5
-
     def test_bernoulli_monte_carlo_mean(self):
         rng = np.random.default_rng(42)
         arm = Bernoulli(0.3)
@@ -83,7 +85,7 @@ class TestDistributions:
         "arm",
         [
             Bernoulli(0.62),
-            Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)),
+            Bootstrap(_STAR_POOL),
             Bootstrap((0.0, 0.0, 0.5, 1.0, 1.0, 1.0)),
         ],
     )
@@ -96,10 +98,6 @@ class TestDistributions:
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             Bernoulli(1.5)
-        with pytest.raises(ValueError):
-            Discrete((0.5, 2.0), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            Discrete((0.2, 0.8), (0.6, 0.6))
         with pytest.raises(ValueError):
             Bootstrap(())
 
@@ -152,18 +150,6 @@ class TestFromContest:
         ds = _dataset([("a", (0, 0, 5)), ("b", (0, 0, 5)), ("c", (5, 0, 0))])
         with pytest.raises(ValueError):
             from_contest(ds)
-
-    def test_rejects_bad_star_map(self):
-        ds = _dataset([("a", (1, 1, 1)), ("b", (3, 0, 0))])
-        with pytest.raises(ValueError):
-            from_contest(ds, star_map={1: 0.0, 2: 0.5, 3: 1.5})
-        with pytest.raises(ValueError):
-            from_contest(ds, star_map={1: 0.0, 2: 0.5})
-
-    def test_custom_star_map_changes_means(self):
-        ds = _dataset([("a", (0, 10, 0)), ("b", (10, 0, 0))])
-        env = from_contest(ds, star_map={1: 0.0, 2: 0.25, 3: 1.0})
-        assert env.true_means[0] == pytest.approx(0.25)
 
     def test_deterministic_given_dataset(self):
         ds = _dataset([("a", (3, 4, 5)), ("b", (9, 1, 2)), ("c", (2, 2, 2))])
@@ -233,7 +219,7 @@ class TestScalarDraws:
         "arm",
         [
             Bernoulli(0.3),
-            Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)),
+            Bootstrap(_STAR_POOL),
             Bootstrap((0.7,)),
             Bootstrap(tuple(i / 56 for i in range(57))),
         ],

@@ -36,6 +36,11 @@ CASES = {
     "identify-kl-prime": ["identify", "--config", "{means}", "--delta", "0.05",
                           "--budget", "4000", "--reps", "6", "--seed", "3",
                           "--scheme", "kl-prime"],
+    # the sub-Gaussian branches of lower_bound
+    "identify-sg1": ["identify", "--config", "{means}", "--delta", "0.05",
+                     "--budget", "4000", "--reps", "6", "--seed", "3", "--scheme", "sg1"],
+    "identify-sg2": ["identify", "--config", "{means}", "--delta", "0.05",
+                     "--budget", "4000", "--reps", "6", "--seed", "3", "--scheme", "sg2"],
     "table1": ["table1", "--n", "8,16,32,64", "--alpha", "0.5,1"],
     "coverage-kl": ["coverage", "--scheme", "kl", "--mu", "0.3", "--t-max", "400",
                     "--reps", "300", "--delta", "0.05", "--seed", "4"],
