@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import environments
-from .confidence import KL_TILTED, BoundScheme, lower_bound, threshold, upper_bound
+from .confidence import KL_TILTED, BoundScheme, _check_delta, lower_bound, threshold, upper_bound
 from .environments import Environment, ScalarDraws, gap_family
 from .kl_math import chernoff_information
 
@@ -129,6 +129,14 @@ def _puller(env: Environment, rng: ScalarDraws, pulls: list, sums: list):
     return pull
 
 
+def _check_identify(n_arms: int, budget: int | None) -> None:
+    """``lil_klucb``'s argument rules."""
+    if n_arms < 2:
+        raise ValueError("identification needs at least 2 arms")
+    if budget is not None and budget < n_arms:
+        raise ValueError("budget must cover one initialization pull per arm")
+
+
 def lil_klucb(
     env: Environment,
     scheme: BoundScheme,
@@ -159,10 +167,7 @@ def lil_klucb(
     ``rng`` during the run.
     """
     n = env.n_arms
-    if n < 2:
-        raise ValueError("identification needs at least 2 arms")
-    if budget is not None and budget < n:
-        raise ValueError("budget must cover one initialization pull per arm")
+    _check_identify(n, budget)
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
     ucb_table = cache.setdefault(("u", scheme), {})
@@ -209,6 +214,16 @@ def _best_arm_in_top_k(means: np.ndarray, k: int, rng: np.random.Generator) -> b
     return bool(np.any(order[:k] == 0))
 
 
+def _check_race(n_arms: int, budget: int, snapshot_every: int, k: int) -> None:
+    """``ucb_race``'s argument rules."""
+    if k < 1 or k > n_arms:
+        raise ValueError(f"k must lie in [1, {n_arms}], got {k!r}")
+    if budget < n_arms:
+        raise ValueError("budget must cover one initialization pull per arm")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
+
+
 def ucb_race(
     env: Environment,
     scheme: BoundScheme,
@@ -236,12 +251,7 @@ def ucb_race(
     no other thread may use ``rng`` during the run.
     """
     n = env.n_arms
-    if k < 1 or k > n:
-        raise ValueError(f"k must lie in [1, {n}], got {k!r}")
-    if budget < n:
-        raise ValueError("budget must cover one initialization pull per arm")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    _check_race(n, budget, snapshot_every, k)
     cache = {} if bound_cache is None else bound_cache
     ucb_table = cache.setdefault(("u", scheme), {})
     draws = ScalarDraws(rng)
@@ -325,6 +335,28 @@ def _bound_term(div: float, log_factor: float) -> float:
     return math.log(log_factor * max(1.0, math.log(1.0 / div))) / div
 
 
+def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
+    """``predicted_complexity``'s argument rules.
+
+    Returns the means as floats and the ``kl`` schemes of the crossing
+    schedules: delta^2 for the suboptimal arms, delta/(n-1) for the best.
+    Below delta of about 1.6e-162, delta^2 underflows to 0, which
+    ``BoundScheme`` rejects.
+    """
+    mus = tuple(float(m) for m in mus)
+    if len(mus) < 2:
+        raise ValueError("need at least 2 arms")
+    if any(b > a for a, b in zip(mus, mus[1:])):
+        raise ValueError("means must be sorted in descending order")
+    if not mus[0] > mus[1]:
+        raise ValueError("the top two means must be strictly separated")
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
+    _check_delta(delta)
+    return (mus, BoundScheme(KL_TILTED, tilt, delta * delta),
+            BoundScheme(KL_TILTED, tilt, delta / (len(mus) - 1)))
+
+
 def predicted_complexity(
     mus, delta: float, grid_points: int, tilt: int = 8
 ) -> ComplexityBound:
@@ -337,18 +369,7 @@ def predicted_complexity(
     configuration places all witnesses at one common value, scanned over
     ``grid_points`` interior points of (mu_2, mu_1).
     """
-    mus = tuple(float(m) for m in mus)
-    if len(mus) < 2:
-        raise ValueError("need at least 2 arms")
-    if any(b > a for a, b in zip(mus, mus[1:])):
-        raise ValueError("means must be sorted in descending order")
-    if not mus[0] > mus[1]:
-        raise ValueError("the top two means must be strictly separated")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
+    mus, pair_scheme, leader_scheme = _check_complexity(mus, delta, grid_points, tilt)
     n = len(mus)
     candidates = np.linspace(mus[1], mus[0], grid_points + 2)[1:-1]
     best = None
@@ -364,14 +385,12 @@ def predicted_complexity(
             best = (total, float(v), _bound_term(d_best, (n - 1) / delta), tuple(arm_terms))
     total, witness, best_term, arm_terms = best
 
-    pair_schedule = partial(threshold, BoundScheme(KL_TILTED, tilt, delta * delta))
-    leader_schedule = partial(threshold, BoundScheme(KL_TILTED, tilt, delta / (n - 1)))
     crossings = tuple(
-        _first_crossing(pair_schedule, chernoff_information(mu_i, witness))
+        _first_crossing(partial(threshold, pair_scheme), chernoff_information(mu_i, witness))
         for mu_i in mus[1:]
     )
     best_crossing = _first_crossing(
-        leader_schedule, chernoff_information(mus[0], witness)
+        partial(threshold, leader_scheme), chernoff_information(mus[0], witness)
     )
     return ComplexityBound(
         per_arm_terms=arm_terms,

@@ -24,35 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import hardness_sums, lil_klucb, predicted_complexity, ucb_race
-from .confidence import BoundScheme, coverage_envelope
-from .data_ingest import ExperimentOutput, parse_contest_csv, write_output
+from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
+from .bandit import lil_klucb, predicted_complexity, ucb_race
+from .confidence import BoundScheme, _check_coverage, coverage_envelope
+from .data_ingest import ExperimentOutput, _check_format, parse_contest_csv, write_output
 from .environments import bernoulli_environment, from_contest, gap_family, parametric_means
 
 SEED_ENV_VAR = "LILKLUCB_SEED"
 
 _MASK64 = (1 << 64) - 1
-
-DEFAULTS = {
-    "scheme": "kl",
-    "n": "100",
-    "alpha": "1.0",
-    "budget": None,
-    "reps": 250,
-    "delta": 0.01,
-    "bound_n": 8,
-    "k": 5,
-    "seed": None,
-    "parallel": 1,
-    "input": None,
-    "output": None,
-    "format": "csv",
-    "mu": 0.5,
-    "t_max": 10000,
-    "snapshot_every": None,
-    "means": None,
-    "grid_points": 65,
-}
 
 
 class ConfigError(ValueError):
@@ -109,23 +89,65 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    s = argparse.SUPPRESS
-    p.add_argument("--scheme", default=s, help="comma-separated bound schemes: kl,kl-prime,sg1,sg2")
-    p.add_argument("--n", default=s, help="number of arms (comma-separated list for table1)")
-    p.add_argument("--alpha", default=s, help="gap exponent (comma-separated list for table1)")
-    p.add_argument("--budget", type=int, default=s, help="total sampling budget")
-    p.add_argument("--reps", type=int, default=s, help="repetitions / trajectories")
-    p.add_argument("--delta", type=float, default=s, help="confidence level in (0,1)")
-    p.add_argument("--bound-n", dest="bound_n", type=int, default=s,
-                   help="tilt parameter of the confidence sequences (power of two)")
-    p.add_argument("--k", type=int, default=s, help="top-k membership target")
-    p.add_argument("--seed", type=int, default=s, help=f"base seed (falls back to ${SEED_ENV_VAR})")
-    p.add_argument("--parallel", type=int, default=s, help="worker processes for repetitions")
-    p.add_argument("--input", default=s, help="input CSV path (replay)")
-    p.add_argument("--output", default=s, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default=s, help="output format")
-    p.add_argument("--config", default=s, help="JSON file overriding flag defaults")
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _convert(value, kind, key: str):
+    """``value`` as ``kind``, strictly; anything else is a ConfigError naming ``key``.
+
+    A scalar kind is int (a count), float or str: an integral float passes as
+    an int and an int as a float, and any other type, a bool too, fails.  A
+    list kind [k] takes a comma-separated string (each part read by k), a
+    JSON list or one value, and gives a non-empty tuple of k.
+    """
+    if isinstance(kind, list):
+        (item,) = kind
+        if isinstance(value, str):
+            try:
+                value = [item(part.strip()) for part in value.split(",")]
+            except ValueError:
+                raise ConfigError(f"{key} must be comma-separated values, each "
+                                  f"{_KIND_NAMES[item]}, got {value!r}") from None
+        elif not isinstance(value, list):
+            value = [value]
+        if not value:
+            raise ConfigError(f"{key} must list at least one value")
+        return tuple(_convert(v, item, key) for v in value)
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{key} is out of range, got {value!r}") from None
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+# Each setting: its default, the kind its value must have (from a flag or
+# the --config file; see _convert) and the help of its flag --key (None: set
+# only in the --config file).  A None default may stay None.
+SETTINGS = {
+    "scheme": ("kl", [str], "comma-separated bound schemes: kl,kl-prime,sg1,sg2"),
+    "n": ("100", [int], "number of arms (comma-separated list for table1)"),
+    "alpha": ("1.0", [float], "gap exponent (comma-separated list for table1)"),
+    "budget": (None, int, "total sampling budget"),
+    "reps": (250, int, "repetitions / trajectories"),
+    "delta": (0.01, float, "confidence level in (0,1)"),
+    "bound_n": (8, int, "tilt parameter of the confidence sequences (power of two)"),
+    "k": (5, int, "top-k membership target"),
+    "seed": (None, int, f"base seed (falls back to ${SEED_ENV_VAR})"),
+    "parallel": (1, int, "worker processes for repetitions"),
+    "input": (None, str, "input CSV path (replay)"),
+    "output": (None, str, "output file path"),
+    "format": ("csv", str, "output format: csv or json"),
+    "mu": (0.5, float, "true Bernoulli mean of the simulated stream"),
+    "t_max": (10000, int, "trajectory length"),
+    "snapshot_every": (None, int, None),
+    "means": (None, [float], None),
+    "grid_points": (65, int, None),
+}
 
 
 def _build_parser() -> _Parser:
@@ -140,107 +162,55 @@ def _build_parser() -> _Parser:
     }
     for name, desc in descriptions.items():
         p = sub.add_parser(name, description=desc)
-        _add_common_flags(p)
-        if name == "coverage":
-            p.add_argument("--mu", type=float, default=argparse.SUPPRESS,
-                           help="true Bernoulli mean of the simulated stream")
-            p.add_argument("--t-max", dest="t_max", type=int, default=argparse.SUPPRESS,
-                           help="trajectory length")
+        for key, (_, kind, flag_help) in SETTINGS.items():
+            if flag_help is not None and (name == "coverage" or key not in ("mu", "t_max")):
+                # argparse reads a scalar; a list's text goes to _convert whole
+                p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                               type=None if isinstance(kind, list) else kind, help=flag_help)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="JSON file overriding flag defaults")
     return parser
 
 
-def _parse_int_list(value, flag: str) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(part) for part in str(value).split(","))
-    except ValueError:
-        raise ConfigError(f"{flag} must be an integer or comma-separated integers") from None
-
-
-def _parse_float_list(value, flag: str) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    try:
-        return tuple(float(part) for part in str(value).split(","))
-    except ValueError:
-        raise ConfigError(f"{flag} must be a number or comma-separated numbers") from None
-
-
-def _count(value, key: str) -> int:
-    """An int, or an integral float as an int; anything else (bools too) is a ConfigError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _optional_count(value, key: str) -> int | None:
-    return None if value is None else _count(value, key)
-
-
 def build_config(argv=None) -> RunConfig:
+    """Flags over the --config file over the defaults, each value converted, then validated."""
     args = _build_parser().parse_args(argv)
-    raw = dict(DEFAULTS)
+    raw = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except json.JSONDecodeError as e:
+                raw = json.load(fh)
+        except ValueError as e:  # not UTF-8, or not JSON
             raise ConfigError(f"invalid JSON in {config_path}: {e}") from None
-        if not isinstance(overrides, dict):
+        if not isinstance(raw, dict):
             raise ConfigError(f"{config_path} must hold a JSON object")
-        unknown = set(overrides) - set(DEFAULTS)
+        unknown = set(raw) - set(SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        raw.update(overrides)
-    for key, value in vars(args).items():
-        if key not in ("command", "config"):
-            raw[key] = value
+    raw.update((key, value) for key, value in vars(args).items()
+               if key not in ("command", "config"))
 
-    seed = raw["seed"]
-    if seed is None:
-        env_seed = os.environ.get(SEED_ENV_VAR)
+    values = {}
+    for key, (default, kind, _) in SETTINGS.items():
+        value = raw.get(key, default)
+        values[key] = None if value is None and default is None else _convert(value, kind, key)
+    if values["seed"] is None:
+        env_seed = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            seed = int(env_seed) if env_seed is not None else 0
+            values["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"${SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
 
-    schemes = raw["scheme"]
-    if isinstance(schemes, str):
-        schemes = tuple(s.strip() for s in schemes.split(","))
-    else:
-        schemes = tuple(schemes)
-    means = raw["means"]
-    try:
-        config = RunConfig(
-            command=args.command,
-            schemes=schemes,
-            n_values=_parse_int_list(raw["n"], "--n"),
-            alpha_values=_parse_float_list(raw["alpha"], "--alpha"),
-            budget=_optional_count(raw["budget"], "budget"),
-            reps=_count(raw["reps"], "reps"),
-            delta=float(raw["delta"]),
-            tilt=_count(raw["bound_n"], "bound_n"),
-            k=_count(raw["k"], "k"),
-            seed=_count(seed, "seed"),
-            parallel=_count(raw["parallel"], "parallel"),
-            input=raw["input"],
-            output=raw["output"],
-            format=raw["format"],
-            mu=float(raw["mu"]),
-            t_max=_count(raw["t_max"], "t_max"),
-            snapshot_every=_optional_count(raw["snapshot_every"], "snapshot_every"),
-            means=tuple(float(m) for m in means) if means is not None else None,
-            grid_points=_count(raw["grid_points"], "grid_points"),
-        )
-        validate_config(config)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # a config-file value of the wrong type
-        raise ConfigError(f"invalid configuration value: {exc}") from None
+    config = RunConfig(
+        command=args.command,
+        schemes=values.pop("scheme"),
+        n_values=values.pop("n"),
+        alpha_values=values.pop("alpha"),
+        tilt=values.pop("bound_n"),
+        **values,
+    )
+    validate_config(config)
     return config
 
 
@@ -256,48 +226,47 @@ def _flags(names: str):
 def validate_config(config: RunConfig) -> None:
     """Reject invalid parameters before any computation starts.
 
-    A command checks only the inputs it reads; a library rule, by calling its owner.
+    A command checks only the inputs it reads; a library rule, by calling its
+    owner's check, with ``_flags`` naming the flags behind it.
     """
     if config.reps < 1:
         raise ConfigError("--reps must be >= 1")
     if config.parallel < 1:
         raise ConfigError("--parallel must be >= 1")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"--format must be csv or json, got {config.format}")
+    with _flags("--format"):
+        _check_format(config.format)
     if config.output is None:
         raise ConfigError("--output is required")
-    if config.snapshot_every is not None and config.snapshot_every < 1:
-        raise ConfigError("snapshot_every must be >= 1")
 
     cmd = config.command
     if cmd != "table1":
-        if not config.schemes:
-            raise ConfigError("--scheme must name at least one scheme")
         with _flags("--scheme, --bound-n, --delta"):
             for kind in config.schemes:
                 BoundScheme(kind, config.tilt, config.delta)
-    if cmd in ("simulate", "identify"):
-        if len(config.n_values) != 1 or len(config.alpha_values) != 1:
-            raise ConfigError(f"{cmd} takes a single --n and --alpha")
-        _config_environment(config)
     if cmd in ("simulate", "replay"):
         if len(config.schemes) != len(set(config.schemes)):
             raise ConfigError("duplicate schemes requested")
         if config.budget is None:
             raise ConfigError(f"{cmd} requires --budget")
-        if config.k < 1:
-            raise ConfigError("--k must be >= 1")
     if cmd == "replay" and config.input is None:
         raise ConfigError("replay requires --input")
-    if cmd == "identify":
-        if config.means is not None and len(config.means) < 2:
-            raise ConfigError("means must list at least 2 arms")
-        if config.grid_points < 3:
-            raise ConfigError("grid_points must be >= 3")
     if cmd in ("table1", "coverage") and config.parallel > 1:
         raise ConfigError(f"{cmd} runs in one process; --parallel must be 1")
     if cmd in ("identify", "coverage") and len(config.schemes) != 1:
         raise ConfigError(f"{cmd} takes a single --scheme")
+    if cmd in ("simulate", "identify"):
+        if len(config.n_values) != 1 or len(config.alpha_values) != 1:
+            raise ConfigError(f"{cmd} takes a single --n and --alpha")
+        instance = "means" if config.means is not None else "--n, --alpha"
+        with _flags(instance):
+            env = _config_environment(config)
+        if cmd == "simulate":
+            _race_cadence(config, env.n_arms)
+        else:
+            with _flags(f"{instance}, --budget"):
+                _check_identify(env.n_arms, config.budget)
+            with _flags(f"{instance}, --delta, --bound-n, grid_points"):
+                _check_complexity(env.true_means, config.delta, config.grid_points, config.tilt)
     if cmd == "table1":
         if len(config.n_values) < 4:
             raise ConfigError("table1 needs at least 4 values of --n to fit slopes")
@@ -308,10 +277,8 @@ def validate_config(config: RunConfig) -> None:
                 for alpha in config.alpha_values:
                     gap_family(n, alpha)
     if cmd == "coverage":
-        if not 0.0 <= config.mu <= 1.0:
-            raise ConfigError(f"--mu must lie in [0, 1], got {config.mu}")
-        if config.t_max < 1:
-            raise ConfigError("--t-max must be >= 1")
+        with _flags("--mu, --t-max"):
+            _check_coverage(config.mu, config.t_max)
 
 
 # Bound tables of the process running repetitions (see _map_tasks).
@@ -351,13 +318,17 @@ def _map_tasks(tasks, parallel: int):
     return [_run_task(task) for task in tasks]
 
 
+def _race_cadence(config: RunConfig, n_arms: int) -> int:
+    """snapshot_every of a race on n_arms arms, once ucb_race's check passes its flags."""
+    snapshot_every = 2 * n_arms if config.snapshot_every is None else config.snapshot_every
+    with _flags("--budget, --k, snapshot_every"):
+        _check_race(n_arms, config.budget, snapshot_every, config.k)
+    return snapshot_every
+
+
 def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> ExperimentOutput:
     scheme = BoundScheme(kind, config.tilt, config.delta)
-    snapshot_every = config.snapshot_every or 2 * env.n_arms
-    if config.budget < env.n_arms:
-        raise ConfigError(f"--budget must be >= the number of arms ({env.n_arms})")
-    if config.k > env.n_arms:
-        raise ConfigError(f"--k must be <= the number of arms ({env.n_arms})")
+    snapshot_every = _race_cadence(config, env.n_arms)
     tasks = [
         ("race", env, scheme, config.budget, snapshot_every, config.k,
          derive_seed(config.seed, r))
@@ -384,15 +355,15 @@ def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> Exp
 
 
 def _config_environment(config: RunConfig):
-    """(means, environment) of simulate/identify; an invalid instance is a ConfigError."""
-    with _flags("means" if config.means else "--n, --alpha"):
-        means = config.means or parametric_means(config.n, config.alpha)
-        return means, bernoulli_environment(means)
+    """The environment of simulate/identify: the config's means, or the --n/--alpha family."""
+    if config.means is not None:
+        return bernoulli_environment(config.means)
+    return bernoulli_environment(parametric_means(config.n, config.alpha))
 
 
 def cmd_simulate(config: RunConfig) -> dict[str, ExperimentOutput]:
     """UCB race on the parametric instance; one membership curve per scheme."""
-    _, env = _config_environment(config)
+    env = _config_environment(config)
     extra = {"n": env.n_arms, "alpha": config.alpha}
     return {kind: _race_experiment(env, kind, config, extra) for kind in config.schemes}
 
@@ -414,10 +385,9 @@ def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
 
 def cmd_identify(config: RunConfig) -> ExperimentOutput:
     """Repeated adaptive identification; error rate, sample costs, predicted bound."""
-    means, env = _config_environment(config)
+    env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
-    if config.budget is not None and config.budget < env.n_arms:
-        raise ConfigError(f"--budget must be >= the number of arms ({env.n_arms})")
+    predicted = predicted_complexity(env.true_means, config.delta, config.grid_points, config.tilt)
     tasks = [
         ("identify", env, scheme, config.budget, derive_seed(config.seed, r))
         for r in range(config.reps)
@@ -426,14 +396,13 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)
     pulls = np.array([rec.per_arm_pulls for rec in records], dtype=float)
-    predicted = predicted_complexity(means, config.delta, config.grid_points, config.tilt)
     metadata = {
         "command": "identify",
         "scheme": scheme.kind,
         "bound_n": config.tilt,
         "delta": config.delta,
         "n": env.n_arms,
-        "means": list(means),
+        "means": list(env.true_means),
         "budget": config.budget,
         "repetitions": config.reps,
         "seed": config.seed,

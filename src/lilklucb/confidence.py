@@ -26,6 +26,7 @@ import numpy as np
 from .kl_math import (
     _bracketed_newton,
     _bracketed_newton_array,
+    _check_tilt,
     _expansion_root,
     _kl,
     as_prob,
@@ -107,8 +108,7 @@ def untilt_factor(tilt: int) -> float:
     Inflation applied to the divergence threshold so the plain-KL interval
     dominates the tilted one; > 1 for every tilt >= 1 and decreases to 1.
     """
-    if not isinstance(tilt, int) or tilt < 1:
-        raise ValueError(f"tilt must be a positive integer, got {tilt!r}")
+    _check_tilt(tilt)
     return (tilt + 1.0) / (tilt - math.log(tilt + 1.0))
 
 
@@ -281,6 +281,14 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     return max(0.0, mu_hat - sg2_radius(pulls, scheme.delta))
 
 
+def _check_coverage(mu: float, t_max: int) -> float:
+    """``coverage_envelope``'s argument rules; returns mu as a float."""
+    mu = as_prob(mu, "mu")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    return mu
+
+
 def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     """Exact per-t exit thresholds for the empirical mean of a known stream.
 
@@ -295,9 +303,7 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     the kl schemes invert D(., mu) at all t_max budgets per side in one
     array solve (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
     """
-    mu = as_prob(mu, "mu")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    mu = _check_coverage(mu, t_max)
     ts = range(1, t_max + 1)
     if scheme.kind in (SG1, SG2):
         if scheme.kind == SG1:

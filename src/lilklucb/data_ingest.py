@@ -138,6 +138,12 @@ def _parse_cell(text: str):
         return text
 
 
+def _check_format(format: str) -> None:
+    """The rule on ``format`` of ``write_output`` and ``read_output``."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
 def write_output(out: ExperimentOutput, path, format: str = "csv") -> None:
     """Persist an ExperimentOutput as CSV or JSON.
 
@@ -145,6 +151,7 @@ def write_output(out: ExperimentOutput, path, format: str = "csv") -> None:
     numbers are written with 15 significant digits.  I/O failures propagate
     as OSError carrying the path.
     """
+    _check_format(format)
     path = Path(path)
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -154,7 +161,7 @@ def write_output(out: ExperimentOutput, path, format: str = "csv") -> None:
             writer.writerow(out.columns)
             for row in out.rows:
                 writer.writerow([_format_cell(v) for v in row])
-    elif format == "json":
+    else:
         payload = {
             "metadata": out.metadata,
             "columns": list(out.columns),
@@ -163,12 +170,11 @@ def write_output(out: ExperimentOutput, path, format: str = "csv") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
 def read_output(path, format: str = "csv") -> ExperimentOutput:
     """Inverse of write_output (within float round-trip precision for CSV)."""
+    _check_format(format)
     path = Path(path)
     if format == "csv":
         metadata: dict[str, Any] = {}
@@ -188,12 +194,10 @@ def read_output(path, format: str = "csv") -> ExperimentOutput:
             columns = tuple(table[0])
             rows = [tuple(_parse_cell(c) for c in row) for row in table[1:] if row]
         return ExperimentOutput(metadata=metadata, columns=columns, rows=tuple(rows))
-    if format == "json":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return ExperimentOutput(
-            metadata=payload["metadata"],
-            columns=tuple(payload["columns"]),
-            rows=tuple(tuple(row) for row in payload["rows"]),
-        )
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return ExperimentOutput(
+        metadata=payload["metadata"],
+        columns=tuple(payload["columns"]),
+        rows=tuple(tuple(row) for row in payload["rows"]),
+    )

@@ -2,8 +2,8 @@
 
 Two arm families, both with support inside [0, 1]: parametric Bernoulli,
 and bootstrap replay of an observed pool of contest ratings.  An
-Environment bundles one distribution per arm with the analytic means,
-ordered so arm 0 is the unique best arm.  Arms draw from a NumPy Generator
+Environment bundles one distribution per arm, ordered by the arms'
+analytic means so arm 0 is the unique best arm.  Arms draw from a NumPy Generator
 or from ScalarDraws, which gives the same scalars faster.
 """
 
@@ -21,8 +21,6 @@ from .kl_math import as_prob
 
 # The reward of each star rating of a contest caption.
 STAR_REWARDS = {1: 0.0, 2: 0.5, 3: 1.0}
-
-MEAN_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,28 +108,25 @@ class ScalarDraws:
 
 @dataclass(frozen=True)
 class Environment:
-    """A fixed set of arms with known means, arm 0 strictly best.
+    """A fixed set of arms, arm 0 strictly best by its mean.
 
     Immutable; concurrent runs should not share one generator.
     """
 
     arms: tuple[ArmDistribution, ...]
-    true_means: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.arms) != len(self.true_means):
-            raise ValueError("one true mean per arm required")
-        if len(self.arms) >= 2 and not self.true_means[0] > self.true_means[1]:
+        means = self.true_means
+        if len(means) >= 2 and not means[0] > means[1]:
             raise ValueError("arm 0 must be the unique best arm")
-        for a, b in zip(self.true_means, self.true_means[1:]):
+        for a, b in zip(means, means[1:]):
             if b > a:
                 raise ValueError("true_means must be non-increasing")
-        for arm, mu in zip(self.arms, self.true_means):
-            as_prob(mu, "true mean")
-            if abs(arm.mean - mu) > MEAN_MATCH_TOL:
-                raise ValueError(
-                    f"stored mean {mu!r} disagrees with analytic mean {arm.mean!r}"
-                )
+
+    @property
+    def true_means(self) -> tuple[float, ...]:
+        """Each arm's analytic mean, in arm order."""
+        return tuple(arm.mean for arm in self.arms)
 
     @property
     def n_arms(self) -> int:
@@ -173,28 +168,21 @@ def gap_family(n: int, alpha: float) -> tuple[float, ...]:
 
 def bernoulli_environment(means) -> Environment:
     """Environment of independent Bernoulli arms with the given mean profile."""
-    means = tuple(float(m) for m in means)
-    return Environment(tuple(Bernoulli(m) for m in means), means)
+    return Environment(tuple(Bernoulli(float(m)) for m in means))
 
 
 def from_contest(dataset: ContestDataset) -> Environment:
     """Bootstrap environment from contest vote counts.
 
     Each caption becomes one arm whose pool holds its observed ratings mapped
-    through ``STAR_REWARDS``; arms are reordered by decreasing pool mean.  A
-    tie between the top two pool means is rejected (by Environment) rather
-    than perturbed, since identification experiments need a unique best arm.
+    through ``STAR_REWARDS``; arms are stably sorted by decreasing pool mean.
+    A tie between the top two pool means is rejected (by Environment) rather
+    than perturbed, since identification needs a unique best arm.
     """
-    pools = []
-    means = []
+    arms = []
     for cap in dataset.captions:
         pool = []
         for star, count in zip((1, 2, 3), cap.star_counts):
             pool.extend([STAR_REWARDS[star]] * count)
-        pools.append(tuple(pool))
-        means.append(math.fsum(pool) / len(pool))
-
-    order = sorted(range(len(means)), key=lambda i: (-means[i], i))
-    arms = tuple(Bootstrap(pools[i]) for i in order)
-    true_means = tuple(means[i] for i in order)
-    return Environment(arms, true_means)
+        arms.append(Bootstrap(tuple(pool)))
+    return Environment(tuple(sorted(arms, key=lambda arm: -arm.mean)))

@@ -278,7 +278,7 @@ class TestRewardRange:
     def test_loops_reject_out_of_range_rewards(self, reward):
         # without the loops' own check the bad reward would still fail, later
         # and with another message, when the mean reaches the KL inverse
-        env = Environment((Bernoulli(0.9), _FixedArm(reward, 0.5)), (0.9, 0.5))
+        env = Environment((Bernoulli(0.9), _FixedArm(reward, 0.5)))
         scheme = BoundScheme("kl", 8, 0.05)
         with pytest.raises(ValueError, match="rewards must lie in"):
             ucb_race(env, scheme, 100, 10, 1, np.random.default_rng(0))

@@ -48,6 +48,45 @@ class TestSeedDerivation:
         assert len(seeds) == 1000
 
 
+# Each invalid command line, and the flag its error message must name.
+INVALID_ARGV = [
+    (["simulate", "--budget", "400", "--scheme", "bogus", "--output", "o.csv"], "--scheme"),
+    (["simulate", "--budget", "400", "--delta", "0", "--output", "o.csv"], "--delta"),
+    (["simulate", "--budget", "400", "--bound-n", "6", "--output", "o.csv"], "--bound-n"),
+    (["simulate", "--budget", "400", "--alpha", "-1", "--output", "o.csv"], "--alpha"),
+    (["simulate", "--budget", "400", "--reps", "0", "--output", "o.csv"], "--reps"),
+    (["simulate", "--output", "o.csv"], "--budget"),  # budget required
+    (["simulate", "--budget", "400"], "--output"),  # output required
+    (["replay", "--budget", "400", "--output", "o.csv"], "--input"),  # input required
+    (["identify", "--scheme", "kl,sg1", "--output", "o.csv"], "--scheme"),
+    (["table1", "--n", "100,200", "--output", "o.csv"], "--n"),  # needs >= 4
+    (["coverage", "--mu", "1.5", "--output", "o.csv"], "--mu"),
+    (["coverage", "--t-max", "0", "--output", "o.csv"], "--t-max"),
+    (["table1", "--n", "2,4,8,16", "--output", "o.csv"], "--n"),  # n = 2: KL sum 0
+    # above MAX_TILT: rejected before kappa's series is allocated
+    (["simulate", "--budget", "400", "--bound-n", "1073741824", "--output", "o.csv"],
+     "--bound-n"),
+    # NaN fails every comparison, so only a rule written as "not alpha > 0"
+    # rejects it
+    (["simulate", "--budget", "400", "--alpha", "nan", "--output", "o.csv"], "--alpha"),
+    (["identify", "--alpha", "nan", "--output", "o.csv"], "--alpha"),
+    (["table1", "--n", "8,16,32,64", "--alpha", "nan", "--output", "o.csv"], "--alpha"),
+    # (1/8)^1000 underflows to a 0.0 gap; at 1e-17 every gap rounds to 1.0
+    (["table1", "--n", "8,16,32,64", "--alpha", "1000", "--output", "o.csv"], "--alpha"),
+    (["table1", "--n", "8,16,32,64", "--alpha", "1e-17", "--output", "o.csv"], "--alpha"),
+    # rules of ucb_race, lil_klucb and coverage_envelope, checked by their owners
+    (["simulate", "--budget", "400", "--k", "0", "--output", "o.csv"], "--k"),
+    (["simulate", "--n", "5", "--budget", "400", "--k", "9", "--output", "o.csv"], "--k"),
+    (["identify", "--n", "3", "--budget", "2", "--output", "o.csv"], "--budget"),
+    (["coverage", "--mu", "nan", "--output", "o.csv"], "--mu"),
+    # the predicted complexity's delta^2 schedule underflows to 0
+    (["identify", "--n", "3", "--budget", "200", "--reps", "2", "--delta", "1e-200",
+      "--output", "o.csv"], "--delta"),
+    # write_output's rule, checked by its owner before any run
+    (["table1", "--n", "8,16,32,64", "--format", "xml", "--output", "o.csv"], "--format"),
+]
+
+
 class TestConfigHandling:
     def test_defaults_match_experiment_protocol(self):
         config = build_config(["simulate", "--budget", "400", "--output", "o.csv"])
@@ -86,38 +125,14 @@ class TestConfigHandling:
             build_config(["simulate", "--budget", "400", "--config", str(cfg),
                           "--output", "o.csv"])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--budget", "400", "--scheme", "bogus", "--output", "o.csv"],
-            ["simulate", "--budget", "400", "--delta", "0", "--output", "o.csv"],
-            ["simulate", "--budget", "400", "--bound-n", "6", "--output", "o.csv"],
-            ["simulate", "--budget", "400", "--alpha", "-1", "--output", "o.csv"],
-            ["simulate", "--budget", "400", "--reps", "0", "--output", "o.csv"],
-            ["simulate", "--output", "o.csv"],  # budget required
-            ["simulate", "--budget", "400"],  # output required
-            ["replay", "--budget", "400", "--output", "o.csv"],  # input required
-            ["identify", "--scheme", "kl,sg1", "--output", "o.csv"],
-            ["table1", "--n", "100,200", "--output", "o.csv"],  # needs >= 4
-            ["coverage", "--mu", "1.5", "--output", "o.csv"],
-            ["coverage", "--t-max", "0", "--output", "o.csv"],
-            ["table1", "--n", "2,4,8,16", "--output", "o.csv"],  # n = 2: KL sum 0
-            # above MAX_TILT: rejected before kappa's series is allocated
-            ["simulate", "--budget", "400", "--bound-n", "1073741824", "--output", "o.csv"],
-            # NaN fails every comparison, so only a rule written as
-            # "not alpha > 0" rejects it
-            ["simulate", "--budget", "400", "--alpha", "nan", "--output", "o.csv"],
-            ["identify", "--alpha", "nan", "--output", "o.csv"],
-            ["table1", "--n", "8,16,32,64", "--alpha", "nan", "--output", "o.csv"],
-            # (1/8)^1000 underflows to a 0.0 gap; at 1e-17 every gap rounds to 1.0
-            ["table1", "--n", "8,16,32,64", "--alpha", "1000", "--output", "o.csv"],
-            ["table1", "--n", "8,16,32,64", "--alpha", "1e-17", "--output", "o.csv"],
-        ],
-    )
-    def test_invalid_configs_raise(self, argv):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("argv, flag", INVALID_ARGV,
+                             ids=[f"argv{i}" for i in range(len(INVALID_ARGV))])
+    def test_invalid_configs_raise(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match=flag):
             build_config(argv)
         assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []  # rejected before any output
 
     def test_kl_prime_low_tilt_rejected_before_any_run(self, tmp_path):
         argv = ["simulate", "--n", "50", "--budget", "400", "--reps", "20",
@@ -148,6 +163,29 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(content))
         assert main(["identify", "--config", str(cfg), "--reps", "2",
                      "--output", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize("content, key", [
+        ({"n": [5.7]}, "n"),
+        ({"alpha": [True]}, "alpha"),
+        ({"mu": True}, "mu"),
+        ({"delta": "0.05"}, "delta"),
+        ({"delta": 10**400}, "delta"),  # an int beyond every float
+        ({"means": ["0.9", "0.1"]}, "means"),
+        ({"means": []}, "means"),
+        ({"output": 5}, "output"),
+        ({"input": 5}, "input"),
+        ({"snapshot_every": 0}, "snapshot_every"),
+    ])
+    def test_bad_config_value_names_its_key(self, tmp_path, content, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(content))
+        argv = ["simulate", "--budget", "400", "--reps", "2", "--config", str(cfg)]
+        if key != "output":
+            argv += ["--output", str(tmp_path / "o.csv")]
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            build_config(argv)
+        assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("key", ["budget", "snapshot_every", "reps", "k", "bound_n",
                                      "seed", "parallel", "t_max", "grid_points"])
@@ -190,6 +228,16 @@ class TestConfigHandling:
         assert main(["table1", "--n", "8,16,32,64", "--output", str(tmp_path / "t.csv")]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal error" in err
+
+    def test_internal_fault_during_validation_exits_3(self, tmp_path, monkeypatch, capsys):
+        from lilklucb import cli
+
+        def broken(*args, **kwargs):
+            raise TypeError("internal")
+
+        monkeypatch.setattr(cli, "gap_family", broken)
+        assert main(["table1", "--n", "8,16,32,64", "--output", str(tmp_path / "t.csv")]) == 3
+        assert "Traceback" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["coverage", "--t-max", "50", "--reps", "4"],
@@ -287,6 +335,13 @@ class TestReplay:
         assert meta["contest_id"] == 42
         assert meta["n"] == 4
         assert meta["top_mean"] == pytest.approx(0.875)
+
+    def test_race_rules_checked_before_any_run(self, tmp_path):
+        # the contest has 4 arms; ucb_race's own check runs once it is read
+        argv = ["replay", "--input", str(_contest_file(tmp_path)), "--budget", "200",
+                "--reps", "2", "--k", "9", "--output", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_replay_missing_input_is_io_error(self, tmp_path):
         rc = main(["replay", "--input", str(tmp_path / "gone.csv"), "--budget", "100",

@@ -71,7 +71,7 @@ class TestParametricFamilies:
 class TestDistributions:
     def test_degenerate_bernoulli(self):
         rng = np.random.default_rng(0)
-        env = Environment((Bernoulli(1.0), Bernoulli(0.0)), (1.0, 0.0))
+        env = Environment((Bernoulli(1.0), Bernoulli(0.0)))
         assert all(sample(env, 0, rng) == 1.0 for _ in range(20))
         assert all(sample(env, 1, rng) == 0.0 for _ in range(20))
 
@@ -111,10 +111,6 @@ class TestEnvironment:
         with pytest.raises(ValueError):
             bernoulli_environment((0.9, 0.2, 0.4))
 
-    def test_rejects_mismatched_stored_mean(self):
-        with pytest.raises(ValueError):
-            Environment((Bernoulli(0.9), Bernoulli(0.1)), (0.8, 0.1))
-
     def test_out_of_range_arm_index(self):
         env = bernoulli_environment((0.9, 0.1))
         with pytest.raises(IndexError):
@@ -145,6 +141,12 @@ class TestFromContest:
         env = from_contest(ds)
         assert env.true_means == tuple(sorted(env.true_means, reverse=True))
         assert env.true_means[0] == pytest.approx(0.9)
+
+    def test_equal_means_keep_file_order(self):
+        ds = _dataset([("a", (1, 0, 0)), ("top", (0, 0, 5)), ("b", (3, 0, 0))])
+        env = from_contest(ds)
+        assert [len(arm.pool) for arm in env.arms] == [5, 1, 3]
+        assert env.true_means == (1.0, 0.0, 0.0)
 
     def test_rejects_top_tie(self):
         ds = _dataset([("a", (0, 0, 5)), ("b", (0, 0, 5)), ("c", (5, 0, 0))])
