@@ -17,7 +17,15 @@ from functools import partial
 import numpy as np
 
 from . import environments
-from .confidence import KL_TILTED, BoundScheme, _check_delta, lower_bound, threshold, upper_bound
+from .confidence import (
+    KL_TILTED,
+    BoundScheme,
+    _check_delta,
+    lower_bound,
+    lower_bound_may_exceed,
+    threshold,
+    upper_bound,
+)
 from .environments import Environment, ScalarDraws, gap_family
 from .kl_math import chernoff_information
 
@@ -155,11 +163,14 @@ def lil_klucb(
 
     A round evaluates only the bounds it reads: the leader's upper bound
     once another arm leads, its lower bound (never above its mean) only if
-    every rival's upper bound is below that mean.  Bounds are pure in their
-    key, so record and generator state equal those of evaluating them all.
+    every rival's upper bound is below that mean and
+    ``lower_bound_may_exceed`` does not rule out a stop with one divergence
+    evaluation.  Bounds are pure in their key and the certificate is sound,
+    so record and generator state equal those of evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
     holds one table per (side "u"/"l", scheme) keyed by (pulls, reward_sum).
+    The "l" tables hold only the keys of rounds the certificate let through.
 
     Rewards and tie-breaks are drawn through ``ScalarDraws(rng)``: the values
     of ``rng``'s own scalar calls, from the bit generator's C functions.
@@ -188,8 +199,10 @@ def lil_klucb(
         rivals = ucbs.copy()
         rivals[top] = -math.inf
         challenger = max(range(n), key=rivals.__getitem__)  # first index on ties
-        if rivals[challenger] < means[top] and _cached(
-                lcb_table, lower_bound, leader_scheme, (pulls[top], sums[top])) > rivals[challenger]:
+        level = rivals[challenger]
+        key = (pulls[top], sums[top])
+        if (level < means[top] and lower_bound_may_exceed(leader_scheme, *key, level)
+                and _cached(lcb_table, lower_bound, leader_scheme, key) > level):
             stopped = True
             break
         if budget is not None and total + 2 > budget:

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kl_math import (
+    BISECTION_TOL,
     _bracketed_newton,
     _bracketed_newton_array,
     _check_tilt,
@@ -49,8 +50,9 @@ KAPPA_TAIL_TERMS = 10**6
 
 # Largest tilt accepted.  The first series inside kappa has one term per
 # t in 1..tilt and is summed as one array, so its memory grows with the
-# tilt: computing kappa at 2**20 peaks at 59 MB of process memory (51 MB
-# at tilt 8) and takes 0.04 s; at 2**30 it would need more than 8 GB.
+# tilt: computing kappa at 2**20 peaks at 44 MB of process memory (36 MB
+# at tilt 8, 28.5 MB after the import alone) and takes 0.03-0.06 s; at
+# 2**30 it would need more than 8 GB.
 MAX_TILT = 2**20
 
 
@@ -75,6 +77,7 @@ def _kappa_series(tilt: int) -> float:
     tilt == 1).  S2 sums (k+1)^-(tilt+1)/tilt for k >= log2(tilt); it is
     summed explicitly for KAPPA_TAIL_TERMS terms and closed with the exact
     integral tail bound tilt * (k_last + 1)^(-1/tilt), an over-estimate.
+    Each series is computed in place in one array, to bound peak memory.
     """
     level = tilt.bit_length() - 1
     expo = (tilt + 1.0) / tilt
@@ -82,9 +85,14 @@ def _kappa_series(tilt: int) -> float:
         s1 = 0.0
     else:
         t = np.arange(1, tilt + 1, dtype=np.float64)
-        s1 = float(np.sum(np.log2(2.0 * t) ** -expo))
+        t *= 2.0
+        np.log2(t, out=t)
+        np.power(t, -expo, out=t)
+        s1 = float(np.sum(t))
     k = np.arange(level, level + KAPPA_TAIL_TERMS, dtype=np.float64)
-    s2 = float(np.sum((k + 1.0) ** -expo))
+    k += 1.0
+    np.power(k, -expo, out=k)
+    s2 = float(np.sum(k))
     k_last = level + KAPPA_TAIL_TERMS - 1
     s2 += tilt * (k_last + 1.0) ** (-1.0 / tilt)
     return s1 + tilt * s2
@@ -279,6 +287,31 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     if scheme.kind == SG1:
         return max(0.0, mu_hat - sg1_radius(scheme, pulls))
     return max(0.0, mu_hat - sg2_radius(pulls, scheme.delta))
+
+
+def lower_bound_may_exceed(scheme: BoundScheme, pulls: int, reward_sum: float,
+                           level: float) -> bool:
+    """False only when ``lower_bound(scheme, pulls, reward_sum) > level`` cannot hold.
+
+    For ``kl`` and ``kl-prime`` the lower bound m* inverts, on [0, p] with
+    p = reward_sum / pulls, a divergence that is nonincreasing there, and
+    the divergence one BISECTION_TOL below m* exceeds the budget.  If m* >
+    level, the point x = level - BISECTION_TOL lies below m* - BISECTION_TOL,
+    so its divergence exceeds the budget too: one divergence at x within
+    the budget proves m* <= level.  ``sg1``, ``sg2`` and an x outside
+    (0, p) give True.
+    """
+    if pulls < 1:
+        raise ValueError("lower_bound_may_exceed requires at least one sample")
+    mu_hat = reward_sum / pulls
+    x = level - BISECTION_TOL
+    if scheme.kind == KL_TILTED and 0.0 < x < mu_hat:
+        div = _kl((scheme.tilt * mu_hat + x) / (scheme.tilt + 1.0), x)
+    elif scheme.kind == KL_PRIME and 0.0 < x < mu_hat:
+        div = _kl(mu_hat, x)
+    else:
+        return True
+    return div > threshold(scheme, pulls)
 
 
 def _check_coverage(mu: float, t_max: int) -> float:

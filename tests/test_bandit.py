@@ -261,6 +261,27 @@ class TestLazyBounds:
         assert len(calls) < record.total_samples
         assert len(calls) == record.per_arm_pulls[1] + 1
 
+    def test_leader_lower_bound_is_inverted_only_where_a_stop_is_possible(self, monkeypatch):
+        # criterion 2's instance: the eager loop inverts hundreds of leader
+        # lower bounds per repetition, nearly all in rounds that do not stop
+        calls = []
+
+        def counted(scheme, pulls, reward_sum):
+            calls.append(pulls)
+            return lower_bound(scheme, pulls, reward_sum)
+
+        monkeypatch.setattr(bandit, "lower_bound", counted)
+        env = bernoulli_environment((0.8, 0.6, 0.4, 0.2))
+        scheme = BoundScheme("kl", 8, 0.05)
+        shared, reference_cache = {}, {}
+        seeds = range(12)
+        for seed in seeds:
+            record = lil_klucb(env, scheme, None, np.random.default_rng(seed), bound_cache=shared)
+            expected = _eager_lil_klucb(
+                env, scheme, None, np.random.default_rng(seed), reference_cache)
+            assert record == expected, seed
+        assert len(calls) <= 2 * len(seeds)
+
 
 class _FixedArm:
     """An arm whose every draw is ``reward``, whatever mean it declares."""

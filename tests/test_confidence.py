@@ -14,10 +14,12 @@ from lilklucb.confidence import (
     SG1,
     SG2,
     BoundScheme,
+    _kappa_series,
     coverage_envelope,
     deviation_envelope,
     kappa,
     lower_bound,
+    lower_bound_may_exceed,
     sg1_radius,
     sg2_radius,
     threshold,
@@ -72,6 +74,26 @@ class TestKappa:
         s2 += tilt * (level + 4 * KAPPA_TAIL_TERMS) ** (-1.0 / tilt)
         total = delta**expo * kap**-expo * (s1 + tilt * s2)
         assert total <= delta * (1.0 + 1e-12)
+
+    def test_series_in_place_equals_the_out_of_place_sums(self):
+        # reference: the series as plain NumPy expressions, each step in a
+        # new array; the in-place sums must give the same bits
+        def out_of_place(tilt):
+            level = tilt.bit_length() - 1
+            expo = (tilt + 1.0) / tilt
+            if level == 0:
+                s1 = 0.0
+            else:
+                t = np.arange(1, tilt + 1, dtype=np.float64)
+                s1 = float(np.sum(np.log2(2.0 * t) ** -expo))
+            k = np.arange(level, level + KAPPA_TAIL_TERMS, dtype=np.float64)
+            s2 = float(np.sum((k + 1.0) ** -expo))
+            k_last = level + KAPPA_TAIL_TERMS - 1
+            s2 += tilt * (k_last + 1.0) ** (-1.0 / tilt)
+            return s1 + tilt * s2
+
+        for j in range(21):
+            assert _kappa_series(2**j) == out_of_place(2**j), j
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -249,6 +271,9 @@ class TestBounds:
             upper_bound(scheme, 0, 0.0)
         with pytest.raises(ValueError):
             lower_bound(scheme, 0, 0.0)
+        for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
+            with pytest.raises(ValueError):
+                lower_bound_may_exceed(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5)
 
     def test_kl_prime_composes_documented_primitives(self):
         scheme = BoundScheme(KL_PRIME, 8, 0.01)

@@ -109,3 +109,45 @@ def test_bounds_bracket_the_empirical_mean(kind, tilt, delta, pulls, share):
     mean = reward_sum / pulls
     assert (confidence.lower_bound(scheme, pulls, reward_sum) <= mean
             <= confidence.upper_bound(scheme, pulls, reward_sum))
+
+
+@PROPERTY
+@given(
+    kind_tilt=st.sampled_from([("kl", t) for t in (1, 2, 8, 64, 1024)]
+                              + [("kl-prime", t) for t in (4, 8, 64)]),
+    delta=st.sampled_from([0.001, 0.05, 0.5]),
+    pulls=st.integers(1, 10**6),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
+    where=st.one_of(st.just("uniform"), st.just("ulp below"),
+                    st.sampled_from([i / 2.0 for i in range(-6, 7)])),
+    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_lower_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where, frac):
+    # lil_klucb skips the leader's lower bound whenever the certificate says
+    # it cannot exceed the largest rival's upper bound.  Levels: uniform in
+    # (0, mean), one float below the bound, or within three tolerances of
+    # it in half-tolerance steps.
+    kind, tilt = kind_tilt
+    reward_sum = float(round(share * pulls))
+    scheme = confidence.BoundScheme(kind, tilt, delta)
+    bound = confidence.lower_bound(scheme, pulls, reward_sum)
+    if where == "uniform":
+        level = frac * (reward_sum / pulls)
+    elif where == "ulp below":
+        level = math.nextafter(bound, 0.0)
+    else:
+        level = bound + where * BISECTION_TOL
+    if not confidence.lower_bound_may_exceed(scheme, pulls, reward_sum, level):
+        assert bound <= level
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from([confidence.SG1, confidence.SG2]),
+    pulls=st.integers(1, 10**6),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
+    level=UNIT,
+)
+def test_sub_gaussian_lower_bounds_are_never_certified(kind, pulls, share, level):
+    scheme = confidence.BoundScheme(kind, 8, 0.05)
+    assert confidence.lower_bound_may_exceed(scheme, pulls, float(round(share * pulls)), level)

@@ -1,0 +1,45 @@
+"""The benchmark's trace hooks still reach the program.
+
+``perfbench/tracer.py`` wraps program functions by module attribute, and a
+traced run reports a layer's time from ``perfbench/probe.py``'s companion
+instances when its workload never reaches it.  A change that renames a
+wrapped attribute, or leaves a traced layer with no caller on any command
+path, breaks the benchmark's traced run; these tests make it fail here first.
+The benchmark files are imported from their directory and not modified.
+"""
+
+import sys
+from pathlib import Path
+
+from lilklucb import bandit, cli, confidence, environments
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True  # leave no __pycache__ in the benchmark's directory
+try:
+    import probe
+    import tracer
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+# Layers the companion instances never call: they build no config, run no
+# command and write no file.
+NOT_IN_COMPANION = {"cli.build_config_s", "cli.repetitions_s", "data_ingest.write_s"}
+
+
+def test_every_wrap_point_resolves():
+    for owner, attr, name, _ in tracer.wrap_points(cli, bandit, confidence, environments):
+        assert callable(getattr(owner, attr, None)), (owner.__name__, attr, name)
+
+
+def test_companion_reaches_every_traced_layer():
+    traced = tracer.Tracer()
+    traced.install(tracer.wrap_points(cli, bandit, confidence, environments))
+    try:
+        probe.companion(cli, 1)
+    finally:
+        traced.uninstall()
+    metrics = tracer.layer_metrics(traced.spans)
+    missing = {name for name, (value, _) in metrics.items() if value is None}
+    assert missing <= NOT_IN_COMPANION, sorted(missing - NOT_IN_COMPANION)
