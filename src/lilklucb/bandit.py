@@ -111,11 +111,11 @@ class _IncrementalMax:
         return ties[rng.integers(len(ties))]
 
 
-def _cached(table: dict, bound, scheme: BoundScheme, key: tuple) -> float:
-    """``bound(scheme, *key)`` through ``table``, keyed by (pulls, reward_sum)."""
+def _cached_upper(table: dict, scheme: BoundScheme, key: tuple) -> float:
+    """``upper_bound(scheme, *key)`` through ``table``, keyed by (pulls, reward_sum)."""
     value = table.get(key)
     if value is None:
-        value = table[key] = bound(scheme, *key)
+        value = table[key] = upper_bound(scheme, *key)
     return value
 
 
@@ -169,8 +169,9 @@ def lil_klucb(
     so record and generator state equal those of evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
-    holds one table per (side "u"/"l", scheme) keyed by (pulls, reward_sum).
-    The "l" tables hold only the keys of rounds the certificate let through.
+    holds one upper-bound table per scheme, keyed by (pulls, reward_sum).
+    The leader's lower bound is inverted uncached: the certificate passes
+    about one round per run, so its keys would almost never repeat.
 
     Rewards and tie-breaks are drawn through ``ScalarDraws(rng)``: the values
     of ``rng``'s own scalar calls, from the bit generator's C functions.
@@ -181,20 +182,19 @@ def lil_klucb(
     _check_identify(n, budget)
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
-    ucb_table = cache.setdefault(("u", scheme), {})
-    lcb_table = cache.setdefault(("l", leader_scheme), {})
+    ucb_table = cache.setdefault(scheme, {})
     draws = ScalarDraws(rng)
     pulls = [0] * n
     sums = [0.0] * n
     pull = _puller(env, draws, pulls, sums)
-    ucbs = [_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)]
+    ucbs = [_cached_upper(ucb_table, scheme, pull(i)) for i in range(n)]
     stale = None  # the arm whose entry in ucbs predates its last pull
     total = n
     while True:
         means = [s / p for s, p in zip(sums, pulls)]
         top = _argmax_random_tie(means, draws)
         if stale is not None and stale != top:
-            ucbs[stale] = _cached(ucb_table, upper_bound, scheme, (pulls[stale], sums[stale]))
+            ucbs[stale] = _cached_upper(ucb_table, scheme, (pulls[stale], sums[stale]))
             stale = None
         rivals = ucbs.copy()
         rivals[top] = -math.inf
@@ -202,7 +202,7 @@ def lil_klucb(
         level = rivals[challenger]
         key = (pulls[top], sums[top])
         if (level < means[top] and lower_bound_may_exceed(leader_scheme, *key, level)
-                and _cached(lcb_table, lower_bound, leader_scheme, key) > level):
+                and lower_bound(leader_scheme, *key) > level):
             stopped = True
             break
         if budget is not None and total + 2 > budget:
@@ -210,7 +210,7 @@ def lil_klucb(
             break
         pull(top)
         stale = top
-        ucbs[challenger] = _cached(ucb_table, upper_bound, scheme, pull(challenger))
+        ucbs[challenger] = _cached_upper(ucb_table, scheme, pull(challenger))
         total += 2
     return RunRecord(
         recommended=top,
@@ -266,17 +266,17 @@ def ucb_race(
     n = env.n_arms
     _check_race(n, budget, snapshot_every, k)
     cache = {} if bound_cache is None else bound_cache
-    ucb_table = cache.setdefault(("u", scheme), {})
+    ucb_table = cache.setdefault(scheme, {})
     draws = ScalarDraws(rng)
     pulls = [0] * n
     sums = [0.0] * n
     pull = _puller(env, draws, pulls, sums)
-    best = _IncrementalMax([_cached(ucb_table, upper_bound, scheme, pull(i)) for i in range(n)])
+    best = _IncrementalMax([_cached_upper(ucb_table, scheme, pull(i)) for i in range(n)])
     total = n
     snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
     while total < budget:
         arm = best.pick(draws)
-        best.move(arm, _cached(ucb_table, upper_bound, scheme, pull(arm)))
+        best.move(arm, _cached_upper(ucb_table, scheme, pull(arm)))
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))

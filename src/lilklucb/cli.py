@@ -20,6 +20,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,9 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("table1 needs at least 4 values of --n to fit slopes")
         if any(n < 3 for n in config.n_values):
             raise ConfigError("table1 --n values must be >= 3: at n = 2 the KL hardness sum is 0")
+        for flag, values in (("--n", config.n_values), ("--alpha", config.alpha_values)):
+            if len(set(values)) != len(values):  # a repeated point would skew the slope fits
+                raise ConfigError(f"table1 {flag} values must be distinct")
         with _flags("--n, --alpha"):
             for n in config.n_values:
                 for alpha in config.alpha_values:
@@ -281,41 +285,36 @@ def validate_config(config: RunConfig) -> None:
             _check_coverage(config.mu, config.t_max)
 
 
-# Bound tables of the process running repetitions (see _map_tasks).
-_bound_cache: dict = {}
+def _run_block(loop: str, args: tuple, seeds) -> list:
+    """Records of ``loop(*args, rng)`` for each seed in order, with one bound cache.
 
-
-def _reset_bound_cache() -> None:
-    global _bound_cache
-    _bound_cache = {}
-
-
-def _run_task(task):
-    """Run one repetition with this process's bound cache.
-
-    A task ("race", env, scheme, budget, snapshot_every, k, seed) returns the
-    race's snapshots; ("identify", env, scheme, budget, seed) returns the
-    identification run's record.
+    ``loop`` names ``ucb_race`` or ``lil_klucb`` and is looked up in this
+    module when the block runs, so a wrapper installed there is called; a
+    wrapper may be a closure, which could not be pickled to a worker.
     """
-    loop, *args, rep_seed = task
-    rng = np.random.default_rng(rep_seed)
-    if loop == "race":
-        return ucb_race(*args, rng, bound_cache=_bound_cache).snapshots
-    return lil_klucb(*args, rng, bound_cache=_bound_cache)
+    run = globals()[loop]
+    bound_cache = {}
+    return [run(*args, np.random.default_rng(seed), bound_cache=bound_cache) for seed in seeds]
 
 
-def _map_tasks(tasks, parallel: int):
-    """Run tasks in repetition order, optionally across processes.
+def _repetitions(config: RunConfig, loop: str, *args) -> list:
+    """The records of ``config.reps`` repetitions of ``loop``, in repetition order.
 
-    Every process running tasks starts one fresh bound cache, shared by the
-    tasks it runs: the pool initializer gives each worker its own.
+    Repetition r draws from its own generator seeded with derive_seed(seed, r).
+    The seeds are split into contiguous blocks of ceil(reps / parallel), one
+    per worker process (never more workers than repetitions); a single block
+    runs in this process.  Each block owns a fresh bound cache.  A bound is
+    pure in its key, so a cache changes no value, and no record depends on
+    how the repetitions are split.
     """
-    if parallel > 1:
-        chunk = max(1, len(tasks) // (parallel * 4))
-        with ProcessPoolExecutor(max_workers=parallel, initializer=_reset_bound_cache) as pool:
-            return list(pool.map(_run_task, tasks, chunksize=chunk))
-    _reset_bound_cache()
-    return [_run_task(task) for task in tasks]
+    seeds = [derive_seed(config.seed, r) for r in range(config.reps)]
+    size = -(-config.reps // config.parallel)
+    blocks = [seeds[i:i + size] for i in range(0, config.reps, size)]
+    if len(blocks) == 1:
+        return _run_block(loop, args, seeds)
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        done = pool.map(partial(_run_block, loop, args), blocks)
+        return [record for block in done for record in block]
 
 
 def _race_cadence(config: RunConfig, n_arms: int) -> int:
@@ -329,14 +328,10 @@ def _race_cadence(config: RunConfig, n_arms: int) -> int:
 def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> ExperimentOutput:
     scheme = BoundScheme(kind, config.tilt, config.delta)
     snapshot_every = _race_cadence(config, env.n_arms)
-    tasks = [
-        ("race", env, scheme, config.budget, snapshot_every, config.k,
-         derive_seed(config.seed, r))
-        for r in range(config.reps)
-    ]
-    all_snapshots = _map_tasks(tasks, config.parallel)
-    counts = [c for c, _ in all_snapshots[0]]
-    flags = np.array([[flag for _, flag in snaps] for snaps in all_snapshots], dtype=float)
+    records = _repetitions(config, "ucb_race", env, scheme, config.budget, snapshot_every,
+                           config.k)
+    counts = [c for c, _ in records[0].snapshots]
+    flags = np.array([[flag for _, flag in rec.snapshots] for rec in records], dtype=float)
     probs = flags.mean(axis=0)
     rows = tuple((int(c), float(p)) for c, p in zip(counts, probs))
     metadata = {
@@ -388,11 +383,7 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
     env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
     predicted = predicted_complexity(env.true_means, config.delta, config.grid_points, config.tilt)
-    tasks = [
-        ("identify", env, scheme, config.budget, derive_seed(config.seed, r))
-        for r in range(config.reps)
-    ]
-    records = _map_tasks(tasks, config.parallel)
+    records = _repetitions(config, "lil_klucb", env, scheme, config.budget)
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)
     pulls = np.array([rec.per_arm_pulls for rec in records], dtype=float)

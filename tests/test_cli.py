@@ -84,6 +84,9 @@ INVALID_ARGV = [
       "--output", "o.csv"], "--delta"),
     # write_output's rule, checked by its owner before any run
     (["table1", "--n", "8,16,32,64", "--format", "xml", "--output", "o.csv"], "--format"),
+    # a repeated grid value: unequal lengths in the slope fit, or a doubled point
+    (["table1", "--n", "8,16,32,64", "--alpha", "1,1", "--output", "o.csv"], "--alpha"),
+    (["table1", "--n", "8,8,16,32", "--output", "o.csv"], "--n"),
 ]
 
 
@@ -284,12 +287,17 @@ class TestSimulate:
                     "--reps", "6", "--k", "2", "--seed", "17"]
         replay = ["replay", "--input", str(_contest_file(tmp_path)), "--budget", "150",
                   "--reps", "5", "--k", "1", "--seed", "6", "--scheme", "kl,sg1"]
-        for case, argv in enumerate([simulate, simulate + ["--scheme", "kl,sg1"], replay]):
+        identify = ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1",
+                    "--reps", "6", "--seed", "3"]
+        # blocks of two; uneven blocks (3, 3, 1); more workers asked for than reps
+        cases = [simulate, simulate + ["--scheme", "kl,sg1"], replay, identify,
+                 simulate + ["--reps", "7"], identify + ["--reps", "2"]]
+        for case, argv in enumerate(cases):
             a, b = tmp_path / f"a{case}.csv", tmp_path / f"b{case}.csv"
             assert main(argv + ["--output", str(a)]) == 0
             assert main(argv + ["--parallel", "3", "--output", str(b)]) == 0
             serial = sorted(tmp_path.glob(f"a{case}*.csv"))
-            assert len(serial) == (1 if case == 0 else 2)
+            assert len(serial) == (2 if case in (1, 2) else 1)
             for path in serial:
                 twin = path.with_name("b" + path.name[1:])
                 assert path.read_bytes() == twin.read_bytes(), path.name

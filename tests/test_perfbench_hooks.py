@@ -43,3 +43,28 @@ def test_companion_reaches_every_traced_layer():
     metrics = tracer.layer_metrics(traced.spans)
     missing = {name for name, (value, _) in metrics.items() if value is None}
     assert missing <= NOT_IN_COMPANION, sorted(missing - NOT_IN_COMPANION)
+
+
+def _traced_run(argv):
+    """Spans of ``cli.run`` on ``argv`` with every trace hook installed."""
+    traced = tracer.Tracer()
+    traced.install(tracer.wrap_points(cli, bandit, confidence, environments))
+    try:
+        cli.run(cli.build_config(argv))
+    finally:
+        traced.uninstall()
+    return traced.spans
+
+
+def test_traced_commands_reach_the_loops(tmp_path):
+    # the runner must call the loops through the attributes the tracer wraps
+    identify = ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "3",
+                "--output", str(tmp_path / "i.csv")]
+    simulate = ["simulate", "--n", "10", "--alpha", "1", "--budget", "200", "--reps", "3",
+                "--output", str(tmp_path / "s.csv")]
+    for argv, loop in ((identify, "bandit.lil_klucb"), (simulate, "bandit.ucb_race")):
+        names = [span[0] for span in _traced_run(argv + ["--parallel", "1"])]
+        assert names.count(loop) == 3, argv[0]
+    # a traced wrapper cannot be pickled: workers must look the loop up by name
+    _traced_run(identify[:-1] + [str(tmp_path / "i2.csv"), "--parallel", "2"])
+    assert (tmp_path / "i2.csv").read_bytes() == (tmp_path / "i.csv").read_bytes()
