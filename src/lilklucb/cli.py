@@ -462,6 +462,7 @@ def _bernoulli_draws(rng: np.random.Generator, mu: float, size) -> np.ndarray:
 
 
 _BATCH_DRAWS = 2**17
+_SCREEN = 64  # steps per screened block of coverage_rates
 
 
 def coverage_rates(
@@ -474,31 +475,62 @@ def coverage_rates(
     """Monte-Carlo anytime miss rates of [lower_bound, upper_bound] around mu.
 
     Simulates iid Bernoulli(mu) streams, as many trajectories at a time as
-    fit in _BATCH_DRAWS draws (at least one, so memory stays a few megabytes
-    at any t_max), and counts those whose running sum ever crosses the exit
-    curves of ``coverage_envelope`` within t_max samples, which is exactly
-    the event that mu leaves the interval.  An integer sum s exceeds h*t
-    exactly when s > floor(h*t), and falls below l*t exactly when
-    s < ceil(l*t), so the curves are integers and the sums stay in the
-    smallest integer type that holds them.  The draws are
-    ``rng.binomial(1, mu)``'s, consumed in order, so the batch size changes
-    no rate.
+    fit in _BATCH_DRAWS steps once each is padded to whole blocks (at least
+    one, so memory stays a few megabytes at any t_max), and counts those
+    whose running sum ever crosses the exit curves of ``coverage_envelope``
+    within t_max samples, which is exactly the event that mu leaves the
+    interval.  An integer sum s exceeds h*t exactly when s > floor(h*t), and
+    falls below l*t exactly when s < ceil(l*t), so the curves and the sums
+    are integers of the smallest type that holds t_max.
+
+    Running sums are formed only where they can cross.  The steps are cut
+    into blocks of _SCREEN; with a the sum before a block and e the sum at
+    its end, every step is 0 or 1, so j steps into the block the sum lies
+    in [a, a + j] and in [e - (_SCREEN - j), e].  The block can cross h
+    only if e > min h and a > min (h - j), and l only if a < max l and
+    e < max (l + _SCREEN - j).  Those four constants per block are taken
+    once per call, a and e per batch from the block counts, and only the
+    blocks that pass get an exact running sum.  The screen skips only
+    blocks that cannot cross, so neither it nor the block width changes a
+    rate.  The draws are ``rng.binomial(1, mu)``'s, consumed in order, so
+    the batch size changes no rate either.
     """
     low, high = coverage_envelope(scheme, mu, t_max)
     if not (np.isfinite(low).all() and np.isfinite(high).all()):
         raise RuntimeError(f"coverage envelope of {scheme.kind} at mu={mu} is not finite")
     dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max > t_max)
+    blocks = -(-t_max // _SCREEN)
     t = np.arange(1, t_max + 1, dtype=np.float64)
-    high_sum = np.clip(np.floor(high * t), -1, t_max + 1).astype(dtype)
-    low_sum = np.clip(np.ceil(low * t), -1, t_max + 1).astype(dtype)
+    # Zero steps pad the last block, and no sum crosses the padded curve
+    # entries; they can only loosen that block's screen.
+    pad = (0, blocks * _SCREEN - t_max)
+    high_sum = np.pad(np.clip(np.floor(high * t), -1, t_max + 1).astype(dtype), pad,
+                      constant_values=t_max + 1).reshape(blocks, -1)
+    low_sum = np.pad(np.clip(np.ceil(low * t), -1, t_max + 1).astype(dtype), pad,
+                     constant_values=-1).reshape(blocks, -1)
+    j = np.arange(1, _SCREEN + 1)  # int64: low + _SCREEN - j overflows int8 at t_max 126
+    high_min, high_reach = high_sum.min(axis=1), (high_sum - j).min(axis=1)
+    low_max, low_reach = low_sum.max(axis=1), (low_sum + (_SCREEN - j)).max(axis=1)
+    starts = np.arange(0, blocks * _SCREEN, _SCREEN)
     rng = np.random.default_rng(seed)
     below = above = joint = 0
-    rows = max(1, _BATCH_DRAWS // t_max)
+    rows = max(1, _BATCH_DRAWS // (blocks * _SCREEN))
+    steps = np.zeros((rows, blocks, _SCREEN), dtype=bool)
     for start in range(0, trajectories, rows):
         b = min(rows, trajectories - start)
-        sums = np.cumsum(_bernoulli_draws(rng, mu, (b, t_max)), axis=1, dtype=dtype)
-        hit_high = (sums > high_sum).any(axis=1)  # mu fell below its lower bound
-        hit_low = (sums < low_sum).any(axis=1)    # mu rose above its upper bound
+        steps.reshape(rows, -1)[:b, :t_max] = _bernoulli_draws(rng, mu, (b, t_max))
+        counts = np.add.reduceat(steps[:b].reshape(b, -1), starts, axis=1, dtype=dtype)
+        ends = np.cumsum(counts, axis=1)
+        begins = ends - counts
+        near = (((ends > high_min) & (begins > high_reach))
+                | ((begins < low_max) & (ends < low_reach)))
+        r, k = np.nonzero(near)
+        sums = np.cumsum(steps[r, k], axis=1, dtype=dtype)
+        sums += begins[r, k, None]
+        hit_high = np.zeros(b, dtype=bool)  # mu fell below its lower bound
+        hit_low = np.zeros(b, dtype=bool)   # mu rose above its upper bound
+        hit_high[r[(sums > high_sum[k]).any(axis=1)]] = True
+        hit_low[r[(sums < low_sum[k]).any(axis=1)]] = True
         below += int(hit_high.sum())
         above += int(hit_low.sum())
         joint += int((hit_high | hit_low).sum())

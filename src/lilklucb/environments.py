@@ -152,8 +152,11 @@ def parametric_means(n: int, alpha: float) -> tuple[float, ...]:
 def gap_family(n: int, alpha: float) -> tuple[float, ...]:
     """Mean gaps (i/n)^alpha for i = 1..n, positive and strictly increasing.
 
-    Raises ValueError where floats cannot hold that: a large alpha
-    underflows the smallest gaps to 0, a tiny one rounds them all to 1.
+    The gaps are taken below a best mean of 1, so every mean 1 - gap must
+    also lie below 1.  Raises ValueError where floats cannot hold that: a
+    large alpha underflows the smallest gaps to 0 or leaves them under
+    about 1.1e-16, where 1 - gap rounds to 1; a tiny one rounds them all
+    to 1.
     """
     if n < 1:
         raise ValueError(f"need at least 1 gap, got {n!r}")
@@ -163,6 +166,8 @@ def gap_family(n: int, alpha: float) -> tuple[float, ...]:
     if not gaps[0] > 0.0 or any(b <= a for a, b in zip(gaps, gaps[1:])):
         raise ValueError(
             f"gaps (i/{n})^{alpha!r} are not positive and strictly increasing in floats")
+    if not 1.0 - gaps[0] < 1.0:
+        raise ValueError(f"the mean 1 - (1/{n})^{alpha!r} rounds to the best mean 1")
     return gaps
 
 

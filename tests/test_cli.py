@@ -74,6 +74,10 @@ INVALID_ARGV = [
     # (1/8)^1000 underflows to a 0.0 gap; at 1e-17 every gap rounds to 1.0
     (["table1", "--n", "8,16,32,64", "--alpha", "1000", "--output", "o.csv"], "--alpha"),
     (["table1", "--n", "8,16,32,64", "--alpha", "1e-17", "--output", "o.csv"], "--alpha"),
+    # the smallest gaps are positive, but their means 1 - gap round to 1.0
+    (["table1", "--n", "1000,2000,4000,8000", "--alpha", "5", "--output", "o.csv"],
+     "--n, --alpha"),
+    (["table1", "--n", "3,4,5,6", "--alpha", "35", "--output", "o.csv"], "--n, --alpha"),
     # rules of ucb_race, lil_klucb and coverage_envelope, checked by their owners
     (["simulate", "--budget", "400", "--k", "0", "--output", "o.csv"], "--k"),
     (["simulate", "--n", "5", "--budget", "400", "--k", "9", "--output", "o.csv"], "--k"),

@@ -100,13 +100,17 @@ def test_draws_equal_binomial_and_leave_the_same_state(seed):
 @pytest.mark.parametrize("kind", ["kl", "kl-prime", "sg1", "sg2"])
 def test_rates_equal_the_scalar_reference(kind):
     # delta = 0.9 makes misses common enough that a changed draw or curve
-    # shows; 1300 trajectories leave a partial last batch
+    # shows; 1300 trajectories leave a partial last batch.  The horizons
+    # end a trajectory on, just before and just after a block edge of the
+    # screen (64 steps), and 126/127 sit on either side of the switch from
+    # int8 to int16 sums
     scheme = BoundScheme(kind, 8, 0.9)
     nonzero = 0
-    for mu in (0.0, 0.1, 0.5, 0.7, 1.0):
-        rates = coverage_rates(scheme, mu, 600, 1300, seed=17)
-        assert rates == _reference_rates(scheme, mu, 600, 1300, seed=17), mu
-        nonzero += rates["joint"] > 0.0
+    for t_max in (1, 63, 64, 65, 126, 127, 600):
+        for mu in (0.0, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0):
+            rates = coverage_rates(scheme, mu, t_max, 1300, seed=17)
+            assert rates == _reference_rates(scheme, mu, t_max, 1300, seed=17), (t_max, mu)
+            nonzero += rates["joint"] > 0.0
     assert nonzero >= 2
 
 

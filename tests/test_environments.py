@@ -59,6 +59,11 @@ class TestParametricFamilies:
         with pytest.raises(ValueError, match="strictly increasing"):
             gap_family(8, alpha)
 
+    def test_gap_whose_mean_rounds_to_one_raises(self):
+        # (1/6)^35 = 5e-28 is positive, but 1 - 5e-28 is 1.0
+        with pytest.raises(ValueError, match="rounds to the best mean 1"):
+            gap_family(6, 35.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             parametric_means(1, 1.0)

@@ -68,3 +68,10 @@ def test_traced_commands_reach_the_loops(tmp_path):
     # a traced wrapper cannot be pickled: workers must look the loop up by name
     _traced_run(identify[:-1] + [str(tmp_path / "i2.csv"), "--parallel", "2"])
     assert (tmp_path / "i2.csv").read_bytes() == (tmp_path / "i.csv").read_bytes()
+    # coverage_rates must reach the envelope through cli's global, which the
+    # tracer wraps
+    coverage = ["coverage", "--t-max", "200", "--reps", "50", "--output", str(tmp_path / "c.csv")]
+    spans = _traced_run(coverage)
+    rates = [i for i, span in enumerate(spans) if span[0] == "cli.coverage_rates"]
+    assert len(rates) == 1
+    assert [span[0] for span in spans if span[3] == rates[0]] == ["confidence.coverage_envelope"]
