@@ -317,14 +317,18 @@ class ComplexityBound:
 
 
 def _first_crossing(f, target: float) -> int:
-    """Smallest t with f(t) < target; f is decreasing for t >= 2."""
+    """Smallest t with f(t) < target; f is decreasing for t >= 2.
+
+    The search doubles t up to 2^1022, the last power of two at which
+    ``threshold`` is finite (2.0 * t overflows at 2^1023).
+    """
     if f(1) < target:
         return 1
     hi = 2
     while f(hi) >= target:
+        if hi == 2**1022:
+            raise ValueError(f"threshold schedule never falls below {target!r}")
         hi *= 2
-        if hi > 2**62:
-            raise OverflowError("threshold schedule never crosses the target")
     lo = hi // 2  # f(lo) >= target
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -368,6 +372,10 @@ def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
     _check_delta(delta)
     return (mus, BoundScheme(KL_TILTED, tilt, delta * delta),
             BoundScheme(KL_TILTED, tilt, delta / (len(mus) - 1)))
+
+
+# Witness grid of ``identify``'s prediction.
+GRID_POINTS = 65
 
 
 def predicted_complexity(

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import statistics
 import sys
 import traceback
@@ -26,12 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
-from .bandit import lil_klucb, predicted_complexity, ucb_race
+from .bandit import GRID_POINTS, lil_klucb, predicted_complexity, ucb_race
 from .confidence import BoundScheme, _check_coverage, coverage_envelope
 from .data_ingest import ExperimentOutput, _check_format, parse_contest_csv, write_output
 from .environments import bernoulli_environment, from_contest, gap_family, parametric_means
-
-SEED_ENV_VAR = "LILKLUCB_SEED"
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,9 +69,7 @@ class RunConfig:
     format: str
     mu: float
     t_max: int
-    snapshot_every: int | None
     means: tuple[float, ...] | None
-    grid_points: int
 
     @property
     def n(self) -> int:
@@ -138,16 +133,14 @@ SETTINGS = {
     "delta": (0.01, float, "confidence level in (0,1)"),
     "bound_n": (8, int, "tilt parameter of the confidence sequences (power of two)"),
     "k": (5, int, "top-k membership target"),
-    "seed": (None, int, f"base seed (falls back to ${SEED_ENV_VAR})"),
+    "seed": (0, int, "base seed"),
     "parallel": (1, int, "worker processes for repetitions"),
     "input": (None, str, "input CSV path (replay)"),
     "output": (None, str, "output file path"),
     "format": ("csv", str, "output format: csv or json"),
     "mu": (0.5, float, "true Bernoulli mean of the simulated stream"),
     "t_max": (10000, int, "trajectory length"),
-    "snapshot_every": (None, int, None),
     "means": (None, [float], None),
-    "grid_points": (65, int, None),
 }
 
 
@@ -196,12 +189,6 @@ def build_config(argv=None) -> RunConfig:
     for key, (default, kind, _) in SETTINGS.items():
         value = raw.get(key, default)
         values[key] = None if value is None and default is None else _convert(value, kind, key)
-    if values["seed"] is None:
-        env_seed = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"${SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
 
     config = RunConfig(
         command=args.command,
@@ -266,8 +253,8 @@ def validate_config(config: RunConfig) -> None:
         else:
             with _flags(f"{instance}, --budget"):
                 _check_identify(env.n_arms, config.budget)
-            with _flags(f"{instance}, --delta, --bound-n, grid_points"):
-                _check_complexity(env.true_means, config.delta, config.grid_points, config.tilt)
+            with _flags(f"{instance}, --delta, --bound-n"):
+                _check_complexity(env.true_means, config.delta, GRID_POINTS, config.tilt)
     if cmd == "table1":
         if len(config.n_values) < 4:
             raise ConfigError("table1 needs at least 4 values of --n to fit slopes")
@@ -318,9 +305,9 @@ def _repetitions(config: RunConfig, loop: str, *args) -> list:
 
 
 def _race_cadence(config: RunConfig, n_arms: int) -> int:
-    """snapshot_every of a race on n_arms arms, once ucb_race's check passes its flags."""
-    snapshot_every = 2 * n_arms if config.snapshot_every is None else config.snapshot_every
-    with _flags("--budget, --k, snapshot_every"):
+    """A race's snapshot_every, 2 * n_arms, once ucb_race's check passes its flags."""
+    snapshot_every = 2 * n_arms
+    with _flags("--budget, --k"):
         _check_race(n_arms, config.budget, snapshot_every, config.k)
     return snapshot_every
 
@@ -382,7 +369,7 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
     """Repeated adaptive identification; error rate, sample costs, predicted bound."""
     env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
-    predicted = predicted_complexity(env.true_means, config.delta, config.grid_points, config.tilt)
+    predicted = predicted_complexity(env.true_means, config.delta, GRID_POINTS, config.tilt)
     records = _repetitions(config, "lil_klucb", env, scheme, config.budget)
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)

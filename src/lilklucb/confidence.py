@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kl_math import (
-    BISECTION_TOL,
+    NEWTON_TOL,
     _bracketed_newton,
     _bracketed_newton_array,
     _check_tilt,
@@ -184,7 +184,7 @@ def sg2_radius(t: int, delta: float) -> float:
 
 
 # Absolute tolerance of the first-argument inverses behind the coverage
-# envelope; finer than BISECTION_TOL because the envelope is scaled by t.
+# envelope; finer than NEWTON_TOL because the envelope is scaled by t.
 _FIRST_ARG_TOL = 1e-13
 
 
@@ -295,8 +295,8 @@ def lower_bound_may_exceed(scheme: BoundScheme, pulls: int, reward_sum: float,
 
     For ``kl`` and ``kl-prime`` the lower bound m* inverts, on [0, p] with
     p = reward_sum / pulls, a divergence that is nonincreasing there, and
-    the divergence one BISECTION_TOL below m* exceeds the budget.  If m* >
-    level, the point x = level - BISECTION_TOL lies below m* - BISECTION_TOL,
+    the divergence one NEWTON_TOL below m* exceeds the budget.  If m* >
+    level, the point x = level - NEWTON_TOL lies below m* - NEWTON_TOL,
     so its divergence exceeds the budget too: one divergence at x within
     the budget proves m* <= level.  ``sg1``, ``sg2`` and an x outside
     (0, p) give True.
@@ -304,7 +304,7 @@ def lower_bound_may_exceed(scheme: BoundScheme, pulls: int, reward_sum: float,
     if pulls < 1:
         raise ValueError("lower_bound_may_exceed requires at least one sample")
     mu_hat = reward_sum / pulls
-    x = level - BISECTION_TOL
+    x = level - NEWTON_TOL
     if scheme.kind == KL_TILTED and 0.0 < x < mu_hat:
         div = _kl((scheme.tilt * mu_hat + x) / (scheme.tilt + 1.0), x)
     elif scheme.kind == KL_PRIME and 0.0 < x < mu_hat:

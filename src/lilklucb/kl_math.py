@@ -8,7 +8,7 @@ Every inverse runs one bracketed Newton solver (``_bracketed_newton``): it
 keeps a bracket with the root inside, takes Newton steps from the analytic
 derivative and bisects whenever a step is unsafe.  Contract: the returned
 point is feasible (its divergence, as ``_kl`` computes it, is within the
-budget) and lies within BISECTION_TOL of the point where ``_kl`` crosses
+budget) and lies within NEWTON_TOL of the point where ``_kl`` crosses
 the budget.  ``_bracketed_newton_array`` runs the same rules on a whole
 array of budgets at once.
 
@@ -26,8 +26,8 @@ import numpy as np
 
 # Absolute tolerance on the probability argument of every inverse, with a
 # hard iteration cap so the cost is bounded.
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
 
 
 def as_prob(value: float, name: str = "probability") -> float:
@@ -69,7 +69,7 @@ def bernoulli_kl(p: float, q: float) -> float:
 
 
 def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
-                      start: float | None = None, tol: float = BISECTION_TOL) -> float:
+                      start: float, tol: float = NEWTON_TOL) -> float:
     """Feasible point within ``tol`` of the root of f(x) = bound between two ends.
 
     ``f(x)`` returns (value, slope); f is monotone between the ends with
@@ -91,9 +91,9 @@ def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
     lo, hi = d * feasible, d * infeasible
     edge = hi
     half = 0.5 * tol
-    y = d * start if start is not None and lo < d * start < hi else 0.5 * (lo + hi)
+    y = d * start if lo < d * start < hi else 0.5 * (lo + hi)
     step = step_before = hi - lo
-    for _ in range(BISECTION_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER):
         if hi - lo <= tol:
             break
         if y < lo + half:
@@ -120,7 +120,7 @@ def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
 
 
 def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
-                            start, tol: float = BISECTION_TOL) -> np.ndarray:
+                            start, tol: float = NEWTON_TOL) -> np.ndarray:
     """``_bracketed_newton`` for every budget in ``bounds`` at once.
 
     One function f, mapping an array of points to arrays of (value, slope),
@@ -143,7 +143,7 @@ def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
     out = np.empty(bounds.shape)
     live = np.arange(bounds.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(BISECTION_MAX_ITER):
+        for _ in range(NEWTON_MAX_ITER):
             done = hi - lo <= tol
             if done.any():
                 out[live[done]] = d * lo[done]
@@ -208,7 +208,7 @@ def kl_upper_inverse(p: float, bound: float) -> float:
 
     D(p, m) is continuous and strictly increasing in m on [p, 1], so the
     feasible set is an interval [p, m*]; the bracketed Newton solve returns
-    a feasible point within BISECTION_TOL of m*.  Returns 1.0 for an
+    a feasible point within NEWTON_TOL of m*.  Returns 1.0 for an
     infinite budget.
     """
     p = as_prob(p, "p")
@@ -255,7 +255,7 @@ def tilted_kl_upper_inverse(p: float, bound: float, tilt: int) -> float:
     affine, so the map is convex in m; it is 0 at m = p and nonnegative,
     hence nondecreasing on [p, 1] and nonincreasing on [0, p].  The feasible
     set on [p, 1] is therefore an interval [p, m*], and the bracketed Newton
-    solve returns a feasible point within BISECTION_TOL of m*.
+    solve returns a feasible point within NEWTON_TOL of m*.
     """
     p = as_prob(p, "p")
     bound = as_divergence(bound, "bound")

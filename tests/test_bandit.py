@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from lilklucb.bandit import (
     ComplexityBound,
     RunRecord,
     _argmax_random_tie,
+    _first_crossing,
     _IncrementalMax,
     hardness_sums,
     lil_klucb,
@@ -456,6 +458,20 @@ class TestPredictedComplexity:
         assert bound.total == pytest.approx(
             bound.best_arm_term + sum(bound.per_arm_terms)
         )
+
+    def test_crossing_beyond_int64_is_exact(self):
+        f = partial(threshold, BoundScheme("kl", 8, 0.01))
+        target = f(2**70)
+        t = _first_crossing(f, target)
+        assert t > 2**62
+        assert f(t) < target <= f(t - 1)
+
+    @pytest.mark.parametrize("target", [0.0, 1e-310, -5.0e-21])
+    def test_target_never_crossed_is_named(self, target):
+        # threshold stays positive, and above 1e-310 up to 2^1022 samples
+        f = partial(threshold, BoundScheme("kl", 8, 0.01))
+        with pytest.raises(ValueError, match=re.escape(repr(target))):
+            _first_crossing(f, target)
 
     def test_validation(self):
         with pytest.raises(ValueError):

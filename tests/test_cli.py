@@ -19,6 +19,7 @@ from lilklucb.cli import (
     main,
     splitmix64,
 )
+from lilklucb.bandit import GRID_POINTS, predicted_complexity
 from lilklucb.confidence import BoundScheme
 from lilklucb.data_ingest import read_output
 
@@ -103,17 +104,14 @@ class TestConfigHandling:
         assert config.reps == 250
         assert config.seed == 0
 
-    def test_env_var_seed_fallback(self, monkeypatch):
+    def test_seed_is_not_read_from_the_environment(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--n", "8", "--alpha", "1", "--budget", "200", "--reps", "4",
+                "--k", "2"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--seed", "0", "--output", str(a)]) == 0
         monkeypatch.setenv("LILKLUCB_SEED", "4242")
-        config = build_config(["simulate", "--budget", "400", "--output", "o.csv"])
-        assert config.seed == 4242
-
-    def test_flag_overrides_env_var(self, monkeypatch):
-        monkeypatch.setenv("LILKLUCB_SEED", "4242")
-        config = build_config(
-            ["simulate", "--budget", "400", "--seed", "1", "--output", "o.csv"]
-        )
-        assert config.seed == 1
+        assert main(argv + ["--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_overrides_defaults_but_not_flags(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -131,6 +129,19 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             build_config(["simulate", "--budget", "400", "--config", str(cfg),
                           "--output", "o.csv"])
+
+    @pytest.mark.parametrize("key, value", [("snapshot_every", 16), ("grid_points", 65)])
+    def test_retired_config_keys_are_unknown(self, tmp_path, key, value):
+        # races snapshot every 2 * arms samples; identify's witness grid is GRID_POINTS
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        for cmd in (["simulate", "--budget", "400"], ["identify", "--n", "3"]):
+            argv = cmd + ["--reps", "2", "--config", str(cfg),
+                          "--output", str(tmp_path / "o.csv")]
+            with pytest.raises(ConfigError, match=rf"^unknown config keys: {key}$"):
+                build_config(argv)
+            assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv, flag", INVALID_ARGV,
                              ids=[f"argv{i}" for i in range(len(INVALID_ARGV))])
@@ -194,6 +205,7 @@ class TestConfigHandling:
         assert main(argv) == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # snapshot_every and grid_points are no longer settings: they fail as unknown keys
     @pytest.mark.parametrize("key", ["budget", "snapshot_every", "reps", "k", "bound_n",
                                      "seed", "parallel", "t_max", "grid_points"])
     @pytest.mark.parametrize("value", ["100", True, 100.5, math.nan])
@@ -212,14 +224,14 @@ class TestConfigHandling:
 
     def test_integral_float_count_in_config_file_is_an_int(self, tmp_path):
         cfg = tmp_path / "c.json"
-        counts = {"budget": 40.0, "snapshot_every": 10.0, "reps": 2.0, "bound_n": 8.0,
-                  "k": 2.0, "seed": 3.0, "parallel": 1.0, "t_max": 50.0, "grid_points": 9.0}
+        counts = {"budget": 40.0, "reps": 2.0, "bound_n": 8.0, "k": 2.0, "seed": 3.0,
+                  "parallel": 1.0, "t_max": 50.0}
         cfg.write_text(json.dumps(counts))
         argv = ["simulate", "--n", "5", "--config", str(cfg),
                 "--output", str(tmp_path / "o.csv")]
         config = build_config(argv)
-        values = (config.budget, config.snapshot_every, config.reps, config.tilt,
-                  config.k, config.seed, config.parallel, config.t_max, config.grid_points)
+        values = (config.budget, config.reps, config.tilt, config.k, config.seed,
+                  config.parallel, config.t_max)
         assert values == tuple(counts.values())
         assert all(type(v) is int for v in values)
         assert main(argv) == 0
@@ -398,6 +410,21 @@ class TestIdentify:
         out = cmd_identify(config)
         total = sum(pulls for _, pulls in out.rows)
         assert total == pytest.approx(out.metadata["mean_total_samples"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("means", [[1e-30, 0.0], [1e-300, 0.0]])
+    def test_crossings_beyond_int64_read_back_exactly(self, tmp_path, means, fmt):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": means}))
+        path = tmp_path / f"o.{fmt}"
+        assert main(["identify", "--config", str(cfg), "--budget", "20", "--reps", "2",
+                     "--format", fmt, "--output", str(path)]) == 0
+        meta = read_output(path, fmt).metadata
+        predicted = predicted_complexity(means, 0.01, GRID_POINTS, 8)
+        assert meta["predicted_crossings"] == list(predicted.crossing_indices)
+        assert meta["predicted_best_arm_crossing"] == predicted.best_arm_crossing
+        crossings = meta["predicted_crossings"] + [meta["predicted_best_arm_crossing"]]
+        assert all(type(c) is int and c > 2**62 for c in crossings)
 
 
 class TestTable1:

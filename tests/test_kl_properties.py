@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lilklucb import confidence
 from lilklucb.kl_math import (
-    BISECTION_TOL,
+    NEWTON_TOL,
     _kl,
     kl_lower_inverse,
     kl_upper_inverse,
@@ -43,11 +43,11 @@ def _tilted(p, m, tilt):
 # name -> (inverse(p, budget, tilt), divergence(p, m, tilt), outer direction, tolerance)
 INVERSES = {
     "kl_upper": (lambda p, b, tilt: kl_upper_inverse(p, b),
-                 lambda p, m, tilt: _kl(p, m), 1.0, BISECTION_TOL),
+                 lambda p, m, tilt: _kl(p, m), 1.0, NEWTON_TOL),
     "kl_lower": (lambda p, b, tilt: kl_lower_inverse(p, b),
-                 lambda p, m, tilt: _kl(p, m), -1.0, BISECTION_TOL),
-    "tilted_upper": (tilted_kl_upper_inverse, _tilted, 1.0, BISECTION_TOL),
-    "tilted_lower": (tilted_kl_lower_inverse, _tilted, -1.0, BISECTION_TOL),
+                 lambda p, m, tilt: _kl(p, m), -1.0, NEWTON_TOL),
+    "tilted_upper": (tilted_kl_upper_inverse, _tilted, 1.0, NEWTON_TOL),
+    "tilted_lower": (tilted_kl_lower_inverse, _tilted, -1.0, NEWTON_TOL),
     "first_arg_upper": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 1.0),
                         lambda mu, x, tilt: _kl(x, mu), 1.0, confidence._FIRST_ARG_TOL),
     "first_arg_lower": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 0.0),
@@ -136,7 +136,7 @@ def test_lower_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where,
     elif where == "ulp below":
         level = math.nextafter(bound, 0.0)
     else:
-        level = bound + where * BISECTION_TOL
+        level = bound + where * NEWTON_TOL
     if not confidence.lower_bound_may_exceed(scheme, pulls, reward_sum, level):
         assert bound <= level
 
