@@ -13,10 +13,8 @@ import argparse
 import csv
 import json
 import math
-import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -299,6 +297,7 @@ def _repetitions(config: RunConfig, loop: str, *args) -> list:
     blocks = [seeds[i:i + size] for i in range(0, config.reps, size)]
     if len(blocks) == 1:
         return _run_block(loop, args, seeds)
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         done = pool.map(partial(_run_block, loop, args), blocks)
         return [record for block in done for record in block]
@@ -387,7 +386,7 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
         "error_rate": errors / config.reps,
         "stopped_fraction": sum(rec.stopped for rec in records) / config.reps,
         "mean_total_samples": float(np.mean(totals)),
-        "median_total_samples": float(statistics.median(totals)),
+        "median_total_samples": float(np.median(totals)),
         "predicted_total": predicted.total,
         "predicted_witness": predicted.witness,
         "predicted_crossings": list(predicted.crossing_indices),

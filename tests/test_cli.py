@@ -2,6 +2,9 @@
 
 import json
 import math
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +67,7 @@ INVALID_ARGV = [
     (["coverage", "--mu", "1.5", "--output", "o.csv"], "--mu"),
     (["coverage", "--t-max", "0", "--output", "o.csv"], "--t-max"),
     (["table1", "--n", "2,4,8,16", "--output", "o.csv"], "--n"),  # n = 2: KL sum 0
-    # above MAX_TILT: rejected before kappa's series is allocated
+    # above MAX_TILT: rejected before kappa's series is summed
     (["simulate", "--budget", "400", "--bound-n", "1073741824", "--output", "o.csv"],
      "--bound-n"),
     # NaN fails every comparison, so only a rule written as "not alpha > 0"
@@ -425,6 +428,32 @@ class TestIdentify:
         assert meta["predicted_best_arm_crossing"] == predicted.best_arm_crossing
         crossings = meta["predicted_crossings"] + [meta["predicted_best_arm_crossing"]]
         assert all(type(c) is int and c > 2**62 for c in crossings)
+
+    @pytest.mark.parametrize("totals", [
+        [7], [3, 1, 2], [4, 1, 3, 2], [5, 8],
+        [2**52 + 3, 2**52 - 5, 2**52], [2**52 - 1, 2**52 + 2],
+        [2**52 + 6, 2**52 + 1, 2**52 + 3, 2**52 + 2],
+    ])
+    def test_numpy_median_of_totals_equals_statistics_median(self, totals):
+        # median_total_samples is np.median of integer totals; near 2**52 the
+        # mean of the two middle totals is a half that rounds to even
+        assert float(np.median(totals)) == float(statistics.median(totals))
+
+    def test_serial_run_loads_no_process_pool_or_statistics(self, tmp_path):
+        # a fresh interpreter, since this one has loaded them already
+        out = tmp_path / "o.csv"
+        argv = ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "3",
+                "--output", str(out)]
+        code = ("import sys\n"
+                "from lilklucb.cli import main\n"
+                "names = ('multiprocessing', 'concurrent.futures.process', 'statistics')\n"
+                "print([name for name in names if name in sys.modules])\n"
+                f"print(main({argv!r}))\n"
+                "print([name for name in names if name in sys.modules])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={"PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == ["[]", str(out), "0", "[]"]
 
 
 class TestTable1:

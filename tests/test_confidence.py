@@ -1,6 +1,7 @@
 """Tests for the anytime confidence sequences and their constants."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,17 @@ class TestKappa:
 
         for j in range(21):
             assert _kappa_series(2**j) == out_of_place(2**j), j
+
+    @pytest.mark.parametrize("tilt", [8, MAX_TILT])
+    def test_series_is_summed_in_bounded_memory(self, tilt):
+        # the whole tail series as one array would take 8 MB
+        tracemalloc.start()
+        try:
+            _kappa_series.__wrapped__(tilt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
