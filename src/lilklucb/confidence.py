@@ -360,3 +360,19 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
         stretch = (scheme.tilt + 1.0) / scheme.tilt
         return mu - stretch * (mu - zl), mu + stretch * (zu - mu)
     return zl, zu  # KL_PRIME: exit when D(m, mu) > thr on the matching side
+
+
+def integer_exit_curves(low: np.ndarray, high: np.ndarray):
+    """``coverage_envelope``'s (low, high) as exit curves for integer sums.
+
+    A sum s of t rewards in {0, 1} exceeds high[t-1]*t exactly when
+    s > floor(high[t-1]*t), and falls below low[t-1]*t exactly when
+    s < ceil(low[t-1]*t).  With t_max = len(low), no such sum lies outside
+    [0, t_max], so the curves are clipped to [-1, t_max + 1] and returned
+    as (low_sum, high_sum) of the smallest integer type that holds t_max + 1.
+    """
+    t_max = len(low)
+    dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max > t_max)
+    t = np.arange(1, t_max + 1, dtype=np.float64)
+    return (np.clip(np.ceil(low * t), -1, t_max + 1).astype(dtype),
+            np.clip(np.floor(high * t), -1, t_max + 1).astype(dtype))

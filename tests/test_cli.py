@@ -87,6 +87,9 @@ INVALID_ARGV = [
     (["simulate", "--n", "5", "--budget", "400", "--k", "9", "--output", "o.csv"], "--k"),
     (["identify", "--n", "3", "--budget", "2", "--output", "o.csv"], "--budget"),
     (["coverage", "--mu", "nan", "--output", "o.csv"], "--mu"),
+    # 157 blocks of 65 counters per trajectory: one more would pass 2**64
+    (["coverage", "--t-max", "10000", "--reps", str(2**64 // (157 * 65) + 1),
+      "--output", "o.csv"], "--reps, --t-max"),
     # the predicted complexity's delta^2 schedule underflows to 0
     (["identify", "--n", "3", "--budget", "200", "--reps", "2", "--delta", "1e-200",
       "--output", "o.csv"], "--delta"),
@@ -511,6 +514,33 @@ class TestCoverage:
         low_kl, high_kl = coverage_envelope(BoundScheme("kl", 8, 0.05), 0.3, 50)
         low_pr, high_pr = coverage_envelope(BoundScheme("kl-prime", 8, 0.05), 0.3, 50)
         assert not np.allclose(high_kl, high_pr)
+
+    def test_largest_counter_space_passes_validation(self, tmp_path):
+        # one more repetition is rejected (INVALID_ARGV); this one is not run
+        most = 2**64 // (157 * 65)
+        argv = ["coverage", "--t-max", "10000", "--reps", str(most), "--output", "c.csv"]
+        assert build_config(argv).reps == most
+
+    def test_seed_is_read_modulo_2_to_the_64(self, tmp_path):
+        argv = ["coverage", "--mu", "0.5", "--delta", "0.5", "--t-max", "300", "--reps", "400"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--seed", "-1", "--output", str(a)]) == 0
+        assert main(argv + ["--seed", str(2**64 - 1), "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert read_output(a).metadata["seed"] == 2**64 - 1
+
+    def test_coverage_never_imports_numpy_random(self, tmp_path):
+        # a fresh interpreter, since this one has loaded numpy.random already
+        out = tmp_path / "c.csv"
+        argv = ["coverage", "--t-max", "300", "--reps", "50", "--output", str(out)]
+        code = ("import sys\n"
+                "from lilklucb.cli import main\n"
+                f"print(main({argv!r}))\n"
+                "print('numpy.random' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={"PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == [str(out), "0", "False"]
 
     def test_rows_sorted_and_in_range(self, tmp_path):
         config = build_config(

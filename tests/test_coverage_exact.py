@@ -1,21 +1,36 @@
-"""Exactness of the vectorized coverage path against its scalar reference.
+"""Exactness and law of the coverage path against plain references.
 
-``coverage_rates`` draws its Bernoulli streams as uniforms against NumPy's
-own inversion constant, compares integer running sums with integer exit
-curves, and takes the kl envelopes from one array solve per side.  These
-tests pin each of those steps to the straightforward implementation kept
-below: the per-t scalar envelope loop, ``rng.binomial`` draws and float
-exit curves.
+``coverage_rates`` draws each 64-step block's count by inverting the
+binomial CDF, arranges the steps of only the blocks that can cross an exit
+curve, takes every uniform from splitmix64 at its own counter, compares
+integer running sums with integer exit curves, and takes the kl envelopes
+from one array solve per side.  These tests pin each of those steps to the
+straightforward implementation kept below: the per-t scalar envelope loop,
+every block's count and steps drawn and joined, float exit curves, exact
+rational CDFs, and NumPy's own per-step Bernoulli sampler for the law.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lilklucb.cli import _bernoulli_draws, coverage_rates
+from lilklucb import cli
+from lilklucb.cli import (
+    _GUIDE_BITS,
+    _arrange,
+    _binomial_cdf,
+    _count_table,
+    _counts,
+    _splitmix64_array,
+    _uniforms,
+    coverage_rates,
+    splitmix64,
+)
 from lilklucb.confidence import (
     _FIRST_ARG_TOL,
     KL_TILTED,
@@ -25,12 +40,20 @@ from lilklucb.confidence import (
     _first_arg_inverse,
     _first_arg_inverses,
     coverage_envelope,
+    integer_exit_curves,
     sg1_radius,
     sg2_radius,
     threshold,
 )
 
 MUS = (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.5 + 1e-7, 2.0 / 3.0, 0.7, 0.9, 0.999, 1.0)
+GAMMA = 0x9E3779B97F4A7C15
+# delta = 0.9 makes misses common enough that a changed draw or curve
+# shows.  The horizons end a trajectory on, just before and just after a
+# block edge (64 steps), and 126/127 sit on either side of the switch from
+# int8 to int16 sums
+T_MAXES = (1, 63, 64, 65, 126, 127, 600)
+RATE_MUS = (0.0, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0)
 
 
 def _scalar_envelope(scheme, mu, t_max):
@@ -57,29 +80,73 @@ def _scalar_envelope(scheme, mu, t_max):
     return low, high
 
 
-def _reference_rates(scheme, mu, t_max, trajectories, seed, batch_size=512):
-    """coverage_rates with binomial draws, int64 sums and float exit curves."""
-    low, high = _scalar_envelope(scheme, mu, t_max)
-    t = np.arange(1, t_max + 1, dtype=np.float64)
-    low_sum = low * t
-    high_sum = high * t
-    rng = np.random.default_rng(seed)
-    below = above = joint = 0
-    remaining = trajectories
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        remaining -= b
-        sums = np.cumsum(rng.binomial(1, mu, size=(b, t_max)), axis=1)
-        hit_high = (sums > high_sum).any(axis=1)
-        hit_low = (sums < low_sum).any(axis=1)
-        below += int(hit_high.sum())
-        above += int(hit_low.sum())
-        joint += int((hit_high | hit_low).sum())
+@lru_cache(maxsize=None)
+def _powers(mu):
+    """mu**c and (1 - mu)**c for c = 0..64, as exact fractions."""
+    p = Fraction(mu)
+    return [p**c for c in range(65)], [(1 - p) ** c for c in range(65)]
+
+
+@lru_cache(maxsize=None)
+def _exact_cdf(mu, width):
+    """P(Binomial(width, mu) <= c) for c = 0..width, as exact fractions."""
+    ones, zeros = _powers(mu)
+    total, cdf = Fraction(0), []
+    for c in range(width + 1):
+        total += math.comb(width, c) * ones[c] * zeros[width - c]
+        cdf.append(total)
+    return tuple(cdf)
+
+
+def _rates(hit_high, hit_low):
+    n = hit_high.size
     return {
-        "true_mean_below_lower": below / trajectories,
-        "true_mean_above_upper": above / trajectories,
-        "joint": joint / trajectories,
+        "true_mean_below_lower": int(hit_high.sum()) / n,
+        "true_mean_above_upper": int(hit_low.sum()) / n,
+        "joint": int((hit_high | hit_low).sum()) / n,
     }
+
+
+def _block_reference_rates(scheme, mu, t_max, trajectories, seed):
+    """coverage_rates with every block drawn, joined steps and float exit curves.
+
+    Block b of trajectory i reads the uniforms of counters
+    (i * blocks + b) * 65 + slot: slot 0 picks the count by inverting the
+    exact CDF, rounded to floats, and slot 1 + j decides step j.
+    """
+    low, high = _scalar_envelope(scheme, mu, t_max)
+    t = np.arange(1, t_max + 1)
+    blocks = -(-t_max // 64)
+    key = np.uint64(seed % 2**64)
+    trajectory = np.arange(trajectories, dtype=np.uint64)[:, None]
+    steps = np.zeros((trajectories, t_max), dtype=np.int64)
+    for block in range(blocks):
+        width = min(64, t_max - 64 * block)
+        counter = ((trajectory * np.uint64(blocks) + np.uint64(block)) * np.uint64(65)
+                   + np.arange(width + 1, dtype=np.uint64))
+        u = _uniforms(_splitmix64_array(counter * np.uint64(GAMMA) + key))
+        cdf = np.array([float(c) for c in _exact_cdf(mu, width)])
+        left = (u[:, :1] >= cdf).sum(axis=1)  # the count: CDF entries at or below u
+        for j in range(width):
+            one = u[:, 1 + j] < left / (width - j)
+            steps[:, 64 * block + j] = one
+            left -= one
+        assert (left == 0).all()
+    sums = np.cumsum(steps, axis=1)
+    return _rates((sums > high * t).any(axis=1), (sums < low * t).any(axis=1))
+
+
+def _per_step_reference_rates(scheme, mu, t_max, trajectories, seed, batch_size=512):
+    """The per-step sampler: rng.binomial draws, int64 sums and float exit curves."""
+    low, high = _scalar_envelope(scheme, mu, t_max)
+    t = np.arange(1, t_max + 1)
+    rng = np.random.default_rng(seed)
+    hits = []
+    for start in range(0, trajectories, batch_size):
+        b = min(batch_size, trajectories - start)
+        sums = np.cumsum(rng.binomial(1, mu, size=(b, t_max)), axis=1)
+        hits.append(((sums > high * t).any(axis=1), (sums < low * t).any(axis=1)))
+    return _rates(*(np.concatenate(side) for side in zip(*hits)))
 
 
 def _integer_curves(low, high):
@@ -87,31 +154,115 @@ def _integer_curves(low, high):
     return np.floor(high * t), np.ceil(low * t)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2024])
-def test_draws_equal_binomial_and_leave_the_same_state(seed):
+def test_vectorized_splitmix64_matches_the_scalar_one():
+    xs = [0, 1, GAMMA, 2**63 - 1, 2**63, 2**64 - 1]
+    for _ in range(2000):
+        xs.append(splitmix64(xs[-1]))
+    ours = _splitmix64_array(np.array(xs, dtype=np.uint64))
+    assert ours.tolist() == [splitmix64(x) for x in xs]
+
+
+def test_block_cdf_is_the_binomial_cdf():
+    tolerance = Fraction(1, 2**50)
     for mu in MUS:
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = _bernoulli_draws(ours, mu, (64, 2000))
-        expected = theirs.binomial(1, mu, size=(64, 2000))
-        assert np.array_equal(draws, expected == 1), mu
-        assert ours.bit_generator.state == theirs.bit_generator.state, mu
+        for width in range(1, 65):
+            cdf = _binomial_cdf(mu, width)
+            exact = _exact_cdf(mu, width)
+            assert cdf.shape == (width + 1,) and cdf[-1] == 1.0
+            assert np.all(np.diff(cdf) >= 0.0), (mu, width)
+            assert all(abs(Fraction(x) - e) <= tolerance for x, e in zip(cdf, exact)), (mu, width)
+
+
+def test_guided_counts_equal_the_searched_counts():
+    # at random outputs, and at outputs whose uniforms sit on the guide's bin
+    # edges and on either side of the CDF's own values, whatever their low bits
+    random = _splitmix64_array(np.arange(20_000, dtype=np.uint64))
+    for mu in MUS:
+        for width in (1, 7, 63, 64):
+            cdf = _binomial_cdf(mu, width)
+            marks = np.concatenate([np.arange(2**_GUIDE_BITS) * 2.0 ** (53 - _GUIDE_BITS),
+                                    cdf[cdf < 1.0] * 2.0**53, [2.0**53 - 1]])
+            top = np.concatenate([np.floor(marks), np.ceil(marks),
+                                  np.maximum(np.floor(marks) - 1, 0)]).astype(np.uint64)
+            top <<= np.uint64(11)
+            outputs = np.concatenate([random, top, top | np.uint64(0x7FF)])
+            searched = np.searchsorted(cdf, _uniforms(outputs.copy()), side="right")
+            assert np.array_equal(_counts(_count_table(cdf), outputs), searched), (mu, width)
+
+
+def test_every_arrangement_is_equally_likely():
+    # Upper 1e-6 quantile of chi-square with df degrees of freedom, by the
+    # Wilson-Hilferty approximation; 25 cells are tested
+    def bound(df):
+        return df * (1 - 2 / (9 * df) + 4.753 * math.sqrt(2 / (9 * df))) ** 3
+
+    for width in range(1, 7):
+        for ones in range(width + 1):
+            patterns = math.comb(width, ones)
+            n = 2000 * patterns
+            counter = np.arange(64 * n, dtype=np.uint64).reshape(64, n)
+            u = _uniforms(_splitmix64_array(counter * np.uint64(GAMMA)
+                                            + np.uint64(100 * width + ones)))
+            steps = _arrange(np.full(n, ones), np.full(n, width), u)
+            assert not steps[width:].any()
+            assert (steps.sum(axis=0) == ones).all()
+            code = (steps[:width].T * (1 << np.arange(width))).sum(axis=1)
+            observed = np.unique(code, return_counts=True)[1]
+            assert observed.size == patterns, (width, ones)
+            if patterns > 1:
+                expected = n / patterns
+                chi2 = float(((observed - expected) ** 2 / expected).sum())
+                assert chi2 <= bound(patterns - 1), (width, ones, chi2)
 
 
 @pytest.mark.parametrize("kind", ["kl", "kl-prime", "sg1", "sg2"])
 def test_rates_equal_the_scalar_reference(kind):
-    # delta = 0.9 makes misses common enough that a changed draw or curve
-    # shows; 1300 trajectories leave a partial last batch.  The horizons
-    # end a trajectory on, just before and just after a block edge of the
-    # screen (64 steps), and 126/127 sit on either side of the switch from
-    # int8 to int16 sums
+    # one batch at these horizons; test_rates_do_not_depend_on_the_batch splits them
     scheme = BoundScheme(kind, 8, 0.9)
     nonzero = 0
-    for t_max in (1, 63, 64, 65, 126, 127, 600):
-        for mu in (0.0, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0):
+    for t_max in T_MAXES:
+        for mu in RATE_MUS:
             rates = coverage_rates(scheme, mu, t_max, 1300, seed=17)
-            assert rates == _reference_rates(scheme, mu, t_max, 1300, seed=17), (t_max, mu)
+            assert rates == _block_reference_rates(scheme, mu, t_max, 1300, seed=17), (t_max, mu)
             nonzero += rates["joint"] > 0.0
     assert nonzero >= 2
+
+
+def test_rates_do_not_depend_on_the_batch(monkeypatch):
+    scheme = BoundScheme("kl", 8, 0.9)
+    cells = [(mu, t_max) for mu in (0.1, 0.5, 0.9) for t_max in (65, 600)]
+    default = [coverage_rates(scheme, mu, t_max, 1300, seed=5) for mu, t_max in cells]
+    monkeypatch.setattr(cli, "_BATCH_BLOCKS", 23)
+    monkeypatch.setattr(cli, "_CHUNK_BLOCKS", 5)
+    assert [coverage_rates(scheme, mu, t_max, 1300, seed=5) for mu, t_max in cells] == default
+    assert any(rates["joint"] > 0.0 for rates in default)
+
+
+def test_rates_agree_with_the_per_step_sampler():
+    # Independent estimates of the same probabilities: each rate within 4
+    # standard deviations of their difference
+    scheme, n = BoundScheme("kl", 8, 0.9), 20_000
+    ours = coverage_rates(scheme, 0.5, 600, n, seed=3)
+    theirs = _per_step_reference_rates(scheme, 0.5, 600, n, seed=3)
+    for event, p in ours.items():
+        q = theirs[event]
+        sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert abs(p - q) <= 4 * sigma, (event, p, q)
+    assert ours["joint"] > 0.0 and theirs["joint"] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["kl", "kl-prime", "sg1", "sg2"])
+def test_integer_exit_curves_are_the_clipped_float_curves(kind):
+    scheme = BoundScheme(kind, 8, 0.9)
+    for t_max in T_MAXES:
+        for mu in MUS:
+            low, high = coverage_envelope(scheme, mu, t_max)
+            low_sum, high_sum = integer_exit_curves(low, high)
+            floor_high, ceil_low = _integer_curves(low, high)
+            assert np.array_equal(high_sum, np.clip(floor_high, -1, t_max + 1)), (t_max, mu)
+            assert np.array_equal(low_sum, np.clip(ceil_low, -1, t_max + 1)), (t_max, mu)
+            dtype = np.int8 if t_max < 127 else np.int16
+            assert low_sum.dtype == high_sum.dtype == dtype
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
