@@ -1,101 +1,1 @@
 """Best-arm identification for bounded rewards with anytime KL confidence sequences."""
-
-from .bandit import (
-    ComplexityBound,
-    RunRecord,
-    hardness_sums,
-    lil_klucb,
-    predicted_complexity,
-    ucb_race,
-)
-from .confidence import (
-    KL_PRIME,
-    KL_TILTED,
-    SCHEME_KINDS,
-    SG1,
-    SG2,
-    BoundScheme,
-    coverage_envelope,
-    deviation_envelope,
-    kappa,
-    lower_bound,
-    sg1_radius,
-    sg2_radius,
-    threshold,
-    untilt_factor,
-    upper_bound,
-)
-from .data_ingest import (
-    Caption,
-    ContestDataset,
-    ExperimentOutput,
-    parse_contest_csv,
-    read_output,
-    write_output,
-)
-from .environments import (
-    Bernoulli,
-    Bootstrap,
-    Environment,
-    bernoulli_environment,
-    from_contest,
-    gap_family,
-    parametric_means,
-    sample,
-)
-from .kl_math import (
-    bernoulli_kl,
-    chernoff_crossing,
-    chernoff_information,
-    kl_lower_inverse,
-    kl_upper_inverse,
-    tilted_kl_lower_inverse,
-    tilted_kl_upper_inverse,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Bernoulli",
-    "Bootstrap",
-    "BoundScheme",
-    "Caption",
-    "ComplexityBound",
-    "ContestDataset",
-    "Environment",
-    "ExperimentOutput",
-    "KL_PRIME",
-    "KL_TILTED",
-    "RunRecord",
-    "SCHEME_KINDS",
-    "SG1",
-    "SG2",
-    "bernoulli_kl",
-    "bernoulli_environment",
-    "chernoff_crossing",
-    "chernoff_information",
-    "coverage_envelope",
-    "deviation_envelope",
-    "from_contest",
-    "gap_family",
-    "hardness_sums",
-    "kappa",
-    "kl_lower_inverse",
-    "kl_upper_inverse",
-    "lil_klucb",
-    "lower_bound",
-    "parametric_means",
-    "parse_contest_csv",
-    "predicted_complexity",
-    "read_output",
-    "sample",
-    "sg1_radius",
-    "sg2_radius",
-    "threshold",
-    "tilted_kl_lower_inverse",
-    "tilted_kl_upper_inverse",
-    "ucb_race",
-    "untilt_factor",
-    "upper_bound",
-    "write_output",
-]

@@ -10,14 +10,15 @@ Four interchangeable schemes sit behind one interface:
 * ``sg2``       baseline sub-Gaussian radius from a per-time union bound
                 (pluggable; see sg2_radius).
 
-A scheme is immutable after construction (its normalization constants are
-precomputed) and all operations are pure, so schemes are safe to share
-across threads.
+A scheme's parameters are immutable after construction (its normalization
+constants are precomputed) and all operations are pure; its threshold table
+is only ever replaced whole, so schemes are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +56,10 @@ MAX_TILT = 2**20
 
 # Most terms _pairwise_sum builds at once.
 _PIECE = 8192
+
+# Most entries a scheme's threshold table holds (8 bytes each); beyond it
+# ``threshold`` evaluates the schedule at one t at a time.
+_TABLE_CAP = 2**20
 
 
 def _check_delta(delta: float) -> float:
@@ -133,7 +138,8 @@ class BoundScheme:
     ``tilt`` is the mixing weight of the tilted divergence (the empirical
     mean receives weight tilt/(tilt+1)); it must be a power of two.  ``sg2``
     ignores it.  ``kappa_cache`` and ``c_cache`` are precomputed at
-    construction so bound evaluations stay cheap.
+    construction so bound evaluations stay cheap; ``threshold_table`` holds
+    the schedule at t = 1..len, starts empty and is filled by ``threshold``.
     """
 
     kind: str
@@ -141,6 +147,7 @@ class BoundScheme:
     delta: float = 0.01
     kappa_cache: float = field(init=False, repr=False, compare=False)
     c_cache: float = field(init=False, repr=False, compare=False)
+    threshold_table: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
@@ -151,22 +158,53 @@ class BoundScheme:
             raise ValueError("kl-prime requires tilt > e (use tilt >= 4)")
         c = untilt_factor(self.tilt) if self.kind == KL_PRIME else 1.0
         object.__setattr__(self, "c_cache", c)
+        object.__setattr__(self, "threshold_table", array("d"))
 
     def with_delta(self, delta: float) -> "BoundScheme":
         """Same scheme at a different confidence level."""
         return BoundScheme(self.kind, self.tilt, delta)
 
 
-def threshold(scheme: BoundScheme, t: int) -> float:
-    """Divergence budget after t samples: ln(kappa * log2(2t) / delta) / t.
+def _schedule(scheme: BoundScheme, t: np.ndarray) -> np.ndarray:
+    """Divergence budget after t samples, ln(kappa * log2(2t) / delta) / t, at every t.
 
-    Multiplied by untilt_factor for ``kl-prime``; clamped below at zero,
-    which can only engage for delta pathologically close to 1.
+    ``t`` is a float64 array.  The budget is multiplied by untilt_factor for
+    ``kl-prime`` and clamped below at zero, which can only engage for delta
+    pathologically close to 1.  Every path reads the schedule through this
+    function: NumPy's logarithms may differ from ``math.log`` in the last
+    bits, but an entry's bits do not depend on the batch it is computed in.
+    At t = 2^1023, 2t overflows and the budget is inf.
     """
+    with np.errstate(over="ignore"):
+        x = np.multiply(t, 2.0)
+    np.log2(x, out=x)
+    x *= scheme.kappa_cache
+    x /= scheme.delta
+    np.log(x, out=x)
+    x /= t
+    x *= scheme.c_cache
+    return np.maximum(x, 0.0, out=x)
+
+
+def threshold(scheme: BoundScheme, t: int) -> float:
+    """``_schedule`` at one integer t >= 1, read from the scheme's table.
+
+    A t past the table's end replaces it with one that reaches the next
+    power of two; a t past _TABLE_CAP is evaluated alone.  A table is never
+    extended in place, so a reader always sees a complete one.
+    """
+    table = scheme.threshold_table
+    if 0 < t <= len(table):
+        return table[t - 1]
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t!r}")
-    base = math.log(scheme.kappa_cache * math.log2(2.0 * t) / scheme.delta) / t
-    return max(0.0, scheme.c_cache * base)
+    if t > _TABLE_CAP:
+        return float(_schedule(scheme, np.array([t], dtype=np.float64))[0])
+    size = 1 << int(t - 1).bit_length()
+    table = array("d")
+    table.frombytes(_schedule(scheme, np.arange(1, size + 1, dtype=np.float64)).data.cast("B"))
+    object.__setattr__(scheme, "threshold_table", table)
+    return table[t - 1]
 
 
 def sg1_radius(scheme: BoundScheme, t: int) -> float:
@@ -236,10 +274,18 @@ def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarra
     start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * b * mu * (1.0 - mu))
              + b * (1.0 - 2.0 * mu) / 3.0)
 
-    def f(x):
-        up = np.log(x / mu)
-        down = np.log((1.0 - x) / (1.0 - mu))
-        return x * up + (1.0 - x) * down, up - down
+    def f(x):  # x * up + (1 - x) * down and up - down, in place where it can be
+        up = np.divide(x, mu)
+        np.log(up, out=up)
+        down = np.subtract(1.0, x)
+        down /= 1.0 - mu
+        np.log(down, out=down)
+        value = np.multiply(x, up)
+        rest = np.subtract(1.0, x)
+        rest *= down
+        value += rest
+        up -= down
+        return value, up
 
     out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
     return out
@@ -338,19 +384,21 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     coverage checks to comparing running sums against precomputed curves
     instead of inverting bounds along every trajectory.
 
-    The budgets (``threshold``) and radii are the scalar functions' values;
-    the kl schemes invert D(., mu) at all t_max budgets per side in one
-    array solve (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
+    The budgets come from one ``_schedule`` call, so they and the sg1
+    radii carry the scalar functions' bits; the kl schemes invert D(., mu)
+    at all t_max budgets per side in one array solve
+    (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
     """
     mu = _check_coverage(mu, t_max)
-    ts = range(1, t_max + 1)
-    if scheme.kind in (SG1, SG2):
-        if scheme.kind == SG1:
-            r = np.fromiter((sg1_radius(scheme, t) for t in ts), float, t_max)
-        else:
-            r = np.fromiter((sg2_radius(t, scheme.delta) for t in ts), float, t_max)
+    if scheme.kind == SG2:
+        r = np.fromiter((sg2_radius(t, scheme.delta) for t in range(1, t_max + 1)), float, t_max)
         return mu - r, mu + r
-    thr = np.fromiter((threshold(scheme, t) for t in ts), float, t_max)
+    thr = _schedule(scheme, np.arange(1, t_max + 1, dtype=np.float64))
+    if scheme.kind == SG1:
+        ratio = (scheme.tilt + 1.0) / scheme.tilt
+        thr *= 0.5 * ratio * ratio  # sg1_radius's operations, in its order
+        r = np.sqrt(thr, out=thr)
+        return mu - r, mu + r
     zu = _first_arg_inverses(mu, thr, 1.0)
     zl = _first_arg_inverses(mu, thr, 0.0)
     if scheme.kind == KL_TILTED:

@@ -130,6 +130,9 @@ def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
     the bracket, and the feasible end once the ends are within ``tol``.
     ``start`` (broadcast against ``bounds``) is each entry's first point if
     it lies inside the bracket.  Entries leave the iteration as they finish.
+    An iteration works in place, in buffers cut to the live entries, and
+    only f and the removal of finished entries allocate; f must return
+    fresh arrays, which the solver overwrites.
     """
     bounds = np.asarray(bounds, dtype=float)
     d = 1.0 if infeasible > feasible else -1.0
@@ -139,32 +142,52 @@ def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
     hi = np.full(bounds.shape, edge)
     y = np.broadcast_to(d * np.asarray(start, dtype=float), bounds.shape)
     y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
-    step = step_before = hi - lo
+    step = hi - lo
+    step_before = step.copy()
     out = np.empty(bounds.shape)
     live = np.arange(bounds.size)
+    scratch = np.empty((3, bounds.size))
+    flags = np.empty((2, bounds.size), dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            done = hi - lo <= tol
+            width = np.subtract(hi, lo, out=scratch[0, :live.size])
+            done = np.less_equal(width, tol, out=flags[0, :live.size])
             if done.any():
                 out[live[done]] = d * lo[done]
                 keep = ~done
                 live, lo, hi, y, step, step_before, bounds = (
-                    a[keep] for a in (live, lo, hi, y, step, step_before, bounds))
+                    x[keep] for x in (live, lo, hi, y, step, step_before, bounds))
             if live.size == 0:
                 break
-            y = np.where(y < lo + half, lo + half, np.where(y > hi - half, hi - half, y))
-            value, slope = f(d * y)
-            below = value <= bounds
-            lo = np.where(below, y, lo)
-            hi = np.where(below, hi, y)
-            gap = edge - y
-            scale = d * slope * gap
-            ratio = (value - bounds) / scale
-            newton = (0.0 < scale) & (scale < math.inf) & (ratio < 50.0)
-            nxt = np.where(newton, edge - gap * np.exp(np.where(newton, ratio, 0.0)), math.nan)
-            safe = (lo <= nxt) & (nxt <= hi) & (np.abs(nxt - y) <= 0.5 * step_before)
-            nxt = np.where(safe, nxt, 0.5 * (lo + hi))
-            step_before, step = step, np.abs(nxt - y)
+            a, b, c = scratch[:, :live.size]
+            p, q = flags[:, :live.size]
+            # y = lo + half if y < lo + half, else hi - half if y > hi - half
+            np.less(y, np.add(lo, half, out=a), out=p)
+            np.greater(y, np.subtract(hi, half, out=b), out=q)
+            np.copyto(y, b, where=q)
+            np.copyto(y, a, where=p)
+            value, slope = f(np.multiply(y, d, out=c))
+            below = np.less_equal(value, bounds, out=p)
+            np.copyto(lo, y, where=below)
+            np.copyto(hi, y, where=np.logical_not(below, out=q))
+            gap = np.subtract(edge, y, out=a)
+            scale = np.multiply(np.multiply(slope, d, out=slope), gap, out=slope)
+            ratio = np.divide(np.subtract(value, bounds, out=value), scale, out=value)
+            newton = np.greater(scale, 0.0, out=p)
+            newton &= np.less(scale, math.inf, out=q)
+            newton &= np.less(ratio, 50.0, out=q)
+            off = np.logical_not(newton, out=q)
+            np.copyto(ratio, 0.0, where=off)
+            nxt = np.subtract(edge, np.multiply(gap, np.exp(ratio, out=ratio), out=ratio), out=ratio)
+            np.copyto(nxt, math.nan, where=off)
+            safe = np.less_equal(lo, nxt, out=p)
+            safe &= np.less_equal(nxt, hi, out=q)
+            moved = np.abs(np.subtract(nxt, y, out=b), out=b)
+            safe &= np.less_equal(moved, np.multiply(step_before, 0.5, out=a), out=q)
+            midpoint = np.multiply(np.add(lo, hi, out=a), 0.5, out=a)
+            np.copyto(nxt, midpoint, where=np.logical_not(safe, out=q))
+            step_before, step = step, step_before
+            np.abs(np.subtract(nxt, y, out=step), out=step)
             y = nxt
     out[live] = d * lo
     return out

@@ -2,12 +2,17 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
+from lilklucb import confidence
+from lilklucb.bandit import _first_crossing, ucb_race
 from lilklucb.confidence import (
+    _TABLE_CAP,
     KAPPA_TAIL_TERMS,
     KL_PRIME,
     KL_TILTED,
@@ -16,6 +21,7 @@ from lilklucb.confidence import (
     SG2,
     BoundScheme,
     _kappa_series,
+    _schedule,
     coverage_envelope,
     deviation_envelope,
     kappa,
@@ -27,6 +33,7 @@ from lilklucb.confidence import (
     untilt_factor,
     upper_bound,
 )
+from lilklucb.environments import bernoulli_environment
 from lilklucb.kl_math import bernoulli_kl, kl_lower_inverse, kl_upper_inverse
 
 
@@ -194,6 +201,112 @@ class TestThreshold:
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
         with pytest.raises(ValueError):
             threshold(scheme, 0)
+
+
+def _libm_threshold(scheme: BoundScheme, t: int) -> float:
+    """The schedule through libm's ``math.log`` and ``math.log2``, the reference for its bits."""
+    base = math.log(scheme.kappa_cache * math.log2(2.0 * t) / scheme.delta) / t
+    return max(0.0, scheme.c_cache * base)
+
+
+def _ulps(a, b) -> np.ndarray:
+    """Distance in units in the last place between nonnegative float64 arrays."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestScheduleBits:
+    """``_schedule`` is the one source of the schedule's bits."""
+
+    SCHEMES = [BoundScheme(kind, 8, 0.05) for kind in (KL_TILTED, KL_PRIME, SG1)]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+    def test_table_entries_equal_one_element_evaluations(self, scheme):
+        scheme = scheme.with_delta(scheme.delta)  # a fresh, empty table
+        full = _schedule(scheme, np.arange(1, 10_001, dtype=np.float64))
+        for t in range(1, 10_001):  # libm differs from NumPy first at t = 3406
+            assert threshold(scheme, t) == full[t - 1]
+            if t % 7 == 0:
+                assert full[t - 1] == _schedule(scheme, np.array([t], dtype=np.float64))[0]
+        assert len(scheme.threshold_table) == 16384
+        for t in (_TABLE_CAP + 1, 2**40 + 3, 2**1022):
+            assert threshold(scheme, t) == _schedule(scheme, np.array([float(t)]))[0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+    def test_bits_do_not_depend_on_the_batch(self, scheme):
+        t = np.arange(1, 20_001, dtype=np.float64)
+        full = _schedule(scheme, t)
+        order = np.random.default_rng(3).permutation(t.size)
+        assert np.array_equal(_schedule(scheme, t[order]), full[order])
+        assert np.array_equal(_schedule(scheme, t[::7]), full[::7])  # strided view
+        for start in range(0, t.size, 7):
+            assert np.array_equal(_schedule(scheme, t[start:start + 7]), full[start:start + 7])
+        for i in range(0, t.size, 97):
+            assert _schedule(scheme, t[i:i + 1])[0] == full[i]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+    def test_within_four_ulp_of_the_libm_formula(self, scheme):
+        ts = list(range(1, 2**16 + 1)) + [2**k for k in range(17, 1023)]
+        ours = _schedule(scheme, np.array(ts, dtype=np.float64))
+        libm = [_libm_threshold(scheme, t) for t in ts]
+        assert _ulps(ours, libm).max() <= 4
+
+    def test_domain_edges(self):
+        scheme = BoundScheme(KL_TILTED, 8, 0.01)
+        threshold(scheme, 10)  # a filled table must not admit t < 1
+        for t in (0, -1):
+            with pytest.raises(ValueError):
+                threshold(scheme, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert threshold(scheme, 2**1023) == math.inf
+        with pytest.raises(OverflowError):
+            threshold(scheme, 2**1024)
+
+
+class TestScheduleWork:
+    """Counted, not timed: how often the schedule is evaluated."""
+
+    @staticmethod
+    def _count_evaluations(monkeypatch) -> list:
+        calls = []
+
+        def counted(scheme, t):
+            calls.append((scheme.kind, t.size))
+            return schedule(scheme, t)
+
+        schedule = confidence._schedule
+        monkeypatch.setattr(confidence, "_schedule", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
+    def test_race_fills_the_table_at_most_log2_budget_plus_one_times(self, monkeypatch, kind):
+        calls = self._count_evaluations(monkeypatch)
+        budget = 3000
+        env = bernoulli_environment((0.9, 0.5, 0.4, 0.2))
+        ucb_race(env, BoundScheme(kind, 8, 0.05), budget, 100, 1, np.random.default_rng(0))
+        assert len(calls) <= math.ceil(math.log2(budget)) + 1
+        assert bool(calls) == (kind != SG2)
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1])
+    def test_coverage_envelope_makes_one_evaluation_and_no_scalar_call(self, monkeypatch, kind):
+        calls = self._count_evaluations(monkeypatch)
+
+        def scalar(*args):
+            raise AssertionError("coverage_envelope read the scalar threshold")
+
+        monkeypatch.setattr(confidence, "threshold", scalar)
+        coverage_envelope(BoundScheme(kind, 8, 0.05), 0.4, 5000)
+        assert calls == [(kind, 5000)]
+
+    def test_crossing_search_table_ends_at_the_crossings_power_of_two(self):
+        # the doubling stops at the first power of two past the crossing,
+        # so the table holds fewer than twice the crossing's entries
+        for target in (0.05, 1e-3, 1e-4, 1e-5, 1e-7):
+            scheme = BoundScheme(KL_TILTED, 8, 0.0025)
+            crossing = _first_crossing(partial(threshold, scheme), target)
+            size = min(_TABLE_CAP, 1 << (crossing - 1).bit_length())
+            assert len(scheme.threshold_table) == size < 2 * crossing
 
 
 class TestDeviationEnvelope:
