@@ -12,7 +12,6 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -21,9 +20,9 @@ from .confidence import (
     KL_TILTED,
     BoundScheme,
     _check_delta,
+    _schedule,
     lower_bound,
     lower_bound_may_exceed,
-    threshold,
     upper_bound,
 )
 from .environments import Environment, ScalarDraws, gap_family
@@ -316,23 +315,23 @@ class ComplexityBound:
             raise ValueError("total must equal the sum of its terms")
 
 
-def _first_crossing(f, target: float) -> int:
-    """Smallest t with f(t) < target; f is decreasing for t >= 2.
+def _first_crossing(scheme: BoundScheme, target: float) -> int:
+    """Smallest t with threshold(scheme, t) < target; the schedule decreases for t >= 2.
 
-    The search doubles t up to 2^1022, the last power of two at which
-    ``threshold`` is finite (2.0 * t overflows at 2^1023).
+    One ``_schedule`` call at t = 2^0..2^1022, the last power of two at
+    which the schedule is finite (2.0 * t overflows at 2^1023), finds the
+    first power of two below the target; the bisection down from it reads
+    the schedule one t at a time.  The scheme's threshold table is neither
+    read nor grown.
     """
-    if f(1) < target:
-        return 1
-    hi = 2
-    while f(hi) >= target:
-        if hi == 2**1022:
-            raise ValueError(f"threshold schedule never falls below {target!r}")
-        hi *= 2
-    lo = hi // 2  # f(lo) >= target
+    below = np.flatnonzero(_schedule(scheme, np.ldexp(1.0, np.arange(1023))) < target)
+    if not below.size:
+        raise ValueError(f"threshold schedule never falls below {target!r}")
+    hi = 1 << int(below[0])
+    lo = hi // 2  # at 0 when hi = 1; otherwise the schedule at lo is >= target
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if f(mid) < target:
+        if _schedule(scheme, np.array([float(mid)]))[0] < target:
             hi = mid
         else:
             lo = mid
@@ -407,12 +406,10 @@ def predicted_complexity(
     total, witness, best_term, arm_terms = best
 
     crossings = tuple(
-        _first_crossing(partial(threshold, pair_scheme), chernoff_information(mu_i, witness))
+        _first_crossing(pair_scheme, chernoff_information(mu_i, witness))
         for mu_i in mus[1:]
     )
-    best_crossing = _first_crossing(
-        partial(threshold, leader_scheme), chernoff_information(mus[0], witness)
-    )
+    best_crossing = _first_crossing(leader_scheme, chernoff_information(mus[0], witness))
     return ComplexityBound(
         per_arm_terms=arm_terms,
         best_arm_term=best_term,

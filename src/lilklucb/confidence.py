@@ -7,8 +7,10 @@ Four interchangeable schemes sit behind one interface:
 * ``kl-prime``  plain-KL intervals: invert D(mu_hat, m) against the same
                 schedule inflated by untilt_factor(tilt).
 * ``sg1``       sub-Gaussian analogue of ``kl`` with the matching schedule.
-* ``sg2``       baseline sub-Gaussian radius from a per-time union bound
-                (pluggable; see sg2_radius).
+* ``sg2``       baseline sub-Gaussian radius from a per-time union bound.
+
+Every scheme reads its budget b_t from one schedule (see _schedule); the
+sub-Gaussian radius is sqrt(b_t / 2).
 
 A scheme's parameters are immutable after construction (its normalization
 constants are precomputed) and all operations are pure; its threshold table
@@ -138,8 +140,10 @@ class BoundScheme:
     ``tilt`` is the mixing weight of the tilted divergence (the empirical
     mean receives weight tilt/(tilt+1)); it must be a power of two.  ``sg2``
     ignores it.  ``kappa_cache`` and ``c_cache`` are precomputed at
-    construction so bound evaluations stay cheap; ``threshold_table`` holds
-    the schedule at t = 1..len, starts empty and is filled by ``threshold``.
+    construction so bound evaluations stay cheap; ``c_cache`` scales the
+    schedule: untilt_factor(tilt) for ``kl-prime``, ((tilt+1)/tilt)^2 for
+    ``sg1`` and 1 otherwise.  ``threshold_table`` holds the schedule at
+    t = 1..len, starts empty and is filled by ``threshold``.
     """
 
     kind: str
@@ -156,7 +160,12 @@ class BoundScheme:
         object.__setattr__(self, "kappa_cache", kappa(self.tilt, self.delta))
         if self.kind == KL_PRIME and self.tilt <= math.e:
             raise ValueError("kl-prime requires tilt > e (use tilt >= 4)")
-        c = untilt_factor(self.tilt) if self.kind == KL_PRIME else 1.0
+        c = 1.0
+        if self.kind == KL_PRIME:
+            c = untilt_factor(self.tilt)
+        elif self.kind == SG1:
+            ratio = (self.tilt + 1.0) / self.tilt
+            c = ratio * ratio
         object.__setattr__(self, "c_cache", c)
         object.__setattr__(self, "threshold_table", array("d"))
 
@@ -166,20 +175,28 @@ class BoundScheme:
 
 
 def _schedule(scheme: BoundScheme, t: np.ndarray) -> np.ndarray:
-    """Divergence budget after t samples, ln(kappa * log2(2t) / delta) / t, at every t.
+    """Budget after t samples, c * ln(kappa * log2(2t) / delta) / t, at every t.
 
-    ``t`` is a float64 array.  The budget is multiplied by untilt_factor for
-    ``kl-prime`` and clamped below at zero, which can only engage for delta
-    pathologically close to 1.  Every path reads the schedule through this
-    function: NumPy's logarithms may differ from ``math.log`` in the last
-    bits, but an entry's bits do not depend on the batch it is computed in.
-    At t = 2^1023, 2t overflows and the budget is inf.
+    ``t`` is a float64 array and c is the scheme's ``c_cache``.  ``sg2``
+    spends a per-time union bound instead, ln(pi^2 t^2 / (6 delta)) / t:
+    a Hoeffding tail at level 6 delta / (pi^2 t^2) at every t sums to
+    delta.  The budget is clamped below at zero, which can only engage for
+    delta pathologically close to 1.  Every path reads the schedule through
+    this function: NumPy's logarithms may differ from ``math.log`` in the
+    last bits, but an entry's bits do not depend on the batch it is
+    computed in.  The budget is inf once the log's argument overflows: at
+    t = 2^1023 (2t), and for ``sg2`` from t near 1e154 (t^2).
     """
     with np.errstate(over="ignore"):
-        x = np.multiply(t, 2.0)
-    np.log2(x, out=x)
-    x *= scheme.kappa_cache
-    x /= scheme.delta
+        if scheme.kind == SG2:
+            x = np.multiply(t, math.pi * math.pi)
+            x *= t
+            x /= 6.0 * scheme.delta
+        else:
+            x = np.multiply(t, 2.0)
+            np.log2(x, out=x)
+            x *= scheme.kappa_cache
+            x /= scheme.delta
     np.log(x, out=x)
     x /= t
     x *= scheme.c_cache
@@ -207,24 +224,9 @@ def threshold(scheme: BoundScheme, t: int) -> float:
     return table[t - 1]
 
 
-def sg1_radius(scheme: BoundScheme, t: int) -> float:
-    """Sub-Gaussian deviation radius matching the tilted-KL schedule."""
-    ratio = (scheme.tilt + 1.0) / scheme.tilt
-    return math.sqrt(0.5 * ratio * ratio * threshold(scheme, t))
-
-
-def sg2_radius(t: int, delta: float) -> float:
-    """Baseline anytime sub-Gaussian radius sqrt(ln(pi^2 t^2 / (6 delta)) / (2t)).
-
-    A per-time Hoeffding tail at level 6*delta/(pi^2 t^2) summed over all t
-    spends exactly delta, so the radius is anytime-valid one-sided at level
-    delta for any [0, 1]-bounded stream.  Kept as a standalone function so
-    the baseline can be swapped out without touching the scheme interface.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
-    _check_delta(delta)
-    return math.sqrt(math.log(math.pi * math.pi * t * t / (6.0 * delta)) / (2.0 * t))
+def sg_radius(scheme: BoundScheme, t: int) -> float:
+    """Sub-Gaussian deviation radius sqrt(b_t / 2) of an ``sg1`` or ``sg2`` budget b_t."""
+    return math.sqrt(0.5 * threshold(scheme, t))
 
 
 # Absolute tolerance of the first-argument inverses behind the coverage
@@ -322,9 +324,7 @@ def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
         return tilted_kl_upper_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:
         return kl_upper_inverse(mu_hat, threshold(scheme, pulls))
-    if scheme.kind == SG1:
-        return min(1.0, mu_hat + sg1_radius(scheme, pulls))
-    return min(1.0, mu_hat + sg2_radius(pulls, scheme.delta))
+    return min(1.0, mu_hat + sg_radius(scheme, pulls))
 
 
 def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
@@ -336,9 +336,7 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
         return tilted_kl_lower_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:
         return kl_lower_inverse(mu_hat, threshold(scheme, pulls))
-    if scheme.kind == SG1:
-        return max(0.0, mu_hat - sg1_radius(scheme, pulls))
-    return max(0.0, mu_hat - sg2_radius(pulls, scheme.delta))
+    return max(0.0, mu_hat - sg_radius(scheme, pulls))
 
 
 def lower_bound_may_exceed(scheme: BoundScheme, pulls: int, reward_sum: float,
@@ -384,20 +382,15 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     coverage checks to comparing running sums against precomputed curves
     instead of inverting bounds along every trajectory.
 
-    The budgets come from one ``_schedule`` call, so they and the sg1
-    radii carry the scalar functions' bits; the kl schemes invert D(., mu)
-    at all t_max budgets per side in one array solve
+    The budgets come from one ``_schedule`` call, so they and the
+    sub-Gaussian radii carry the scalar functions' bits; the kl schemes
+    invert D(., mu) at all t_max budgets per side in one array solve
     (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
     """
     mu = _check_coverage(mu, t_max)
-    if scheme.kind == SG2:
-        r = np.fromiter((sg2_radius(t, scheme.delta) for t in range(1, t_max + 1)), float, t_max)
-        return mu - r, mu + r
     thr = _schedule(scheme, np.arange(1, t_max + 1, dtype=np.float64))
-    if scheme.kind == SG1:
-        ratio = (scheme.tilt + 1.0) / scheme.tilt
-        thr *= 0.5 * ratio * ratio  # sg1_radius's operations, in its order
-        r = np.sqrt(thr, out=thr)
+    if scheme.kind in (SG1, SG2):
+        r = np.sqrt(0.5 * thr)  # sg_radius's operations
         return mu - r, mu + r
     zu = _first_arg_inverses(mu, thr, 1.0)
     zl = _first_arg_inverses(mu, thr, 0.0)

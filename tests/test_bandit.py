@@ -422,6 +422,26 @@ class TestRaceDraws:
         assert ties > 0
 
 
+def _reference_crossing(scheme: BoundScheme, target: float) -> int:
+    """Smallest t with threshold(scheme, t) < target, by doubling and bisection over ``threshold``."""
+    f = partial(threshold, scheme)
+    if f(1) < target:
+        return 1
+    hi = 2
+    while f(hi) >= target:
+        if hi == 2**1022:
+            raise ValueError(f"threshold schedule never falls below {target!r}")
+        hi *= 2
+    lo = hi // 2  # f(lo) >= target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestPredictedComplexity:
     def test_two_arm_bound_is_finite_and_monotone_in_delta(self):
         loose = predicted_complexity((0.9, 0.1), 0.1, 33)
@@ -460,18 +480,29 @@ class TestPredictedComplexity:
         )
 
     def test_crossing_beyond_int64_is_exact(self):
-        f = partial(threshold, BoundScheme("kl", 8, 0.01))
+        scheme = BoundScheme("kl", 8, 0.01)
+        f = partial(threshold, scheme)
         target = f(2**70)
-        t = _first_crossing(f, target)
+        t = _first_crossing(scheme, target)
         assert t > 2**62
         assert f(t) < target <= f(t - 1)
 
     @pytest.mark.parametrize("target", [0.0, 1e-310, -5.0e-21])
     def test_target_never_crossed_is_named(self, target):
         # threshold stays positive, and above 1e-310 up to 2^1022 samples
-        f = partial(threshold, BoundScheme("kl", 8, 0.01))
         with pytest.raises(ValueError, match=re.escape(repr(target))):
-            _first_crossing(f, target)
+            _first_crossing(BoundScheme("kl", 8, 0.01), target)
+
+    @pytest.mark.parametrize("kind", ["kl", "kl-prime"])
+    @pytest.mark.parametrize("tilt", [4, 8, 64])
+    def test_crossing_matches_the_reference_search(self, kind, tilt):
+        # identify's delta^2 and delta/(n-1) at delta 0.05 and n = 4, and
+        # targets from 1 down past the crossings beyond 2^62
+        targets = [10.0 ** (-k / 2) for k in range(41)]
+        for delta in (0.05**2, 0.05 / 3, 0.05, 0.5):
+            scheme = BoundScheme(kind, tilt, delta)
+            for target in targets + [threshold(scheme, 2**70)]:
+                assert _first_crossing(scheme, target) == _reference_crossing(scheme, target)
 
     def test_validation(self):
         with pytest.raises(ValueError):

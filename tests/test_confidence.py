@@ -4,12 +4,11 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import pytest
 
-from lilklucb import confidence
+from lilklucb import bandit, confidence
 from lilklucb.bandit import _first_crossing, ucb_race
 from lilklucb.confidence import (
     _TABLE_CAP,
@@ -27,8 +26,7 @@ from lilklucb.confidence import (
     kappa,
     lower_bound,
     lower_bound_may_exceed,
-    sg1_radius,
-    sg2_radius,
+    sg_radius,
     threshold,
     untilt_factor,
     upper_bound,
@@ -205,7 +203,10 @@ class TestThreshold:
 
 def _libm_threshold(scheme: BoundScheme, t: int) -> float:
     """The schedule through libm's ``math.log`` and ``math.log2``, the reference for its bits."""
-    base = math.log(scheme.kappa_cache * math.log2(2.0 * t) / scheme.delta) / t
+    if scheme.kind == SG2:
+        base = math.log(math.pi * math.pi * t * t / (6.0 * scheme.delta)) / t
+    else:
+        base = math.log(scheme.kappa_cache * math.log2(2.0 * t) / scheme.delta) / t
     return max(0.0, scheme.c_cache * base)
 
 
@@ -218,7 +219,7 @@ def _ulps(a, b) -> np.ndarray:
 class TestScheduleBits:
     """``_schedule`` is the one source of the schedule's bits."""
 
-    SCHEMES = [BoundScheme(kind, 8, 0.05) for kind in (KL_TILTED, KL_PRIME, SG1)]
+    SCHEMES = [BoundScheme(kind, 8, 0.05) for kind in (KL_TILTED, KL_PRIME, SG1, SG2)]
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
     def test_table_entries_equal_one_element_evaluations(self, scheme):
@@ -263,6 +264,24 @@ class TestScheduleBits:
         with pytest.raises(OverflowError):
             threshold(scheme, 2**1024)
 
+    def test_sg2_budget_is_inf_once_t_squared_overflows(self):
+        scheme = BoundScheme(SG2, 8, 0.05)
+        t = np.array([2.0**500, 2.0**520, 2.0**1022])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            budget = _schedule(scheme, t)
+            assert threshold(scheme, 2**520) == math.inf
+        assert math.isfinite(budget[0]) and budget[0] > 0.0
+        assert np.all(budget[1:] == math.inf)
+
+    def test_sg1_budget_is_the_squared_ratio_times_kl(self):
+        # sg_radius(sg1) = sqrt(0.5 * ratio^2 * threshold(kl)), bit for bit
+        for tilt in (1, 2, 8, 64, 2**20):
+            ratio = (tilt + 1.0) / tilt
+            kl, sg1 = BoundScheme(KL_TILTED, tilt, 0.05), BoundScheme(SG1, tilt, 0.05)
+            for t in (1, 2, 3, 1000, 12_345, 2**40 + 7):
+                assert sg_radius(sg1, t) == math.sqrt(0.5 * ratio * ratio * threshold(kl, t))
+
 
 class TestScheduleWork:
     """Counted, not timed: how often the schedule is evaluated."""
@@ -285,10 +304,9 @@ class TestScheduleWork:
         budget = 3000
         env = bernoulli_environment((0.9, 0.5, 0.4, 0.2))
         ucb_race(env, BoundScheme(kind, 8, 0.05), budget, 100, 1, np.random.default_rng(0))
-        assert len(calls) <= math.ceil(math.log2(budget)) + 1
-        assert bool(calls) == (kind != SG2)
+        assert 0 < len(calls) <= math.ceil(math.log2(budget)) + 1
 
-    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1])
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
     def test_coverage_envelope_makes_one_evaluation_and_no_scalar_call(self, monkeypatch, kind):
         calls = self._count_evaluations(monkeypatch)
 
@@ -299,14 +317,24 @@ class TestScheduleWork:
         coverage_envelope(BoundScheme(kind, 8, 0.05), 0.4, 5000)
         assert calls == [(kind, 5000)]
 
-    def test_crossing_search_table_ends_at_the_crossings_power_of_two(self):
-        # the doubling stops at the first power of two past the crossing,
-        # so the table holds fewer than twice the crossing's entries
-        for target in (0.05, 1e-3, 1e-4, 1e-5, 1e-7):
+    def test_crossing_search_reads_the_schedule_and_not_the_table(self, monkeypatch):
+        # one evaluation at every power of two, then one-element bisection
+        # steps; a target never crossed costs the first evaluation alone
+        calls = self._count_evaluations(monkeypatch)
+        monkeypatch.setattr(bandit, "_schedule", confidence._schedule)
+        for target in (0.05, 1e-3, 1e-4, 1e-5, 1e-7, 1e-20):
             scheme = BoundScheme(KL_TILTED, 8, 0.0025)
-            crossing = _first_crossing(partial(threshold, scheme), target)
-            size = min(_TABLE_CAP, 1 << (crossing - 1).bit_length())
-            assert len(scheme.threshold_table) == size < 2 * crossing
+            calls.clear()
+            crossing = _first_crossing(scheme, target)
+            assert calls[0] == (KL_TILTED, 1023)
+            assert calls[1:] == [(KL_TILTED, 1)] * (len(calls) - 1)
+            assert len(calls) - 1 == max(0, (crossing - 1).bit_length() - 1)
+            assert len(scheme.threshold_table) == 0
+        calls.clear()
+        with pytest.raises(ValueError):
+            _first_crossing(scheme, 1e-310)
+        assert calls == [(KL_TILTED, 1023)]
+        assert len(scheme.threshold_table) == 0
 
 
 class TestDeviationEnvelope:
@@ -462,21 +490,23 @@ class TestBounds:
 
 class TestSg2Radius:
     def test_strictly_decreasing_in_t_from_two(self):
-        prev = sg2_radius(2, 0.05)
+        scheme = BoundScheme(SG2, 8, 0.05)
+        prev = sg_radius(scheme, 2)
         for t in range(3, 100_001):
-            cur = sg2_radius(t, 0.05)
+            cur = sg_radius(scheme, t)
             assert cur < prev
             prev = cur
 
     def test_strictly_decreasing_in_delta(self):
         for t in (1, 10, 1000):
-            values = [sg2_radius(t, d) for d in (0.001, 0.01, 0.1, 0.5)]
+            values = [sg_radius(BoundScheme(SG2, 8, d), t) for d in (0.001, 0.01, 0.1, 0.5)]
             assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_anytime_coverage_monte_carlo(self):
         # one-sided deviations of Bernoulli(0.5) streams beyond the radius
         delta, t_max, trajectories = 0.05, 10_000, 10_000
-        radii = np.array([sg2_radius(t, delta) for t in range(1, t_max + 1)])
+        scheme = BoundScheme(SG2, 8, delta)
+        radii = np.array([sg_radius(scheme, t) for t in range(1, t_max + 1)])
         t = np.arange(1, t_max + 1, dtype=float)
         limit = (0.5 + radii) * t
         rng = np.random.default_rng(99)

@@ -41,8 +41,7 @@ from lilklucb.confidence import (
     _first_arg_inverses,
     coverage_envelope,
     integer_exit_curves,
-    sg1_radius,
-    sg2_radius,
+    sg_radius,
     threshold,
 )
 
@@ -64,7 +63,9 @@ def _scalar_envelope(scheme, mu, t_max):
     zu = zl = None
     for t in range(1, t_max + 1):
         if scheme.kind in (SG1, SG2):
-            r = sg1_radius(scheme, t) if scheme.kind == SG1 else sg2_radius(t, scheme.delta)
+            # sg2's radius through math.log, independent of the schedule
+            r = (sg_radius(scheme, t) if scheme.kind == SG1 else
+                 math.sqrt(math.log(math.pi * math.pi * t * t / (6.0 * scheme.delta)) / (2.0 * t)))
             low[t - 1] = mu - r
             high[t - 1] = mu + r
             continue

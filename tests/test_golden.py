@@ -54,6 +54,8 @@ CASES = {
                             "--delta", "0.5", "--t-max", "1000", "--reps", "4000"],
     "coverage-sg1-nonzero": ["coverage", "--scheme", "sg1", "--mu", "0.6",
                              "--delta", "0.9", "--t-max", "1000", "--reps", "4000"],
+    "coverage-sg2-nonzero": ["coverage", "--scheme", "sg2", "--mu", "0.5",
+                             "--delta", "0.99", "--t-max", "1000", "--reps", "4000"],
 }
 
 
@@ -75,7 +77,8 @@ def test_output_matches_golden(name, fmt, tmp_path):
         assert path.read_bytes() == golden.read_bytes(), f"{path.name} differs from its golden"
 
 
-@pytest.mark.parametrize("name", ["coverage-kl-nonzero", "coverage-sg1-nonzero"])
+@pytest.mark.parametrize("name", ["coverage-kl-nonzero", "coverage-sg1-nonzero",
+                                  "coverage-sg2-nonzero"])
 def test_nonzero_coverage_goldens(name):
     metadata = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["metadata"]
     rates = [metadata[event] for event in

@@ -39,3 +39,14 @@ def test_no_environment_reads():
         return node.module == "os" and any(alias.name in names for alias in node.names)
 
     assert _nodes(ast.Attribute, ast.ImportFrom, where=reads_environment) == []
+
+
+def test_no_fromiter_calls():
+    """Arrays are built by NumPy calls, not by a Python loop feeding ``np.fromiter``."""
+
+    def calls_fromiter(node) -> bool:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "fromiter"
+
+    assert _nodes(ast.Call, where=calls_fromiter) == []
