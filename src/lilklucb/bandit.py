@@ -8,10 +8,10 @@ evaluator for the predicted sample-complexity of an instance.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class RunRecord:
             raise ValueError("snapshots must be sorted by total sample count")
 
 
-def _argmax_random_tie(values, rng: np.random.Generator | ScalarDraws) -> int:
-    """Index of the largest value, ties broken at random.
+def _argmax_random_tie(values: list, rng: np.random.Generator | ScalarDraws) -> int:
+    """Index of the largest value in the list, ties broken at random.
 
     With m > 1 values at the maximum, the ``rng.integers(m)``-th of them in
     index order is returned; a unique maximum draws nothing.  The loops pass
@@ -56,84 +56,36 @@ def _argmax_random_tie(values, rng: np.random.Generator | ScalarDraws) -> int:
     through the bit generator's C functions.
     """
     best = max(values)
+    if values.count(best) == 1:
+        return values.index(best)
     ties = [i for i, value in enumerate(values) if value == best]
-    if len(ties) == 1:
-        return ties[0]
     return ties[rng.integers(len(ties))]
 
 
-class _IncrementalMax:
-    """Running maximum of per-arm values, picked with ``_argmax_random_tie``'s rule.
+def _reward_error(reward) -> ValueError:
+    """The loops' error for a reward outside [0, 1]."""
+    return ValueError(f"rewards must lie in [0, 1], got {reward!r}")
 
-    ``holders`` maps each value some arm holds to the ascending list of those
-    arms; ``heap`` holds negated values, and an entry whose value no arm holds
-    any more is dropped once it reaches the top.  ``pick`` returns the single
-    arm at the maximum or ``ties[rng.integers(len(ties))]``: the same arm,
-    from the same generator draws, as ``np.flatnonzero(values == values.max())``
-    would give.  ``ucb_race`` passes a ``ScalarDraws``, which draws that
-    integer through the bit generator's C functions with the Generator's own
-    rule.  Moving one arm costs O(log n) heap work.
+
+def _first_pulls(env: Environment, draws: ScalarDraws, scheme: BoundScheme, table: dict):
+    """Pull each arm once, in index order; returns the pull counts, reward sums and upper bounds.
+
+    Rewards outside [0, 1] are rejected.  Each upper bound is read from
+    ``table`` under its key (pulls, reward_sum) and inverted on a miss.
     """
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.holders: dict[float, list[int]] = {}
-        for arm, value in enumerate(self.values):
-            self.holders.setdefault(value, []).append(arm)
-        self.heap = [-value for value in self.holders]
-        heapq.heapify(self.heap)
-
-    def move(self, arm: int, value: float) -> None:
-        old = self.values[arm]
-        if value == old:
-            return
-        ties = self.holders[old]
-        if len(ties) == 1:
-            del self.holders[old]
-        else:
-            ties.remove(arm)
-        self.values[arm] = value
-        ties = self.holders.get(value)
-        if ties is None:
-            self.holders[value] = [arm]
-            heapq.heappush(self.heap, -value)
-        else:
-            bisect.insort(ties, arm)
-
-    def pick(self, rng: np.random.Generator | ScalarDraws) -> int:
-        heap, holders = self.heap, self.holders
-        while -heap[0] not in holders:
-            heapq.heappop(heap)
-        ties = holders[-heap[0]]
-        if len(ties) == 1:
-            return ties[0]
-        return ties[rng.integers(len(ties))]
-
-
-def _cached_upper(table: dict, scheme: BoundScheme, key: tuple) -> float:
-    """``upper_bound(scheme, *key)`` through ``table``, keyed by (pulls, reward_sum)."""
-    value = table.get(key)
-    if value is None:
-        value = table[key] = upper_bound(scheme, *key)
-    return value
-
-
-def _puller(env: Environment, rng: ScalarDraws, pulls: list, sums: list):
-    """A function that pulls arm i once and returns its new key (pulls, reward_sum).
-
-    Per-arm pull counts and reward sums live in the flat lists ``pulls`` and
-    ``sums``; rewards outside [0, 1] are rejected.
-    """
-
-    def pull(i: int) -> tuple[int, float]:
-        reward = environments.sample(env, i, rng)
+    n = env.n_arms
+    pulls, sums, ucbs = [1] * n, [0.0] * n, [0.0] * n
+    for i in range(n):
+        reward = environments.sample(env, i, draws)
         if not 0.0 <= reward <= 1.0:
-            raise ValueError(f"rewards must lie in [0, 1], got {reward!r}")
-        pulls[i] += 1
+            raise _reward_error(reward)
         sums[i] += reward
-        return pulls[i], sums[i]
-
-    return pull
+        key = (1, sums[i])
+        ucb = table.get(key)
+        if ucb is None:
+            ucb = table[key] = upper_bound(scheme, *key)
+        ucbs[i] = ucb
+    return pulls, sums, ucbs
 
 
 def _check_identify(n_arms: int, budget: int | None) -> None:
@@ -181,24 +133,27 @@ def lil_klucb(
     _check_identify(n, budget)
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
-    ucb_table = cache.setdefault(scheme, {})
+    table = cache.setdefault(scheme, {})
     draws = ScalarDraws(rng)
-    pulls = [0] * n
-    sums = [0.0] * n
-    pull = _puller(env, draws, pulls, sums)
-    ucbs = [_cached_upper(ucb_table, scheme, pull(i)) for i in range(n)]
+    sample, upper = environments.sample, upper_bound
+    pulls, sums, ucbs = _first_pulls(env, draws, scheme, table)
+    means = [s / p for s, p in zip(sums, pulls)]
     stale = None  # the arm whose entry in ucbs predates its last pull
     total = n
     while True:
-        means = [s / p for s, p in zip(sums, pulls)]
         top = _argmax_random_tie(means, draws)
         if stale is not None and stale != top:
-            ucbs[stale] = _cached_upper(ucb_table, scheme, (pulls[stale], sums[stale]))
+            key = (pulls[stale], sums[stale])
+            ucb = table.get(key)
+            if ucb is None:
+                ucb = table[key] = upper(scheme, *key)
+            ucbs[stale] = ucb
             stale = None
-        rivals = ucbs.copy()
-        rivals[top] = -math.inf
-        challenger = max(range(n), key=rivals.__getitem__)  # first index on ties
-        level = rivals[challenger]
+        held = ucbs[top]
+        ucbs[top] = -math.inf
+        level = max(ucbs)
+        challenger = ucbs.index(level)  # first index on ties
+        ucbs[top] = held
         key = (pulls[top], sums[top])
         if (level < means[top] and lower_bound_may_exceed(leader_scheme, *key, level)
                 and lower_bound(leader_scheme, *key) > level):
@@ -207,9 +162,19 @@ def lil_klucb(
         if budget is not None and total + 2 > budget:
             stopped = False
             break
-        pull(top)
+        for arm in (top, challenger):
+            reward = sample(env, arm, draws)
+            if not 0.0 <= reward <= 1.0:
+                raise _reward_error(reward)
+            pulls[arm] += 1
+            sums[arm] += reward
+            means[arm] = sums[arm] / pulls[arm]
         stale = top
-        ucbs[challenger] = _cached_upper(ucb_table, scheme, pull(challenger))
+        key = (pulls[challenger], sums[challenger])
+        ucb = table.get(key)
+        if ucb is None:
+            ucb = table[key] = upper(scheme, *key)
+        ucbs[challenger] = ucb
         total += 2
     return RunRecord(
         recommended=top,
@@ -265,17 +230,46 @@ def ucb_race(
     n = env.n_arms
     _check_race(n, budget, snapshot_every, k)
     cache = {} if bound_cache is None else bound_cache
-    ucb_table = cache.setdefault(scheme, {})
+    table = cache.setdefault(scheme, {})
     draws = ScalarDraws(rng)
-    pulls = [0] * n
-    sums = [0.0] * n
-    pull = _puller(env, draws, pulls, sums)
-    best = _IncrementalMax([_cached_upper(ucb_table, scheme, pull(i)) for i in range(n)])
+    sample, upper, integers = environments.sample, upper_bound, draws.integers
+    pulls, sums, ucbs = _first_pulls(env, draws, scheme, table)
+    # The running maximum: each upper bound some arm holds maps to the
+    # ascending list of its holders, and the heap holds exactly those
+    # values, negated.  Only the pulled arm moves, and it holds the top
+    # value, so a value that loses its last holder is the heap's top.
+    holders: dict[float, list[int]] = {}
+    for arm, ucb in enumerate(ucbs):
+        holders.setdefault(ucb, []).append(arm)
+    heap = [-ucb for ucb in holders]
+    heapify(heap)
     total = n
     snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
     while total < budget:
-        arm = best.pick(draws)
-        best.move(arm, _cached_upper(ucb_table, scheme, pull(arm)))
+        top = -heap[0]
+        ties = holders[top]
+        arm = ties[0] if len(ties) == 1 else ties[integers(len(ties))]
+        reward = sample(env, arm, draws)
+        if not 0.0 <= reward <= 1.0:
+            raise _reward_error(reward)
+        pulls[arm] += 1
+        sums[arm] += reward
+        key = (pulls[arm], sums[arm])
+        ucb = table.get(key)
+        if ucb is None:
+            ucb = table[key] = upper(scheme, *key)
+        if ucb != top:
+            if len(ties) > 1:
+                ties.remove(arm)
+            else:
+                del holders[top]
+                heappop(heap)
+            others = holders.get(ucb)
+            if others is None:
+                holders[ucb] = [arm]
+                heappush(heap, -ucb)
+            else:
+                insort(others, arm)
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))

@@ -135,9 +135,10 @@ class Environment:
 
 def sample(env: Environment, arm: int, rng: np.random.Generator | ScalarDraws) -> float:
     """Draw one reward from the given arm; ``rng`` may be either kind of source."""
-    if not 0 <= arm < env.n_arms:
-        raise IndexError(f"arm index {arm} out of range for {env.n_arms} arms")
-    return env.arms[arm].draw(rng)
+    arms = env.arms
+    if not 0 <= arm < len(arms):
+        raise IndexError(f"arm index {arm} out of range for {len(arms)} arms")
+    return arms[arm].draw(rng)
 
 
 def parametric_means(n: int, alpha: float) -> tuple[float, ...]:

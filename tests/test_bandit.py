@@ -1,6 +1,5 @@
 """Tests for the identification engine, the UCB race, and the complexity evaluator."""
 
-import copy
 import math
 import re
 from functools import partial
@@ -16,7 +15,6 @@ from lilklucb.bandit import (
     RunRecord,
     _argmax_random_tie,
     _first_crossing,
-    _IncrementalMax,
     hardness_sums,
     lil_klucb,
     predicted_complexity,
@@ -76,31 +74,6 @@ class TestTopIndex:
         picks = [top_index(stats, rng) for _ in range(10_000)]
         freq = sum(picks) / len(picks)
         assert abs(freq - 0.5) <= 0.02
-
-
-# A few values, 1.0 (the saturated upper bound) among them, so ties are common.
-TIE_VALUES = st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0])
-
-
-class TestIncrementalMax:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        initial=st.lists(TIE_VALUES, min_size=1, max_size=12),
-        updates=st.lists(st.tuples(st.integers(0, 11), TIE_VALUES), max_size=60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_pick_matches_argmax_random_tie(self, initial, updates, seed):
-        values = list(initial)
-        best = _IncrementalMax(values)
-        rng = np.random.default_rng(seed)
-        for arm, value in [(None, None)] + updates:
-            if arm is not None:
-                arm %= len(values)
-                values[arm] = value
-                best.move(arm, value)
-            reference = copy.deepcopy(rng)
-            assert best.pick(rng) == _argmax_random_tie(np.array(values), reference)
-            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestLilKlucb:
@@ -392,15 +365,19 @@ def _generator_ucb_race(env, scheme, budget, snapshot_every, k, rng):
     return RunRecord(recommended, total, tuple(pulls), False, tuple(snapshots)), ties
 
 
+SCHEMES = ("kl", "kl-prime", "sg1", "sg2")
+
+
 class TestRaceDraws:
-    def _assert_matches_generator_draws(self, env, kinds, budget, seeds):
+    def _assert_matches_generator_draws(self, env, kinds, budget, seeds, snapshot_every=50, k=5):
         picks = ties = 0
         for kind in kinds:
             scheme = BoundScheme(kind, 8, 0.05)
             for seed in seeds:
                 rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                record = ucb_race(env, scheme, budget, 50, 5, rng)
-                expected, tied = _generator_ucb_race(env, scheme, budget, 50, 5, reference_rng)
+                record = ucb_race(env, scheme, budget, snapshot_every, k, rng)
+                expected, tied = _generator_ucb_race(
+                    env, scheme, budget, snapshot_every, k, reference_rng)
                 assert record == expected, (kind, seed)
                 assert rng.bit_generator.state == reference_rng.bit_generator.state
                 picks += budget - env.n_arms
@@ -410,8 +387,25 @@ class TestRaceDraws:
     def test_many_ties_match_the_generator(self):
         # most picks break a tie: every sg1 bound of a high arm is clamped at 1
         env = bernoulli_environment(parametric_means(50, 1.0))
-        picks, ties = self._assert_matches_generator_draws(env, ("kl", "sg1"), 1000, range(10))
+        picks, ties = self._assert_matches_generator_draws(env, SCHEMES, 1000, range(10))
         assert ties > picks / 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        means=st.lists(st.sampled_from([1.0, 0.9, 0.75, 0.5, 0.25, 0.0]), min_size=2, max_size=8)
+        .map(lambda means: sorted(means, reverse=True))
+        .filter(lambda means: means[0] > means[1]),
+        extra=st.integers(0, 80),
+        snapshot_every=st.integers(1, 20),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tie_heavy_instances_match_the_generator(self, means, extra, snapshot_every, k, seed):
+        # few distinct means and bounds clamped at 1 make most picks ties,
+        # and every tie set changes as the picked arm leaves it
+        self._assert_matches_generator_draws(
+            bernoulli_environment(means), SCHEMES, len(means) + extra, [seed],
+            snapshot_every, min(k, len(means)))
 
     def test_bootstrap_arms_match_the_generator(self):
         # pools of 1 (no draw), 6, 57 and 200 ratings

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from lilklucb import bandit, cli, confidence, environments
+from lilklucb.data_ingest import read_output
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -75,3 +76,20 @@ def test_traced_commands_reach_the_loops(tmp_path):
     rates = [i for i, span in enumerate(spans) if span[0] == "cli.coverage_rates"]
     assert len(rates) == 1
     assert [span[0] for span in spans if span[3] == rates[0]] == ["confidence.coverage_envelope"]
+
+
+def test_traced_loops_draw_through_the_wrapped_sampler(tmp_path):
+    # every pull of either loop must reach environments.sample through the
+    # module attribute the tracer wraps, and every bound miss upper_bound
+    names = [span[0] for span in _traced_run(
+        ["simulate", "--n", "10", "--alpha", "1", "--budget", "200", "--reps", "3",
+         "--scheme", "kl,sg1", "--output", str(tmp_path / "s.csv")])]
+    assert names.count("environments.sample") == 2 * 3 * 200
+    assert 0 < names.count("confidence.upper_bound") <= 2 * 3 * 200
+    output = tmp_path / "i.csv"
+    names = [span[0] for span in _traced_run(
+        ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "3",
+         "--output", str(output)])]
+    metadata = read_output(output).metadata
+    pulls = round(metadata["mean_total_samples"] * metadata["repetitions"])
+    assert names.count("environments.sample") == pulls
