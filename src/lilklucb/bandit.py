@@ -24,6 +24,7 @@ from .confidence import (
     lower_bound,
     lower_bound_may_exceed,
     upper_bound,
+    upper_bound_side,
 )
 from .environments import Environment, ScalarDraws, gap_family
 from .kl_math import chernoff_information
@@ -112,12 +113,18 @@ def lil_klucb(
     (lowest index on ties).  Stops with ``stopped=False`` once another round
     would exceed ``budget``.
 
-    A round evaluates only the bounds it reads: the leader's upper bound
-    once another arm leads, its lower bound (never above its mean) only if
-    every rival's upper bound is below that mean and
-    ``lower_bound_may_exceed`` does not rule out a stop with one divergence
-    evaluation.  Bounds are pure in their key and the certificate is sound,
-    so record and generator state equal those of evaluating them all.
+    A round evaluates only the bounds a decision needs.  An arm's upper
+    bound goes stale when it is pulled.  Each round, every stale rival but
+    the newest table miss s gets its bound, and ``upper_bound_side``
+    places s against u2, the highest bound of the other rivals: below it,
+    u2's first holder is the challenger; above it, s is, and s is inverted
+    only if a stop is still possible (u2 below the leader's mean and
+    ``lower_bound_may_exceed`` at u2); if the certificate cannot tell, s
+    is inverted.  The leader's lower bound (never above its mean) is
+    inverted only if every rival's upper bound is below that mean and
+    ``lower_bound_may_exceed`` does not rule out a stop.  Bounds are pure
+    in their key and both certificates are sound, so record and generator
+    state equal those of evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
     holds one upper-bound table per scheme, keyed by (pulls, reward_sum).
@@ -135,27 +142,41 @@ def lil_klucb(
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
     draws = ScalarDraws(rng)
-    sample, upper = environments.sample, upper_bound
+    sample, upper, may_exceed = environments.sample, upper_bound, lower_bound_may_exceed
     pulls, sums, ucbs = _first_pulls(env, draws, scheme, table)
     means = [s / p for s, p in zip(sums, pulls)]
-    stale = None  # the arm whose entry in ucbs predates its last pull
+    stale = []  # arms whose bound predates their last pull, newest last; their ucbs entry is -inf
     total = n
     while True:
         top = _argmax_random_tie(means, draws)
-        if stale is not None and stale != top:
-            key = (pulls[stale], sums[stale])
-            ucb = table.get(key)
-            if ucb is None:
-                ucb = table[key] = upper(scheme, *key)
-            ucbs[stale] = ucb
-            stale = None
+        s = None  # the newest stale rival without a table entry
+        for arm in reversed(stale):
+            if arm != top:
+                key = (pulls[arm], sums[arm])
+                ucb = table.get(key)
+                if ucb is None:
+                    if s is None:
+                        s = arm
+                        continue
+                    ucb = table[key] = upper(scheme, *key)
+                ucbs[arm] = ucb
         held = ucbs[top]
         ucbs[top] = -math.inf
-        level = max(ucbs)
+        level = max(ucbs)  # over the rivals with a bound
         challenger = ucbs.index(level)  # first index on ties
-        ucbs[top] = held
         key = (pulls[top], sums[top])
-        if (level < means[top] and lower_bound_may_exceed(leader_scheme, *key, level)
+        if s is not None:
+            side = upper_bound_side(scheme, pulls[s], sums[s], level)
+            if side > 0 and (level >= means[top] or not may_exceed(leader_scheme, *key, level)):
+                challenger, level = s, math.inf  # s leads the rivals; no stop
+            elif side >= 0:
+                s_key = (pulls[s], sums[s])
+                ucbs[s] = table[s_key] = upper(scheme, *s_key)
+                s = None
+                level = max(ucbs)
+                challenger = ucbs.index(level)
+        ucbs[top] = held
+        if (level < means[top] and may_exceed(leader_scheme, *key, level)
                 and lower_bound(leader_scheme, *key) > level):
             stopped = True
             break
@@ -169,12 +190,8 @@ def lil_klucb(
             pulls[arm] += 1
             sums[arm] += reward
             means[arm] = sums[arm] / pulls[arm]
-        stale = top
-        key = (pulls[challenger], sums[challenger])
-        ucb = table.get(key)
-        if ucb is None:
-            ucb = table[key] = upper(scheme, *key)
-        ucbs[challenger] = ucb
+            ucbs[arm] = -math.inf
+        stale = [top, challenger] if s is None or s == challenger else [top, s, challenger]
         total += 2
     return RunRecord(
         recommended=top,

@@ -257,6 +257,51 @@ class TestLazyBounds:
             assert record == expected, seed
         assert len(calls) <= 2 * len(seeds)
 
+    def test_rival_upper_bounds_are_inverted_only_where_a_decision_needs_them(self, monkeypatch):
+        # criterion 2's instance: the eager loop inverts the challenger's
+        # upper bound after nearly every pull (4917 calls over these seeds)
+        calls = []
+
+        def counted(scheme, pulls, reward_sum):
+            calls.append(pulls)
+            return upper_bound(scheme, pulls, reward_sum)
+
+        monkeypatch.setattr(bandit, "upper_bound", counted)
+        env = bernoulli_environment((0.8, 0.6, 0.4, 0.2))
+        scheme = BoundScheme("kl", 8, 0.05)
+        shared = {}
+        for seed in range(12):
+            lil_klucb(env, scheme, None, np.random.default_rng(seed), bound_cache=shared)
+        assert len(calls) <= 1500
+
+    def test_matches_the_eager_loop_on_tied_instances(self):
+        # 2-6 arms from a few means, so rivals often tie in mean and bound;
+        # each instance runs every scheme at a budget that usually stops it
+        # by confidence and one that stops it first, over seeds sharing a cache
+        stops = []
+
+        @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+        @given(means=st.lists(st.sampled_from((1.0, 0.9, 0.75, 0.6, 0.5, 0.4, 0.25, 0.0)),
+                              min_size=2, max_size=6)
+               .map(lambda m: sorted(m, reverse=True)).filter(lambda m: m[0] > m[1]))
+        def check(means):
+            env = bernoulli_environment(means)
+            for kind in ("kl", "kl-prime", "sg1", "sg2"):
+                scheme = BoundScheme(kind, 8, 0.05)
+                shared, reference_cache = {}, {}
+                for seed, budget in ((0, 40), (1, 600), (2, 600)):
+                    rng = np.random.default_rng(seed)
+                    reference_rng = np.random.default_rng(seed)
+                    record = lil_klucb(env, scheme, budget, rng, bound_cache=shared)
+                    expected = _eager_lil_klucb(
+                        env, scheme, budget, reference_rng, reference_cache)
+                    assert record == expected, (means, kind, seed)
+                    assert rng.bit_generator.state == reference_rng.bit_generator.state
+                    stops.append(record.stopped)
+
+        check()
+        assert stops.count(False) >= 20 and stops.count(True) >= 20
+
 
 class _FixedArm:
     """An arm whose every draw is ``reward``, whatever mean it declares."""

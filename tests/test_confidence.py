@@ -30,6 +30,7 @@ from lilklucb.confidence import (
     threshold,
     untilt_factor,
     upper_bound,
+    upper_bound_side,
 )
 from lilklucb.environments import bernoulli_environment
 from lilklucb.kl_math import bernoulli_kl, kl_lower_inverse, kl_upper_inverse
@@ -427,6 +428,22 @@ class TestBounds:
         for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
             with pytest.raises(ValueError):
                 lower_bound_may_exceed(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5)
+
+    def test_upper_bound_side_rejects_unsampled_arm(self):
+        for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
+            with pytest.raises(ValueError):
+                upper_bound_side(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5)
+
+    def test_lower_bound_certificate_distrusts_tiny_budgets(self):
+        # a budget of 4.3e-10, where _kl's rounding noise exceeds its change
+        # over one tolerance: the divergence a tolerance below this level
+        # reads within the budget, yet the lower bound lies above the level
+        scheme = BoundScheme(KL_TILTED, 8, 0.05)
+        key = (22925133017, 17005565399.0)
+        level = 0.7417725669981757
+        assert threshold(scheme, key[0]) < 1e-9
+        assert lower_bound(scheme, *key) > level
+        assert lower_bound_may_exceed(scheme, *key, level)
 
     def test_kl_prime_composes_documented_primitives(self):
         scheme = BoundScheme(KL_PRIME, 8, 0.01)

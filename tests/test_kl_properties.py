@@ -151,3 +151,52 @@ def test_lower_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where,
 def test_sub_gaussian_lower_bounds_are_never_certified(kind, pulls, share, level):
     scheme = confidence.BoundScheme(kind, 8, 0.05)
     assert confidence.lower_bound_may_exceed(scheme, pulls, float(round(share * pulls)), level)
+
+
+@PROPERTY
+@given(
+    kind_tilt=st.sampled_from([("kl", t) for t in (1, 8, 64, 1024)]
+                              + [("kl-prime", t) for t in (4, 8, 64)]),
+    delta=st.sampled_from([0.001, 0.05, 0.5]),
+    pulls=st.one_of(st.integers(1, 10**6), st.integers(10**6, 10**12)),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
+    where=st.one_of(st.just("uniform"), st.just("ulp below"), st.just("ulp above"),
+                    st.sampled_from([j / 2.0 for j in range(-6, 7)])),
+    u=UNIT,
+)
+def test_upper_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where, u):
+    # lil_klucb picks the challenger, and rules out a stop, from the side
+    # the certificate gives.  Points: uniform in [0, 1], one float either
+    # side of the bound, or within three tolerances of it in half-tolerance
+    # steps.  Pulls reach 1e12, where the budget falls below the floor.
+    kind, tilt = kind_tilt
+    reward_sum = float(round(share * pulls))
+    scheme = confidence.BoundScheme(kind, tilt, delta)
+    bound = confidence.upper_bound(scheme, pulls, reward_sum)
+    if where == "uniform":
+        x = u
+    elif where == "ulp below":
+        x = math.nextafter(bound, -math.inf)
+    elif where == "ulp above":
+        x = math.nextafter(bound, math.inf)
+    else:
+        x = bound + where * NEWTON_TOL
+    side = confidence.upper_bound_side(scheme, pulls, reward_sum, x)
+    if side > 0:
+        assert bound > x
+    elif side < 0:
+        assert bound < x
+    elif confidence.threshold(scheme, pulls) >= confidence._CERTIFICATE_FLOOR:
+        assert abs(bound - x) <= 2 * NEWTON_TOL
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from([confidence.SG1, confidence.SG2]),
+    pulls=st.integers(1, 10**6),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
+    x=UNIT,
+)
+def test_sub_gaussian_upper_bounds_are_never_certified(kind, pulls, share, x):
+    scheme = confidence.BoundScheme(kind, 8, 0.05)
+    assert confidence.upper_bound_side(scheme, pulls, float(round(share * pulls)), x) == 0
