@@ -326,6 +326,15 @@ class ComplexityBound:
             raise ValueError("total must equal the sum of its terms")
 
 
+class UnresolvedSeparation(ValueError):
+    """A crossing target that is not positive: no threshold falls below it.
+
+    A Chernoff separation rounds to zero or below when the top two means
+    are closer than ``chernoff_information`` resolves (at 0.5, a gap of
+    5e-9 or less), so the instance, not the program, is at fault.
+    """
+
+
 def _first_crossing(scheme: BoundScheme, target: float) -> int:
     """Smallest t with threshold(scheme, t) < target; the schedule decreases for t >= 2.
 
@@ -333,8 +342,13 @@ def _first_crossing(scheme: BoundScheme, target: float) -> int:
     which the schedule is finite (2.0 * t overflows at 2^1023), finds the
     first power of two below the target; the bisection down from it reads
     the schedule one t at a time.  The scheme's threshold table is neither
-    read nor grown.
+    read nor grown.  A target that is not positive raises
+    ``UnresolvedSeparation``.
     """
+    if target <= 0.0:
+        raise UnresolvedSeparation(
+            f"threshold schedule never falls below {target!r}: the top two means "
+            "are too close for their Chernoff separation to stay positive")
     below = np.flatnonzero(_schedule(scheme, np.ldexp(1.0, np.arange(1023))) < target)
     if not below.size:
         raise ValueError(f"threshold schedule never falls below {target!r}")
@@ -367,8 +381,8 @@ def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
 
     Returns the means as floats and the ``kl`` schemes of the crossing
     schedules: delta^2 for the suboptimal arms, delta/(n-1) for the best.
-    Below delta of about 1.6e-162, delta^2 underflows to 0, which
-    ``BoundScheme`` rejects.
+    Below delta of about 1.6e-162, delta^2 underflows to 0; the error names
+    the delta given.
     """
     mus = tuple(float(m) for m in mus)
     if len(mus) < 2:
@@ -380,6 +394,8 @@ def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     _check_delta(delta)
+    if delta * delta == 0.0:
+        raise ValueError(f"delta^2 rounds to 0 below delta of about 1.6e-162, got {delta!r}")
     return (mus, BoundScheme(KL_TILTED, tilt, delta * delta),
             BoundScheme(KL_TILTED, tilt, delta / (len(mus) - 1)))
 

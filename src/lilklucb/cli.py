@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
-from .bandit import GRID_POINTS, lil_klucb, predicted_complexity, ucb_race
+from .bandit import GRID_POINTS, UnresolvedSeparation, lil_klucb, predicted_complexity, ucb_race
 from .confidence import BoundScheme, _check_coverage, coverage_envelope, integer_exit_curves
 from .data_ingest import ExperimentOutput, _check_format, parse_contest_csv, write_output
 from .environments import bernoulli_environment, from_contest, gap_family, parametric_means
@@ -207,12 +207,17 @@ def build_config(argv=None) -> RunConfig:
 
 
 @contextmanager
-def _flags(names: str):
-    """Report a library rule's ValueError as a ConfigError naming the flags it read."""
+def _flags(names: str, error: type[ValueError] = ValueError):
+    """Report a library rule's ``error`` as a ConfigError naming the flags it read."""
     try:
         yield
-    except ValueError as exc:
+    except error as exc:
         raise ConfigError(f"{names}: {exc}") from None
+
+
+def _instance_flags(config: RunConfig) -> str:
+    """The flags that set a simulate or identify instance."""
+    return "means" if config.means is not None else "--n, --alpha"
 
 
 def validate_config(config: RunConfig) -> None:
@@ -249,7 +254,7 @@ def validate_config(config: RunConfig) -> None:
     if cmd in ("simulate", "identify"):
         if len(config.n_values) != 1 or len(config.alpha_values) != 1:
             raise ConfigError(f"{cmd} takes a single --n and --alpha")
-        instance = "means" if config.means is not None else "--n, --alpha"
+        instance = _instance_flags(config)
         with _flags(instance):
             env = _config_environment(config)
         if cmd == "simulate":
@@ -376,7 +381,9 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
     """Repeated adaptive identification; error rate, sample costs, predicted bound."""
     env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
-    predicted = predicted_complexity(env.true_means, config.delta, GRID_POINTS, config.tilt)
+    # a top gap below the divergence's rounding is known only once the witness is found
+    with _flags(_instance_flags(config), UnresolvedSeparation):
+        predicted = predicted_complexity(env.true_means, config.delta, GRID_POINTS, config.tilt)
     records = _repetitions(config, "lil_klucb", env, scheme, config.budget)
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)

@@ -158,6 +158,13 @@ class TestConfigHandling:
         assert main(argv) == 1
         assert list(tmp_path.iterdir()) == []  # rejected before any output
 
+    def test_delta_squared_underflow_names_the_given_delta(self):
+        argv = ["identify", "--n", "3", "--delta", "1e-200", "--output", "o.csv"]
+        with pytest.raises(ConfigError, match="--delta") as info:
+            build_config(argv)
+        assert "1e-200" in str(info.value)
+        assert "got 0.0" not in str(info.value)
+
     def test_kl_prime_low_tilt_rejected_before_any_run(self, tmp_path):
         argv = ["simulate", "--n", "50", "--budget", "400", "--reps", "20",
                 "--scheme", "kl,kl-prime", "--bound-n", "2",
@@ -173,6 +180,17 @@ class TestConfigHandling:
         for cmd in (["identify"], ["simulate", "--budget", "30"]):
             assert main(cmd + ["--config", str(cfg), "--reps", "2",
                                "--output", str(tmp_path / "o.csv")]) == 1
+
+    def test_near_tie_exits_1_naming_the_means(self, tmp_path, capsys):
+        # the Chernoff separation of the top two means rounds below zero, so no
+        # threshold crosses it; found only once the witness is placed
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": [0.5000000001, 0.5]}))
+        assert main(["identify", "--config", str(cfg), "--budget", "100", "--reps", "2",
+                     "--output", str(tmp_path / "o.csv")]) == 1
+        assert "configuration error: means: threshold schedule never falls below" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_malformed_contest_csv_exits_1(self, tmp_path):
         path = tmp_path / "contest_1.csv"
@@ -457,6 +475,56 @@ class TestIdentify:
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={"PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines() == ["[]", str(out), "0", "[]"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(code: str, cwd, **env) -> list[str]:
+    """Output lines of ``code`` in a fresh interpreter that sees only ``env``."""
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env={"PYTHONPATH": SRC, **env},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+# The BLAS variables each run below leaves, and the process's OS threads (None off Linux)
+_STARTUP_STATE = (
+    "import os, sys\n"
+    "print([(k, v) for k, v in sorted(os.environ.items()) if k.endswith('_NUM_THREADS')])\n"
+    "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None)\n"
+)
+
+
+class TestStartup:
+    """lilklucb loads numpy with one OpenBLAS thread unless told otherwise."""
+
+    def test_numpy_loads_on_one_blas_thread(self, tmp_path):
+        env_line, threads = _fresh("import lilklucb.cli\n" + _STARTUP_STATE, tmp_path)
+        assert env_line == "[]"  # the variable is gone again, so no child inherits it
+        if sys.platform == "linux":
+            assert threads == "1"
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_thread_count_wins(self, tmp_path, name):
+        lines = _fresh("import lilklucb.cli\n" + _STARTUP_STATE, tmp_path, **{name: "2"})
+        assert lines[0] == str([(name, "2")])
+        assert lines == _fresh("import numpy\n" + _STARTUP_STATE, tmp_path, **{name: "2"})
+
+    def test_numpy_imported_first_is_left_alone(self, tmp_path):
+        lines = _fresh("import numpy\nimport lilklucb.cli\n" + _STARTUP_STATE, tmp_path)
+        assert lines[0] == "[]"
+        assert lines == _fresh("import numpy\n" + _STARTUP_STATE, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--n", "8,16,32,64", "--alpha", "0.5,1"],  # polyfit: the one LAPACK call
+        ["coverage", "--t-max", "500", "--reps", "200"],
+    ])
+    def test_blas_thread_count_leaves_output_unchanged(self, tmp_path, argv):
+        code = f"from lilklucb.cli import main\nmain({argv + ['--output', 'o.csv']!r})\n"
+        _fresh(code, tmp_path)
+        single = (tmp_path / "o.csv").read_bytes()
+        _fresh(code, tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert (tmp_path / "o.csv").read_bytes() == single
 
 
 class TestTable1:

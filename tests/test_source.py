@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lilklucb"
 
@@ -28,17 +31,95 @@ def test_no_global_statements():
     assert _nodes(ast.Global, ast.Nonlocal) == []
 
 
-def test_no_environment_reads():
-    """Every input is a flag or a --config key: none comes from the environment."""
+# The variables that set OpenBLAS's thread count: ``__init__.py`` may test and
+# set these, and only these, when it loads numpy.
+BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
+def _environment_accesses(filename: str, source: str) -> list[str]:
+    """``filename:line`` of every environment access in ``source`` that is not allowed.
+
+    Outside ``__init__.py`` none is.  There, an ``os.environ`` subscript or
+    ``in`` test is allowed when its key can only be one of
+    BLAS_THREAD_VARIABLES: a literal, or a name bound once, to such literals
+    or to a loop over them.
+    """
     names = {"environ", "getenv", "putenv"}
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    stores, values = Counter(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] += 1
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            values[getattr(node.targets[0], "id", None)] = node.value
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            values[getattr(node.target, "id", None)] = node.iter
 
-    def reads_environment(node) -> bool:
-        if isinstance(node, ast.Attribute):
-            return (isinstance(node.value, ast.Name) and node.value.id == "os"
-                    and node.attr in names)
-        return node.module == "os" and any(alias.name in names for alias in node.names)
+    def strings(node) -> set | None:
+        if isinstance(node, ast.Constant):
+            return {node.value} if isinstance(node.value, str) else None
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            parts = [strings(elt) for elt in node.elts]
+            return None if None in parts else set().union(*parts)
+        if isinstance(node, ast.Name) and stores[node.id] == 1 and node.id in values:
+            return strings(values[node.id])
+        return None
 
-    assert _nodes(ast.Attribute, ast.ImportFrom, where=reads_environment) == []
+    def allowed(node) -> bool:
+        parent = parents[node]
+        if isinstance(parent, ast.Subscript) and parent.value is node:
+            key = parent.slice
+        elif (isinstance(parent, ast.Compare) and parent.comparators == [node]
+              and isinstance(parent.ops[0], (ast.In, ast.NotIn))):
+            key = parent.left
+        else:
+            return False
+        keys = strings(key)
+        return filename == "__init__.py" and keys is not None and keys <= BLAS_THREAD_VARIABLES
+
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os" and node.attr in names
+            and not (node.attr == "environ" and allowed(node)))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names))
+    ]
+
+
+def test_no_environment_reads():
+    """Every input is a flag or a --config key: none comes from the environment.
+
+    Numpy's thread count is not an input: ``__init__.py`` may test and set
+    the BLAS thread variables when it loads numpy.  Any other access, and any
+    access outside ``__init__.py``, fails.
+    """
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [access for path in paths
+             for access in _environment_accesses(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("filename, source, allowed", [
+    ("__init__.py", "os.environ['OMP_NUM_THREADS'] = '1'", True),
+    ("__init__.py", "del os.environ['OPENBLAS_NUM_THREADS']", True),
+    ("__init__.py", "v = ('GOTO_NUM_THREADS', 'OMP_NUM_THREADS')\n"
+                    "any(n in os.environ for n in v)", True),
+    ("cli.py", "os.environ['OMP_NUM_THREADS'] = '1'", False),
+    ("cli.py", "'OMP_NUM_THREADS' in os.environ", False),
+    ("__init__.py", "os.environ['LILKLUCB_SEED']", False),
+    ("__init__.py", "os.environ.get('OMP_NUM_THREADS')", False),
+    ("__init__.py", "os.getenv('OMP_NUM_THREADS')", False),
+    ("__init__.py", "from os import environ", False),
+    ("__init__.py", "any(n in os.environ for n in ('OMP_NUM_THREADS', 'HOME'))", False),
+    ("__init__.py", "k = 'OMP_NUM_THREADS'\nk = 'HOME'\nos.environ[k]", False),
+    ("__init__.py", "def f(k):\n    return k in os.environ", False),
+])
+def test_environment_check_allows_only_blas_thread_variables(filename, source, allowed):
+    assert (_environment_accesses(filename, source) == []) is allowed
 
 
 def test_no_fromiter_calls():
