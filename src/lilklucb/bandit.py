@@ -327,11 +327,13 @@ class ComplexityBound:
 
 
 class UnresolvedSeparation(ValueError):
-    """A crossing target that is not positive: no threshold falls below it.
+    """A crossing target that no threshold up to 2^1022 samples falls below.
 
     A Chernoff separation rounds to zero or below when the top two means
     are closer than ``chernoff_information`` resolves (at 0.5, a gap of
-    5e-9 or less), so the instance, not the program, is at fault.
+    5e-9 or less), and a positive one can sit below the schedule's floor
+    (about 1e-306, as for means 1e-310 and 0); either way the instance, not
+    the program, is at fault.
     """
 
 
@@ -342,16 +344,15 @@ def _first_crossing(scheme: BoundScheme, target: float) -> int:
     which the schedule is finite (2.0 * t overflows at 2^1023), finds the
     first power of two below the target; the bisection down from it reads
     the schedule one t at a time.  The scheme's threshold table is neither
-    read nor grown.  A target that is not positive raises
+    read nor grown.  A target that no power of two crosses, including every
+    target that is not positive (the schedule is clamped at 0), raises
     ``UnresolvedSeparation``.
     """
-    if target <= 0.0:
-        raise UnresolvedSeparation(
-            f"threshold schedule never falls below {target!r}: the top two means "
-            "are too close for their Chernoff separation to stay positive")
     below = np.flatnonzero(_schedule(scheme, np.ldexp(1.0, np.arange(1023))) < target)
     if not below.size:
-        raise ValueError(f"threshold schedule never falls below {target!r}")
+        raise UnresolvedSeparation(
+            f"threshold schedule never falls below {target!r} within 2^1022 samples: "
+            "the top two means are too close to separate")
     hi = 1 << int(below[0])
     lo = hi // 2  # at 0 when hi = 1; otherwise the schedule at lo is >= target
     while hi - lo > 1:

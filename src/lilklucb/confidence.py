@@ -28,10 +28,8 @@ import numpy as np
 
 from .kl_math import (
     NEWTON_TOL,
-    _bracketed_newton,
     _bracketed_newton_array,
     _check_tilt,
-    _expansion_root,
     _kl,
     as_prob,
     kl_lower_inverse,
@@ -234,39 +232,17 @@ def sg_radius(scheme: BoundScheme, t: int) -> float:
 _FIRST_ARG_TOL = 1e-13
 
 
-def _first_arg_inverse(mu: float, bound: float, edge: float, start: float | None = None) -> float:
-    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= bound.
+def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
+    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= b, for every b in ``bounds``.
 
     This inverts D in its first argument.  D(x, mu) is convex in x and 0 at
-    x = mu, so the feasible set is an interval.  ``start`` is the first
-    Newton point; by default it is the root of the expansion
-    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu).
-    A degenerate mu (0 or 1) is returned as is: D(x, mu) is infinite at
-    every other x.
-    """
-    if mu == 0.0 or mu == 1.0:
-        return mu
-    if _kl(edge, mu) <= bound:
-        return edge
-    if start is None:
-        start = _expansion_root(mu, bound, edge, 1.0, 1.0 / 6.0)
-    # slope of D(x, mu) in x; x / mu overflows to +inf for a subnormal mu,
-    # and the solver bisects on an infinite slope
-    return _bracketed_newton(
-        lambda x: (_kl(x, mu), math.log(x / mu) - math.log((1.0 - x) / (1.0 - mu))),
-        bound, mu, edge, start=start, tol=_FIRST_ARG_TOL)
-
-
-def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
-    """``_first_arg_inverse`` for every budget in ``bounds`` at once.
-
-    Same cases and rules, on NumPy arrays: a degenerate mu is returned as
-    is, a budget with D(edge, mu) within it gives ``edge``, and every other
-    budget is solved by ``_bracketed_newton_array`` from the root of the
-    expansion.  NumPy's vector log may differ from ``math.log`` in the last
-    bit, so an entry can differ from the scalar inverse by rounding; each
-    lies within _FIRST_ARG_TOL of where the array divergence crosses its
-    budget.
+    x = mu, so each feasible set is an interval.  A degenerate mu (0 or 1)
+    is returned as is, since D(x, mu) is infinite at every other x; a budget
+    with D(edge, mu) within it gives ``edge``.  Every other budget is solved
+    by ``_bracketed_newton_array`` from the root of the expansion
+    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu),
+    and lies within _FIRST_ARG_TOL of where the divergence, as computed
+    here with NumPy's logs, crosses its budget.
     """
     if mu == 0.0 or mu == 1.0:
         return np.full(bounds.shape, mu)
@@ -291,28 +267,6 @@ def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarra
 
     out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
     return out
-
-
-def deviation_envelope(scheme: BoundScheme, mu: float, t: int, side: str = "upper") -> float:
-    """The deviation budget z_t at sample size t around a known mean.
-
-    Solves D(mu + tilt/(tilt+1) * z, mu) = threshold(t) for z in (0, 1-mu]
-    (upper side; the lower side mirrors on (0, mu]) and returns the boundary
-    value when the threshold exceeds every achievable divergence.
-    Only defined for the ``kl`` scheme.
-    """
-    if scheme.kind != KL_TILTED:
-        raise ValueError("deviation_envelope is defined for the 'kl' scheme only")
-    mu = as_prob(mu, "mu")
-    thr = threshold(scheme, t)
-    weight = scheme.tilt / (scheme.tilt + 1.0)
-    if side == "upper":
-        reach = _first_arg_inverse(mu, thr, 1.0)
-        return min(1.0 - mu, (reach - mu) / weight)
-    if side == "lower":
-        reach = _first_arg_inverse(mu, thr, 0.0)
-        return min(mu, (mu - reach) / weight)
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
 def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:

@@ -59,15 +59,6 @@ def _kl(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def bernoulli_kl(p: float, q: float) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q).
-
-    Returns +inf exactly when (q == 0 and p > 0) or (q == 1 and p < 1);
-    D(0, 0) = D(1, 1) = 0.
-    """
-    return _kl(as_prob(p, "p"), as_prob(q, "q"))
-
-
 def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
                       start: float, tol: float = NEWTON_TOL) -> float:
     """Feasible point within ``tol`` of the root of f(x) = bound between two ends.

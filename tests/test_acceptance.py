@@ -11,10 +11,10 @@ import pytest
 
 from lilklucb.bandit import hardness_sums, lil_klucb, ucb_race
 from lilklucb.cli import coverage_rates, derive_seed, main
-from lilklucb.confidence import BoundScheme, deviation_envelope, untilt_factor
+from lilklucb.confidence import BoundScheme, coverage_envelope, untilt_factor
 from lilklucb.environments import bernoulli_environment, parametric_means
 from lilklucb.kl_math import (
-    bernoulli_kl,
+    _kl,
     chernoff_information,
     kl_lower_inverse,
     kl_upper_inverse,
@@ -147,16 +147,18 @@ def test_criterion_5_inequality_suites():
         w = tilt / (tilt + 1.0)
         for mu in grid:
             for x in np.linspace(1e-6, 1.0 - mu, 25):
-                if bernoulli_kl(mu + x, mu) > c * bernoulli_kl(mu + w * x, mu) + 1e-10:
+                if _kl(mu + x, mu) > c * _kl(mu + w * x, mu) + 1e-10:
                     ineq_bad += 1
 
     scaled_dev_bad = 0
     for mu in (0.2, 0.5, 0.8):
         for delta in (0.01, 0.05):
             scheme = BoundScheme("kl", 8, delta)
+            # the upper deviation budget z_t, read from the kl exit curve
+            z = np.minimum(1.0 - mu, coverage_envelope(scheme, mu, 5000)[1] - mu)
             prev = 0.0
             for t in range(1, 5001):
-                tz = t * deviation_envelope(scheme, mu, t, "upper")
+                tz = t * z[t - 1]
                 if tz < prev - 1e-12:
                     scaled_dev_bad += 1
                 prev = tz
@@ -180,20 +182,20 @@ def test_criterion_6_inverse_solver_oracle():
         p = float(rng.uniform(0.01, 0.99))
         # budgets capped away from the saturation region where the divergence
         # slope blows up and no solver can pin the budget to 1e-9
-        b = float(rng.uniform(1e-6, 0.95 * bernoulli_kl(p, 0.995)))
+        b = float(rng.uniform(1e-6, 0.95 * _kl(p, 0.995)))
         m = kl_upper_inverse(p, b)
-        worst = max(worst, abs(bernoulli_kl(p, m) - b))
-        b = float(rng.uniform(1e-6, 0.95 * bernoulli_kl(p, 0.005)))
+        worst = max(worst, abs(_kl(p, m) - b))
+        b = float(rng.uniform(1e-6, 0.95 * _kl(p, 0.005)))
         m = kl_lower_inverse(p, b)
-        worst = max(worst, abs(bernoulli_kl(p, m) - b))
-        cap = bernoulli_kl((8 * p + 0.995) / 9.0, 0.995)
+        worst = max(worst, abs(_kl(p, m) - b))
+        cap = _kl((8 * p + 0.995) / 9.0, 0.995)
         b = float(rng.uniform(1e-6, 0.95 * cap))
         m = tilted_kl_upper_inverse(p, b, 8)
-        worst = max(worst, abs(bernoulli_kl((8 * p + m) / 9.0, m) - b))
-        cap = bernoulli_kl((8 * p + 0.005) / 9.0, 0.005)
+        worst = max(worst, abs(_kl((8 * p + m) / 9.0, m) - b))
+        cap = _kl((8 * p + 0.005) / 9.0, 0.005)
         b = float(rng.uniform(1e-6, 0.95 * cap))
         m = tilted_kl_lower_inverse(p, b, 8)
-        worst = max(worst, abs(bernoulli_kl((8 * p + m) / 9.0, m) - b))
+        worst = max(worst, abs(_kl((8 * p + m) / 9.0, m) - b))
     ok = worst <= 1e-9
     _report("criterion 6 inverse-solver oracle", ok, f"worst roundtrip error {worst:.2e}")
     assert ok

@@ -13,6 +13,7 @@ from lilklucb import bandit
 from lilklucb.bandit import (
     ComplexityBound,
     RunRecord,
+    UnresolvedSeparation,
     _argmax_random_tie,
     _first_crossing,
     hardness_sums,
@@ -529,7 +530,7 @@ class TestPredictedComplexity:
     @pytest.mark.parametrize("target", [0.0, 1e-310, -5.0e-21])
     def test_target_never_crossed_is_named(self, target):
         # threshold stays positive, and above 1e-310 up to 2^1022 samples
-        with pytest.raises(ValueError, match=re.escape(repr(target))):
+        with pytest.raises(UnresolvedSeparation, match=re.escape(repr(target))):
             _first_crossing(BoundScheme("kl", 8, 0.01), target)
 
     @pytest.mark.parametrize("kind", ["kl", "kl-prime"])

@@ -181,11 +181,15 @@ class TestConfigHandling:
             assert main(cmd + ["--config", str(cfg), "--reps", "2",
                                "--output", str(tmp_path / "o.csv")]) == 1
 
-    def test_near_tie_exits_1_naming_the_means(self, tmp_path, capsys):
-        # the Chernoff separation of the top two means rounds below zero, so no
-        # threshold crosses it; found only once the witness is placed
+    @pytest.mark.parametrize("means", [
+        [0.5000000001, 0.5],  # the Chernoff separation rounds below zero
+        [1e-310, 0.0],  # a positive separation below the schedule's floor
+    ], ids=["rounds-below-zero", "below-floor"])
+    def test_near_tie_exits_1_naming_the_means(self, tmp_path, capsys, means):
+        # no threshold crosses the separation of the top two means; found
+        # only once the witness is placed
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"means": [0.5000000001, 0.5]}))
+        cfg.write_text(json.dumps({"means": means}))
         assert main(["identify", "--config", str(cfg), "--budget", "100", "--reps", "2",
                      "--output", str(tmp_path / "o.csv")]) == 1
         assert "configuration error: means: threshold schedule never falls below" in (
@@ -471,18 +475,20 @@ class TestIdentify:
                 "print([name for name in names if name in sys.modules])\n"
                 f"print(main({argv!r}))\n"
                 "print([name for name in names if name in sys.modules])\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={"PYTHONPATH": src},
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines() == ["[]", str(out), "0", "[]"]
+        assert _fresh(code, tmp_path) == ["[]", str(out), "0", "[]"]
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _fresh(code: str, cwd, **env) -> list[str]:
-    """Output lines of ``code`` in a fresh interpreter that sees only ``env``."""
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env={"PYTHONPATH": SRC, **env},
+    """Output lines of ``code`` in a fresh interpreter that sees only ``env``.
+
+    The interpreter writes no bytecode, so no test leaves a ``__pycache__``
+    in the source tree.
+    """
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1", **env},
                           capture_output=True, text=True, check=True)
     return done.stdout.splitlines()
 
@@ -605,10 +611,7 @@ class TestCoverage:
                 "from lilklucb.cli import main\n"
                 f"print(main({argv!r}))\n"
                 "print('numpy.random' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={"PYTHONPATH": src},
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines() == [str(out), "0", "False"]
+        assert _fresh(code, tmp_path) == [str(out), "0", "False"]
 
     def test_rows_sorted_and_in_range(self, tmp_path):
         config = build_config(

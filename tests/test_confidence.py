@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from lilklucb.confidence import (
     _kappa_series,
     _schedule,
     coverage_envelope,
-    deviation_envelope,
     kappa,
     lower_bound,
     lower_bound_may_exceed,
@@ -33,21 +31,18 @@ from lilklucb.confidence import (
     upper_bound_side,
 )
 from lilklucb.environments import bernoulli_environment
-from lilklucb.kl_math import bernoulli_kl, kl_lower_inverse, kl_upper_inverse
+from lilklucb.kl_math import _kl, kl_lower_inverse, kl_upper_inverse
 
 
-@dataclass(frozen=True)
-class DeviationSequence:
-    """The per-t deviation budgets of a ``kl`` scheme around a fixed mean."""
+def _deviations(scheme: BoundScheme, mu: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation budgets z_t, t = 1..t_max, of a ``kl`` scheme around a known mean, per side.
 
-    scheme: BoundScheme
-    mu: float
-
-    def upper(self, t: int) -> float:
-        return deviation_envelope(self.scheme, self.mu, t, "upper")
-
-    def lower(self, t: int) -> float:
-        return deviation_envelope(self.scheme, self.mu, t, "lower")
+    z_t solves D(mu + tilt/(tilt+1) * z, mu) = threshold(t) (upper side;
+    the lower side mirrors), capped at the distance to the boundary: the
+    exit curves of ``coverage_envelope`` less mu.
+    """
+    low, high = coverage_envelope(scheme, mu, t_max)
+    return np.minimum(1.0 - mu, high - mu), np.minimum(mu, mu - low)
 
 
 def _stats(pulls: int, mean: float) -> tuple[int, float]:
@@ -344,53 +339,38 @@ class TestDeviationEnvelope:
         # sequence sits at its boundary
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
         for mu in (0.1, 0.5, 0.9):
-            assert deviation_envelope(scheme, mu, 1, "upper") == 1.0 - mu
-            assert deviation_envelope(scheme, mu, 1, "lower") == mu
+            upper, lower = _deviations(scheme, mu, 1)
+            assert upper[0] == 1.0 - mu
+            assert lower[0] == mu
 
     def test_decays_monotonically_once_solvable(self):
-        scheme = BoundScheme(KL_TILTED, 8, 0.01)
-        zs = [deviation_envelope(scheme, 0.5, t, "upper") for t in range(1, 5001)]
-        assert all(b <= a + 1e-12 for a, b in zip(zs, zs[1:]))
+        zs, _ = _deviations(BoundScheme(KL_TILTED, 8, 0.01), 0.5, 5000)
+        assert np.all(zs[1:] <= zs[:-1] + 1e-12)
         assert zs[-1] < 0.05
 
     def test_solves_the_defining_equation(self):
         scheme = BoundScheme(KL_TILTED, 8, 0.05)
         mu, t = 0.3, 400
-        z = deviation_envelope(scheme, mu, t, "upper")
+        z = _deviations(scheme, mu, t)[0][t - 1]
         assert 0.0 < z < 1.0 - mu
-        lhs = bernoulli_kl(mu + 8.0 / 9.0 * z, mu)
+        lhs = _kl(mu + 8.0 / 9.0 * z, mu)
         assert lhs == pytest.approx(threshold(scheme, t), abs=1e-9)
 
     def test_scaled_deviation_is_nondecreasing(self):
         # t * z_t never decreases, for every tested mean and both sides
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
+        t = np.arange(1, 20_001)
         for mu in np.round(np.arange(0.1, 0.91, 0.1), 2):
-            prev_u = prev_l = 0.0
-            for t in range(1, 20_001):
-                tz = t * deviation_envelope(scheme, mu, t, "upper")
-                assert tz >= prev_u - 1e-12, (mu, t)
-                prev_u = tz
-                tz = t * deviation_envelope(scheme, mu, t, "lower")
-                assert tz >= prev_l - 1e-12, (mu, t)
-                prev_l = tz
+            for side, z in zip(("upper", "lower"), _deviations(scheme, mu, t.size)):
+                tz = t * z
+                drops = np.flatnonzero(tz[1:] < tz[:-1] - 1e-12)
+                assert drops.size == 0, (mu, side, t[drops[:1] + 1])
 
     def test_scaled_deviation_long_horizon(self):
-        scheme = BoundScheme(KL_TILTED, 8, 0.01)
-        prev = 0.0
-        for t in range(1, 100_001):
-            tz = t * deviation_envelope(scheme, 0.3, t, "upper")
-            assert tz >= prev - 1e-12, t
-            prev = tz
-
-    def test_requires_tilted_scheme(self):
-        with pytest.raises(ValueError):
-            deviation_envelope(BoundScheme(SG1, 8, 0.01), 0.5, 10, "upper")
-
-    def test_sequence_wrapper(self):
-        scheme = BoundScheme(KL_TILTED, 8, 0.01)
-        seq = DeviationSequence(scheme, 0.4)
-        assert seq.upper(50) == deviation_envelope(scheme, 0.4, 50, "upper")
-        assert seq.lower(50) == deviation_envelope(scheme, 0.4, 50, "lower")
+        t = np.arange(1, 100_001)
+        tz = t * _deviations(BoundScheme(KL_TILTED, 8, 0.01), 0.3, t.size)[0]
+        drops = np.flatnonzero(tz[1:] < tz[:-1] - 1e-12)
+        assert drops.size == 0, t[drops[:1] + 1]
 
 
 class TestThresholdDomination:
@@ -401,8 +381,8 @@ class TestThresholdDomination:
             w = tilt / (tilt + 1.0)
             for mu in np.round(np.arange(0.01, 1.0, 0.01), 2):
                 for x in np.linspace(1e-6, 1.0 - mu, 25):
-                    lhs = bernoulli_kl(mu + x, mu)
-                    rhs = c * bernoulli_kl(mu + w * x, mu)
+                    lhs = _kl(mu + x, mu)
+                    rhs = c * _kl(mu + w * x, mu)
                     assert lhs <= rhs + 1e-10, (tilt, mu, x)
 
 

@@ -5,9 +5,10 @@ binomial CDF, arranges the steps of only the blocks that can cross an exit
 curve, takes every uniform from splitmix64 at its own counter, compares
 integer running sums with integer exit curves, and takes the kl envelopes
 from one array solve per side.  These tests pin each of those steps to the
-straightforward implementation kept below: the per-t scalar envelope loop,
-every block's count and steps drawn and joined, float exit curves, exact
-rational CDFs, and NumPy's own per-step Bernoulli sampler for the law.
+straightforward implementation kept below: the scalar first-argument
+inverse and the per-t envelope loop built on it, every block's count and
+steps drawn and joined, float exit curves, exact rational CDFs, and
+NumPy's own per-step Bernoulli sampler for the law.
 """
 
 import math
@@ -37,13 +38,13 @@ from lilklucb.confidence import (
     SG1,
     SG2,
     BoundScheme,
-    _first_arg_inverse,
     _first_arg_inverses,
     coverage_envelope,
     integer_exit_curves,
     sg_radius,
     threshold,
 )
+from lilklucb.kl_math import _bracketed_newton, _expansion_root, _kl
 
 MUS = (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.5 + 1e-7, 2.0 / 3.0, 0.7, 0.9, 0.999, 1.0)
 GAMMA = 0x9E3779B97F4A7C15
@@ -53,6 +54,29 @@ GAMMA = 0x9E3779B97F4A7C15
 # int8 to int16 sums
 T_MAXES = (1, 63, 64, 65, 126, 127, 600)
 RATE_MUS = (0.0, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0)
+
+
+def _first_arg_inverse(mu: float, bound: float, edge: float, start: float | None = None) -> float:
+    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= bound.
+
+    This inverts D in its first argument.  D(x, mu) is convex in x and 0 at
+    x = mu, so the feasible set is an interval.  ``start`` is the first
+    Newton point; by default it is the root of the expansion
+    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu).
+    A degenerate mu (0 or 1) is returned as is: D(x, mu) is infinite at
+    every other x.
+    """
+    if mu == 0.0 or mu == 1.0:
+        return mu
+    if _kl(edge, mu) <= bound:
+        return edge
+    if start is None:
+        start = _expansion_root(mu, bound, edge, 1.0, 1.0 / 6.0)
+    # slope of D(x, mu) in x; x / mu overflows to +inf for a subnormal mu,
+    # and the solver bisects on an infinite slope
+    return _bracketed_newton(
+        lambda x: (_kl(x, mu), math.log(x / mu) - math.log((1.0 - x) / (1.0 - mu))),
+        bound, mu, edge, start=start, tol=_FIRST_ARG_TOL)
 
 
 def _scalar_envelope(scheme, mu, t_max):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lilklucb.kl_math import (
+    _kl,
     as_divergence,
     as_prob,
-    bernoulli_kl,
     chernoff_crossing,
     chernoff_information,
     kl_lower_inverse,
@@ -65,30 +65,30 @@ class TestValidation:
 class TestBernoulliKl:
     def test_zero_on_diagonal(self):
         for p in PROB_GRID:
-            assert bernoulli_kl(p, p) == 0.0
+            assert _kl(p, p) == 0.0
 
     def test_max_deviation_is_log_inverse_mean(self):
         # D(1, mu) = ln(1/mu)
-        assert bernoulli_kl(1.0, 0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _kl(1.0, 0.5) == pytest.approx(math.log(2.0), abs=1e-15)
         for mu in (0.1, 0.25, 0.9):
-            assert bernoulli_kl(1.0, mu) == pytest.approx(-math.log(mu), abs=1e-14)
+            assert _kl(1.0, mu) == pytest.approx(-math.log(mu), abs=1e-14)
 
     def test_interior_value_against_high_precision_oracle(self):
-        assert bernoulli_kl(0.3, 0.7) == pytest.approx(KL_03_07, abs=1e-15)
+        assert _kl(0.3, 0.7) == pytest.approx(KL_03_07, abs=1e-15)
 
     def test_degenerate_conventions(self):
-        assert bernoulli_kl(0.0, 0.0) == 0.0
-        assert bernoulli_kl(1.0, 1.0) == 0.0
-        assert bernoulli_kl(0.5, 0.0) == math.inf
-        assert bernoulli_kl(0.5, 1.0) == math.inf
-        assert bernoulli_kl(0.0, 1.0) == math.inf
-        assert bernoulli_kl(1.0, 0.0) == math.inf
-        assert bernoulli_kl(0.0, 0.3) == pytest.approx(-math.log(0.7), abs=1e-15)
+        assert _kl(0.0, 0.0) == 0.0
+        assert _kl(1.0, 1.0) == 0.0
+        assert _kl(0.5, 0.0) == math.inf
+        assert _kl(0.5, 1.0) == math.inf
+        assert _kl(0.0, 1.0) == math.inf
+        assert _kl(1.0, 0.0) == math.inf
+        assert _kl(0.0, 0.3) == pytest.approx(-math.log(0.7), abs=1e-15)
 
     def test_strictly_increasing_in_second_arg_above_p(self):
         for p in (0.0, 0.2, 0.5, 0.9):
             ms = np.linspace(p, 0.999, 60)
-            vals = [bernoulli_kl(p, m) for m in ms]
+            vals = [_kl(p, m) for m in ms]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -108,15 +108,15 @@ class TestInverses:
 
     def test_plain_roundtrip_at_example_point(self):
         m = kl_upper_inverse(0.5, 0.1)
-        assert abs(bernoulli_kl(0.5, m) - 0.1) <= 1e-9
+        assert abs(_kl(0.5, m) - 0.1) <= 1e-9
         m = kl_lower_inverse(0.5, 0.1)
-        assert abs(bernoulli_kl(0.5, m) - 0.1) <= 1e-9
+        assert abs(_kl(0.5, m) - 0.1) <= 1e-9
 
     def test_tilted_roundtrip_at_example_point(self):
         m = tilted_kl_upper_inverse(0.3, 0.05, 8)
-        assert abs(bernoulli_kl((8 * 0.3 + m) / 9.0, m) - 0.05) <= 1e-9
+        assert abs(_kl((8 * 0.3 + m) / 9.0, m) - 0.05) <= 1e-9
         m = tilted_kl_lower_inverse(0.3, 0.05, 8)
-        assert abs(bernoulli_kl((8 * 0.3 + m) / 9.0, m) - 0.05) <= 1e-9
+        assert abs(_kl((8 * 0.3 + m) / 9.0, m) - 0.05) <= 1e-9
 
     def test_roundtrip_grid_all_four_solvers(self):
         # Budgets stay below the divergence at m = 0.995 / 0.005 so the
@@ -126,21 +126,21 @@ class TestInverses:
         for _ in range(300):
             p = rng.uniform(0.01, 0.99)
             for tilt in (1, 8):
-                cap = bernoulli_kl((tilt * p + 0.995) / (tilt + 1.0), 0.995)
+                cap = _kl((tilt * p + 0.995) / (tilt + 1.0), 0.995)
                 b = rng.uniform(1e-6, 0.95 * cap)
                 m = tilted_kl_upper_inverse(p, b, tilt)
-                got = bernoulli_kl((tilt * p + m) / (tilt + 1.0), m)
+                got = _kl((tilt * p + m) / (tilt + 1.0), m)
                 assert b - 1e-9 <= got <= b
-                cap = bernoulli_kl((tilt * p + 0.005) / (tilt + 1.0), 0.005)
+                cap = _kl((tilt * p + 0.005) / (tilt + 1.0), 0.005)
                 b = rng.uniform(1e-6, 0.95 * cap)
                 m = tilted_kl_lower_inverse(p, b, tilt)
-                got = bernoulli_kl((tilt * p + m) / (tilt + 1.0), m)
+                got = _kl((tilt * p + m) / (tilt + 1.0), m)
                 assert b - 1e-9 <= got <= b
-            b = rng.uniform(1e-6, 0.95 * bernoulli_kl(p, 0.995))
-            got = bernoulli_kl(p, kl_upper_inverse(p, b))
+            b = rng.uniform(1e-6, 0.95 * _kl(p, 0.995))
+            got = _kl(p, kl_upper_inverse(p, b))
             assert b - 1e-9 <= got <= b
-            b = rng.uniform(1e-6, 0.95 * bernoulli_kl(p, 0.005))
-            got = bernoulli_kl(p, kl_lower_inverse(p, b))
+            b = rng.uniform(1e-6, 0.95 * _kl(p, 0.005))
+            got = _kl(p, kl_lower_inverse(p, b))
             assert b - 1e-9 <= got <= b
 
     def test_upper_inverse_nondecreasing_in_bound(self):
@@ -153,8 +153,8 @@ class TestInverses:
         # the returned point never overshoots the requested budget
         for p in (0.05, 0.4, 0.75):
             for b in (1e-8, 1e-4, 0.02, 0.4):
-                assert bernoulli_kl(p, kl_upper_inverse(p, b)) <= b
-                assert bernoulli_kl(p, kl_lower_inverse(p, b)) <= b
+                assert _kl(p, kl_upper_inverse(p, b)) <= b
+                assert _kl(p, kl_lower_inverse(p, b)) <= b
 
     def test_tilt_validation(self):
         with pytest.raises(ValueError):
@@ -179,12 +179,12 @@ class TestChernoff:
         # a plain divergence evaluation
         assert chernoff_crossing(0.25, 0.75) == pytest.approx(0.5, abs=1e-9)
         assert chernoff_information(0.25, 0.75) == pytest.approx(
-            bernoulli_kl(0.5, 0.25), abs=1e-9
+            _kl(0.5, 0.25), abs=1e-9
         )
 
     def test_defining_fixed_point(self):
         z = chernoff_crossing(0.3, 0.8)
-        assert abs(bernoulli_kl(z, 0.3) - bernoulli_kl(z, 0.8)) <= 1e-10
+        assert abs(_kl(z, 0.3) - _kl(z, 0.8)) <= 1e-10
 
     def test_degenerate_endpoints(self):
         assert chernoff_information(0.0, 1.0) == math.inf

@@ -3,7 +3,8 @@ tolerance contract every inverse keeps, and for the bounds never crossing
 the empirical mean.
 
 The contract, for each of the six inverses (plain and tilted kl_math
-inverses, and the first-argument inverses behind the coverage envelope):
+inverses upward and downward, and the array first-argument inverse behind
+the coverage envelope toward either edge, called on one budget):
 the result is feasible as ``_kl`` computes it, the budget is exceeded one
 tolerance beyond it on the outer side, and inside the region criterion 6
 samples the divergence at the result is within 1e-9 of the budget.
@@ -11,6 +12,7 @@ samples the divergence at the result is within 1e-9 of the budget.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,11 @@ def _tilted(p, m, tilt):
     return _kl((tilt * p + m) / (tilt + 1.0), m)
 
 
+def _first_arg(mu, budget, edge):
+    """The coverage envelope's first-argument inverse at one budget, as a float."""
+    return float(confidence._first_arg_inverses(mu, np.array([budget]), edge)[0])
+
+
 # name -> (inverse(p, budget, tilt), divergence(p, m, tilt), outer direction, tolerance)
 INVERSES = {
     "kl_upper": (lambda p, b, tilt: kl_upper_inverse(p, b),
@@ -48,9 +55,9 @@ INVERSES = {
                  lambda p, m, tilt: _kl(p, m), -1.0, NEWTON_TOL),
     "tilted_upper": (tilted_kl_upper_inverse, _tilted, 1.0, NEWTON_TOL),
     "tilted_lower": (tilted_kl_lower_inverse, _tilted, -1.0, NEWTON_TOL),
-    "first_arg_upper": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 1.0),
+    "first_arg_upper": (lambda mu, b, tilt: _first_arg(mu, b, 1.0),
                         lambda mu, x, tilt: _kl(x, mu), 1.0, confidence._FIRST_ARG_TOL),
-    "first_arg_lower": (lambda mu, b, tilt: confidence._first_arg_inverse(mu, b, 0.0),
+    "first_arg_lower": (lambda mu, b, tilt: _first_arg(mu, b, 0.0),
                         lambda mu, x, tilt: _kl(x, mu), -1.0, confidence._FIRST_ARG_TOL),
 }
 NAMES = st.sampled_from(sorted(INVERSES))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lilklucb"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _nodes(*types, where=lambda node: True) -> list[str]:
@@ -131,3 +132,34 @@ def test_no_fromiter_calls():
         return name == "fromiter"
 
     assert _nodes(ast.Call, where=calls_fromiter) == []
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier: in a Name, an Attribute or an exact string."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+    )
+
+
+def test_every_src_function_has_a_caller():
+    """Every top-level function and class of the package is named outside its own definition.
+
+    Only the package and ``perfbench`` count as callers: code that only the
+    tests call belongs in the tests.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    assert named
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and named[node.name] == _names(node)[node.name]
+    ]
+    assert unused == []
