@@ -176,7 +176,7 @@ def build_config(argv=None) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
-            with open(config_path, encoding="utf-8") as fh:
+            with open(config_path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except ValueError as e:  # not UTF-8, or not JSON
             raise ConfigError(f"invalid JSON in {config_path}: {e}") from None

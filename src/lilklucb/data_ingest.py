@@ -56,7 +56,7 @@ def parse_contest_csv(path) -> ContestDataset:
     """
     path = Path(path)
     text_col, *count_cols = CONTEST_COLUMNS
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in CONTEST_COLUMNS if c not in header]

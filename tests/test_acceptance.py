@@ -7,7 +7,6 @@ per criterion.  The full suite is sized for a desk machine (several minutes).
 import math
 
 import numpy as np
-import pytest
 
 from lilklucb.bandit import hardness_sums, lil_klucb, ucb_race
 from lilklucb.cli import coverage_rates, derive_seed, main

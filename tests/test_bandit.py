@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from lilklucb import bandit
 from lilklucb.bandit import (
-    ComplexityBound,
     RunRecord,
     UnresolvedSeparation,
     _argmax_random_tie,

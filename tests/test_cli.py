@@ -395,6 +395,22 @@ class TestReplay:
         assert main(argv) == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_replay_reads_files_with_a_utf8_bom(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark;
+        # the contest and the --config file may both carry one
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            folder = tmp_path / f"bom{len(prefix)}"
+            folder.mkdir()
+            (folder / "contest_42.csv").write_text(prefix + CONTEST_CSV, encoding="utf-8")
+            (folder / "c.json").write_text(prefix + json.dumps({"k": 2}), encoding="utf-8")
+            out = folder / "r.csv"
+            assert main(["replay", "--input", str(folder / "contest_42.csv"),
+                         "--config", str(folder / "c.json"), "--budget", "150", "--reps", "3",
+                         "--seed", "6", "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_replay_missing_input_is_io_error(self, tmp_path):
         rc = main(["replay", "--input", str(tmp_path / "gone.csv"), "--budget", "100",
                    "--output", str(tmp_path / "r.csv")])

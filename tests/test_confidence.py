@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from lilklucb import bandit, confidence
 from lilklucb.bandit import _first_crossing, ucb_race
 from lilklucb.confidence import (
     _TABLE_CAP,
-    KAPPA_TAIL_TERMS,
     KL_PRIME,
     KL_TILTED,
     MAX_TILT,
@@ -45,6 +45,25 @@ def _deviations(scheme: BoundScheme, mu: float, t_max: int) -> tuple[np.ndarray,
     return np.minimum(1.0 - mu, high - mu), np.minimum(mu, mu - low)
 
 
+def _exact_series(tilt: int) -> mpmath.mpf:
+    """The series inside kappa at the working precision: S1 + tilt * zeta(s, log2(tilt) + 1).
+
+    S1 sums log2(2t)^-s, s = (tilt+1)/tilt, over t in 1..tilt (none at
+    tilt 1) in mpmath up to tilt 2^12; above that it is the math.fsum of
+    its float64 terms, since mpmath would take minutes over 10^6 terms.
+    """
+    level = tilt.bit_length() - 1
+    s = mpmath.mpf(tilt + 1) / tilt
+    if level == 0:
+        s1 = mpmath.mpf(0)
+    elif tilt <= 2**12:
+        s1 = mpmath.fsum(mpmath.log(2 * t, 2) ** -s for t in range(1, tilt + 1))
+    else:
+        t = np.arange(1, tilt + 1, dtype=np.float64)
+        s1 = mpmath.mpf(math.fsum(np.log2(2.0 * t) ** -((tilt + 1.0) / tilt)))
+    return s1 + tilt * mpmath.zeta(s, level + 1)
+
+
 def _stats(pulls: int, mean: float) -> tuple[int, float]:
     """The (pulls, reward_sum) key of ``pulls`` rewards averaging ``mean``."""
     return pulls, mean * pulls
@@ -64,38 +83,20 @@ class TestKappa:
 
     def test_resubstitution_keeps_union_bound_below_delta(self):
         # plug the computed constant back into the stitched union bound,
-        # re-estimating the tail series with four times more explicit terms
+        # summed with the exact series
         tilt, delta = 8, 0.01
         kap = kappa(tilt, delta)
-        level = tilt.bit_length() - 1
-        expo = (tilt + 1.0) / tilt
-        t = np.arange(1, tilt + 1, dtype=float)
-        s1 = float(np.sum(np.log2(2.0 * t) ** -expo))
-        k = np.arange(level, level + 4 * KAPPA_TAIL_TERMS, dtype=float)
-        s2 = float(np.sum((k + 1.0) ** -expo))
-        s2 += tilt * (level + 4 * KAPPA_TAIL_TERMS) ** (-1.0 / tilt)
-        total = delta**expo * kap**-expo * (s1 + tilt * s2)
-        assert total <= delta * (1.0 + 1e-12)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(tilt + 1) / tilt
+            total = mpmath.mpf(delta) ** s * mpmath.mpf(kap) ** -s * _exact_series(tilt)
+            assert total <= delta * (1.0 + 1e-12)
 
-    def test_series_in_place_equals_the_out_of_place_sums(self):
-        # reference: the series as plain NumPy expressions, each step in a
-        # new array; the in-place sums must give the same bits
-        def out_of_place(tilt):
-            level = tilt.bit_length() - 1
-            expo = (tilt + 1.0) / tilt
-            if level == 0:
-                s1 = 0.0
-            else:
-                t = np.arange(1, tilt + 1, dtype=np.float64)
-                s1 = float(np.sum(np.log2(2.0 * t) ** -expo))
-            k = np.arange(level, level + KAPPA_TAIL_TERMS, dtype=np.float64)
-            s2 = float(np.sum((k + 1.0) ** -expo))
-            k_last = level + KAPPA_TAIL_TERMS - 1
-            s2 += tilt * (k_last + 1.0) ** (-1.0 / tilt)
-            return s1 + tilt * s2
-
-        for j in range(21):
-            assert _kappa_series(2**j) == out_of_place(2**j), j
+    def test_series_matches_hurwitz_zeta(self):
+        # never below the exact series, and at most a relative 1e-14 above it
+        with mpmath.workdps(40):
+            for j in range(21):
+                exact = _exact_series(2**j)
+                assert exact <= _kappa_series(2**j) <= exact * (1 + mpmath.mpf("1e-14")), j
 
     @pytest.mark.parametrize("tilt", [8, MAX_TILT])
     def test_series_is_summed_in_bounded_memory(self, tilt):

@@ -83,6 +83,12 @@ class TestParseContestCsv:
         )
         assert parse_contest_csv(path).contest_id == 731
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        text = "caption,unfunny,somewhat_funny,funny\na,1,0,0\nb,0,1,0\n"
+        plain = parse_contest_csv(_write(tmp_path, text))
+        assert parse_contest_csv(_write(tmp_path, "\ufeff" + text, name="bom.csv")) == plain
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_contest_csv(tmp_path / "absent.csv")

@@ -8,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lilklucb"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _nodes(*types, where=lambda node: True) -> list[str]:
@@ -162,4 +163,27 @@ def test_every_src_function_has_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and named[node.name] == _names(node)[node.name]
     ]
+    assert unused == []
+
+
+def test_no_unused_imports():
+    """Every name an import binds in the package or the tests is named again in its file.
+
+    ``from __future__`` imports are exempt: they bind nothing used by name.
+    """
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = _names(tree)
+        unused += [
+            f"{path.name}:{node.lineno}:{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            for bound in [alias.asname or alias.name.partition(".")[0]]
+            if not named[bound]
+        ]
     assert unused == []
