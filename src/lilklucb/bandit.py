@@ -26,7 +26,7 @@ from .confidence import (
     upper_bound,
     upper_bound_side,
 )
-from .environments import Environment, ScalarDraws, gap_family
+from .environments import Draws, Environment, gap_family
 from .kl_math import chernoff_information
 
 
@@ -48,13 +48,11 @@ class RunRecord:
             raise ValueError("snapshots must be sorted by total sample count")
 
 
-def _argmax_random_tie(values: list, rng: np.random.Generator | ScalarDraws) -> int:
+def _argmax_random_tie(values: list, rng: Draws) -> int:
     """Index of the largest value in the list, ties broken at random.
 
     With m > 1 values at the maximum, the ``rng.integers(m)``-th of them in
-    index order is returned; a unique maximum draws nothing.  The loops pass
-    a ``ScalarDraws``, whose ``integers(m)`` is the Generator's value drawn
-    through the bit generator's C functions.
+    index order is returned; a unique maximum draws nothing.
     """
     best = max(values)
     if values.count(best) == 1:
@@ -68,7 +66,7 @@ def _reward_error(reward) -> ValueError:
     return ValueError(f"rewards must lie in [0, 1], got {reward!r}")
 
 
-def _first_pulls(env: Environment, draws: ScalarDraws, scheme: BoundScheme, table: dict):
+def _first_pulls(env: Environment, rng: Draws, scheme: BoundScheme, table: dict):
     """Pull each arm once, in index order; returns the pull counts, reward sums and upper bounds.
 
     Rewards outside [0, 1] are rejected.  Each upper bound is read from
@@ -77,7 +75,7 @@ def _first_pulls(env: Environment, draws: ScalarDraws, scheme: BoundScheme, tabl
     n = env.n_arms
     pulls, sums, ucbs = [1] * n, [0.0] * n, [0.0] * n
     for i in range(n):
-        reward = environments.sample(env, i, draws)
+        reward = environments.sample(env, i, rng)
         if not 0.0 <= reward <= 1.0:
             raise _reward_error(reward)
         sums[i] += reward
@@ -101,7 +99,7 @@ def lil_klucb(
     env: Environment,
     scheme: BoundScheme,
     budget: int | None,
-    rng: np.random.Generator,
+    rng: Draws,
     bound_cache: dict | None = None,
 ) -> RunRecord:
     """Adaptive identification run; returns the recommended arm and its trace.
@@ -131,24 +129,21 @@ def lil_klucb(
     The leader's lower bound is inverted uncached: the certificate passes
     about one round per run, so its keys would almost never repeat.
 
-    Rewards and tie-breaks are drawn through ``ScalarDraws(rng)``: the values
-    of ``rng``'s own scalar calls, from the bit generator's C functions.
-    Those calls bypass the Generator's lock, so no other thread may use
-    ``rng`` during the run.
+    Rewards and tie-breaks are drawn by ``rng``'s scalar ``random()`` and
+    ``integers(m)``, so a NumPy Generator serves as well as a ``Draws``.
     """
     n = env.n_arms
     _check_identify(n, budget)
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
-    draws = ScalarDraws(rng)
     sample, upper, may_exceed = environments.sample, upper_bound, lower_bound_may_exceed
-    pulls, sums, ucbs = _first_pulls(env, draws, scheme, table)
+    pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     means = [s / p for s, p in zip(sums, pulls)]
     stale = []  # arms whose bound predates their last pull, newest last; their ucbs entry is -inf
     total = n
     while True:
-        top = _argmax_random_tie(means, draws)
+        top = _argmax_random_tie(means, rng)
         s = None  # the newest stale rival without a table entry
         for arm in reversed(stale):
             if arm != top:
@@ -184,7 +179,7 @@ def lil_klucb(
             stopped = False
             break
         for arm in (top, challenger):
-            reward = sample(env, arm, draws)
+            reward = sample(env, arm, rng)
             if not 0.0 <= reward <= 1.0:
                 raise _reward_error(reward)
             pulls[arm] += 1
@@ -202,9 +197,13 @@ def lil_klucb(
     )
 
 
-def _best_arm_in_top_k(means: np.ndarray, k: int, rng: np.random.Generator) -> bool:
-    """Whether arm 0 ranks in the top k by empirical mean, ties broken at random."""
-    order = np.lexsort((rng.random(means.size), -means))
+def _best_arm_in_top_k(means: np.ndarray, k: int, rng: Draws) -> bool:
+    """Whether arm 0 ranks in the top k by empirical mean, ties broken at random.
+
+    Each arm's tie-break key is one scalar ``rng.random()``, in arm order; a
+    NumPy Generator's scalar calls give the values of its ``random(n)``.
+    """
+    order = np.lexsort(([rng.random() for _ in range(means.size)], -means))
     return bool(np.any(order[:k] == 0))
 
 
@@ -224,7 +223,7 @@ def ucb_race(
     budget: int,
     snapshot_every: int,
     k: int,
-    rng: np.random.Generator,
+    rng: Draws,
     bound_cache: dict | None = None,
 ) -> RunRecord:
     """Fixed-budget UCB loop recording top-k membership of the true best arm.
@@ -238,19 +237,16 @@ def ucb_race(
     samples thereafter (plus at the final budget), flagging whether arm 0
     currently sits among the k highest empirical means.
 
-    Rewards and tie-breaks go through ``ScalarDraws(rng)``, which returns
-    ``rng``'s own scalar values from the bit generator's C functions, so the
-    draw rule above holds draw for draw; snapshots draw their arrays from
-    ``rng`` in the same stream.  The C calls bypass the Generator's lock, so
-    no other thread may use ``rng`` during the run.
+    Rewards, tie-breaks and snapshot keys are drawn by ``rng``'s scalar
+    ``random()`` and ``integers(m)`` in one stream, so a NumPy Generator
+    serves as well as a ``Draws``.
     """
     n = env.n_arms
     _check_race(n, budget, snapshot_every, k)
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
-    draws = ScalarDraws(rng)
-    sample, upper, integers = environments.sample, upper_bound, draws.integers
-    pulls, sums, ucbs = _first_pulls(env, draws, scheme, table)
+    sample, upper, integers = environments.sample, upper_bound, rng.integers
+    pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     # The running maximum: each upper bound some arm holds maps to the
     # ascending list of its holders, and the heap holds exactly those
     # values, negated.  Only the pulled arm moves, and it holds the top
@@ -266,7 +262,7 @@ def ucb_race(
         top = -heap[0]
         ties = holders[top]
         arm = ties[0] if len(ties) == 1 else ties[integers(len(ties))]
-        reward = sample(env, arm, draws)
+        reward = sample(env, arm, rng)
         if not 0.0 <= reward <= 1.0:
             raise _reward_error(reward)
         pulls[arm] += 1
@@ -291,7 +287,7 @@ def ucb_race(
         if (total - n) % snapshot_every == 0 or total == budget:
             snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
     return RunRecord(
-        recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], draws),
+        recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng),
         total_samples=total,
         per_arm_pulls=tuple(pulls),
         stopped=False,

@@ -2,10 +2,10 @@
 
 Subcommands: simulate | replay | identify | table1 | coverage.  Every
 command is deterministic given --seed, read modulo 2**64: a repetition r of
-simulate, replay or identify draws from its own generator seeded with
-seed XOR splitmix64(r), and coverage takes each uniform from splitmix64 at
-a counter fixed by its (trajectory, block, slot); --parallel only changes
-wall time.
+simulate, replay or identify draws from its own Mersenne Twister
+(``environments.Draws``) seeded with seed XOR splitmix64(r), and coverage
+takes each uniform from splitmix64 at a counter fixed by its (trajectory,
+block, slot); --parallel only changes wall time.
 Exit codes: 0 success, 1 configuration error (flags, config file, or the
 contest CSV's contents), 2 I/O error, 3 internal error (with a traceback).
 """
@@ -30,7 +30,7 @@ from .bandit import _check_complexity, _check_identify, _check_race, hardness_su
 from .bandit import GRID_POINTS, UnresolvedSeparation, lil_klucb, predicted_complexity, ucb_race
 from .confidence import BoundScheme, _check_coverage, coverage_envelope, integer_exit_curves
 from .data_ingest import ExperimentOutput, _check_format, parse_contest_csv, write_output
-from .environments import bernoulli_environment, from_contest, gap_family, parametric_means
+from .environments import Draws, bernoulli_environment, from_contest, gap_family, parametric_means
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
@@ -292,13 +292,13 @@ def _run_block(loop: str, args: tuple, seeds) -> list:
     """
     run = globals()[loop]
     bound_cache = {}
-    return [run(*args, np.random.default_rng(seed), bound_cache=bound_cache) for seed in seeds]
+    return [run(*args, Draws(seed), bound_cache=bound_cache) for seed in seeds]
 
 
 def _repetitions(config: RunConfig, loop: str, *args) -> list:
     """The records of ``config.reps`` repetitions of ``loop``, in repetition order.
 
-    Repetition r draws from its own generator seeded with derive_seed(seed, r).
+    Repetition r draws from its own ``Draws`` seeded with derive_seed(seed, r).
     The seeds are split into contiguous blocks of ceil(reps / parallel), one
     per worker process (never more workers than repetitions); a single block
     runs in this process.  Each block owns a fresh bound cache.  A bound is

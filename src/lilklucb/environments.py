@@ -3,18 +3,17 @@
 Two arm families, both with support inside [0, 1]: parametric Bernoulli,
 and bootstrap replay of an observed pool of contest ratings.  An
 Environment bundles one distribution per arm, ordered by the arms'
-analytic means so arm 0 is the unique best arm.  Arms draw from a NumPy Generator
-or from ScalarDraws, which gives the same scalars faster.
+analytic means so arm 0 is the unique best arm.  Arms draw through a
+source's scalar ``random()`` and ``integers(m)``: a ``Draws``, the command
+line's generator, or a NumPy Generator.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+import random
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .data_ingest import ContestDataset
 from .kl_math import as_prob
@@ -36,7 +35,7 @@ class Bernoulli:
     def mean(self) -> float:
         return self.p
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: Draws) -> float:
         return 1.0 if rng.random() < self.p else 0.0
 
 
@@ -56,54 +55,32 @@ class Bootstrap:
     def mean(self) -> float:
         return math.fsum(self.pool) / len(self.pool)
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.pool[int(rng.integers(len(self.pool)))]
+    def draw(self, rng: Draws) -> float:
+        return self.pool[rng.integers(len(self.pool))]
 
 
 ArmDistribution = Union[Bernoulli, Bootstrap]
 
-# The bit generator's C functions, re-typed to keep the GIL during the call:
-# they touch no Python object and return in well under a microsecond.
-_NEXT_DOUBLE = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-_NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 
+class Draws(random.Random):
+    """The standard library's Mersenne Twister (MT19937), plus ``integers(m)``.
 
-class ScalarDraws:
-    """``rng.random()`` and ``rng.integers(m)`` through the bit generator's C functions.
-
-    Each call returns the value the Generator's own scalar call would, from
-    the same stream position, without NumPy's per-call argument handling:
-    ``random()`` is one ``next_double``, and ``integers(m)`` runs NumPy's
-    Lemire rejection loop (Lemire, ACM TOMACS 2019) on ``next_uint32`` for
-    m up to 2**32, returns 0 without drawing for m = 1, and hands larger
-    ranges to the Generator.  Both read the bit generator's C state,
-    including its buffered half word, so calls interleave with the
-    Generator's array draws in any order.  The calls bypass the Generator's
-    lock: no other thread may use the Generator meanwhile.
+    ``random()`` is ``random.Random``'s, whose stream for an int seed is
+    stable across Python versions.  ``integers(m)`` is uniform on [0, m) by
+    exact rejection: it draws ``getrandbits(m.bit_length())`` until a value
+    falls below m, and returns 0 without drawing for m = 1.
     """
-
-    def __init__(self, rng: np.random.Generator):
-        c = rng.bit_generator.ctypes
-        self._rng = rng  # keeps the C state alive
-        self._state = c.state_address
-        self._next_double = _NEXT_DOUBLE(ctypes.cast(c.next_double, ctypes.c_void_p).value)
-        self._next_uint32 = _NEXT_UINT32(ctypes.cast(c.next_uint32, ctypes.c_void_p).value)
-
-    def random(self) -> float:
-        return self._next_double(self._state)
 
     def integers(self, m: int) -> int:
         if m == 1:
             return 0
-        if m < 1 or m > 1 << 32:
-            return int(self._rng.integers(m))
-        next_uint32, state = self._next_uint32, self._state
-        x = next_uint32(state) * m
-        if x & 0xFFFFFFFF < m:
-            threshold = ((1 << 32) - m) % m
-            while x & 0xFFFFFFFF < threshold:
-                x = next_uint32(state) * m
-        return x >> 32
+        if m < 1:
+            raise ValueError(f"integers needs m >= 1, got {m!r}")
+        bits = m.bit_length()
+        x = self.getrandbits(bits)
+        while x >= m:
+            x = self.getrandbits(bits)
+        return x
 
 
 @dataclass(frozen=True)
@@ -133,8 +110,8 @@ class Environment:
         return len(self.arms)
 
 
-def sample(env: Environment, arm: int, rng: np.random.Generator | ScalarDraws) -> float:
-    """Draw one reward from the given arm; ``rng`` may be either kind of source."""
+def sample(env: Environment, arm: int, rng: Draws) -> float:
+    """Draw one reward from the given arm; ``rng`` may also be a NumPy Generator."""
     arms = env.arms
     if not 0 <= arm < len(arms):
         raise IndexError(f"arm index {arm} out of range for {len(arms)} arms")

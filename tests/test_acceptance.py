@@ -11,7 +11,7 @@ import numpy as np
 from lilklucb.bandit import hardness_sums, lil_klucb, ucb_race
 from lilklucb.cli import coverage_rates, derive_seed, main
 from lilklucb.confidence import BoundScheme, coverage_envelope, untilt_factor
-from lilklucb.environments import bernoulli_environment, parametric_means
+from lilklucb.environments import Draws, bernoulli_environment, parametric_means
 from lilklucb.kl_math import (
     _kl,
     chernoff_information,
@@ -47,8 +47,8 @@ def test_criterion_1_anytime_coverage():
     assert ok, details
 
 
-def test_criterion_2_two_delta_pac():
-    """Error rate of the identification loop stays within the 2-delta budget."""
+def _two_delta_pac(generator, criterion: str) -> None:
+    """Criterion 2's instance, repetitions and cap, drawing from ``generator(seed)``."""
     delta, runs = 0.05, 400
     cap = 2 * delta + 3.0 * math.sqrt(2 * delta * (1 - 2 * delta) / runs)
     env = bernoulli_environment((0.8, 0.6, 0.4, 0.2))
@@ -56,13 +56,23 @@ def test_criterion_2_two_delta_pac():
     cache: dict = {}
     errors = 0
     for rep in range(runs):
-        rng = np.random.default_rng(derive_seed(77, rep))
+        rng = generator(derive_seed(77, rep))
         record = lil_klucb(env, scheme, None, rng, bound_cache=cache)
         errors += record.recommended != 0
     rate = errors / runs
     ok = rate <= cap
-    _report("criterion 2 identification accuracy", ok, f"error rate {rate:.4f} vs cap {cap:.4f}")
+    _report(criterion, ok, f"error rate {rate:.4f} vs cap {cap:.4f}")
     assert ok
+
+
+def test_criterion_2_two_delta_pac():
+    """Error rate of the identification loop stays within the 2-delta budget."""
+    _two_delta_pac(np.random.default_rng, "criterion 2 identification accuracy")
+
+
+def test_two_delta_pac_under_the_cli_generator():
+    """Criterion 2's gate under ``Draws``, the generator the command line runs the loop on."""
+    _two_delta_pac(Draws, "criterion 2 identification accuracy, Draws")
 
 
 def test_criterion_3_hardness_scalings():

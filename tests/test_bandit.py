@@ -24,6 +24,7 @@ from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
 from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
     Bernoulli,
+    Draws,
     Environment,
     bernoulli_environment,
     from_contest,
@@ -35,6 +36,11 @@ from lilklucb.kl_math import (
     tilted_kl_lower_inverse,
     tilted_kl_upper_inverse,
 )
+
+
+def _state(rng):
+    """The full state of a ``Draws`` or of a NumPy Generator's bit generator."""
+    return rng.getstate() if isinstance(rng, Draws) else rng.bit_generator.state
 
 
 class TestRunRecord:
@@ -277,8 +283,9 @@ class TestLazyBounds:
     def test_matches_the_eager_loop_on_tied_instances(self):
         # 2-6 arms from a few means, so rivals often tie in mean and bound;
         # each instance runs every scheme at a budget that usually stops it
-        # by confidence and one that stops it first, over seeds sharing a cache
-        stops = []
+        # by confidence and one that stops it first, over seeds sharing a
+        # cache, under a NumPy Generator and under the command line's Draws
+        stops = {np.random.default_rng: [], Draws: []}
 
         @settings(max_examples=12, derandomize=True, deadline=None, database=None)
         @given(means=st.lists(st.sampled_from((1.0, 0.9, 0.75, 0.6, 0.5, 0.4, 0.25, 0.0)),
@@ -288,19 +295,20 @@ class TestLazyBounds:
             env = bernoulli_environment(means)
             for kind in ("kl", "kl-prime", "sg1", "sg2"):
                 scheme = BoundScheme(kind, 8, 0.05)
-                shared, reference_cache = {}, {}
-                for seed, budget in ((0, 40), (1, 600), (2, 600)):
-                    rng = np.random.default_rng(seed)
-                    reference_rng = np.random.default_rng(seed)
-                    record = lil_klucb(env, scheme, budget, rng, bound_cache=shared)
-                    expected = _eager_lil_klucb(
-                        env, scheme, budget, reference_rng, reference_cache)
-                    assert record == expected, (means, kind, seed)
-                    assert rng.bit_generator.state == reference_rng.bit_generator.state
-                    stops.append(record.stopped)
+                for generator, generator_stops in stops.items():
+                    shared, reference_cache = {}, {}
+                    for seed, budget in ((0, 40), (1, 600), (2, 600)):
+                        rng, reference_rng = generator(seed), generator(seed)
+                        record = lil_klucb(env, scheme, budget, rng, bound_cache=shared)
+                        expected = _eager_lil_klucb(
+                            env, scheme, budget, reference_rng, reference_cache)
+                        assert record == expected, (means, kind, generator, seed)
+                        assert _state(rng) == _state(reference_rng)
+                        generator_stops.append(record.stopped)
 
         check()
-        assert stops.count(False) >= 20 and stops.count(True) >= 20
+        for generator_stops in stops.values():
+            assert generator_stops.count(False) >= 20 and generator_stops.count(True) >= 20
 
 
 class _FixedArm:
@@ -414,17 +422,18 @@ SCHEMES = ("kl", "kl-prime", "sg1", "sg2")
 
 
 class TestRaceDraws:
-    def _assert_matches_generator_draws(self, env, kinds, budget, seeds, snapshot_every=50, k=5):
+    def _assert_matches_generator_draws(self, env, kinds, budget, seeds, snapshot_every=50, k=5,
+                                        generator=np.random.default_rng):
         picks = ties = 0
         for kind in kinds:
             scheme = BoundScheme(kind, 8, 0.05)
             for seed in seeds:
-                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                rng, reference_rng = generator(seed), generator(seed)
                 record = ucb_race(env, scheme, budget, snapshot_every, k, rng)
                 expected, tied = _generator_ucb_race(
                     env, scheme, budget, snapshot_every, k, reference_rng)
                 assert record == expected, (kind, seed)
-                assert rng.bit_generator.state == reference_rng.bit_generator.state
+                assert _state(rng) == _state(reference_rng)
                 picks += budget - env.n_arms
                 ties += tied
         return picks, ties
@@ -447,10 +456,12 @@ class TestRaceDraws:
     )
     def test_tie_heavy_instances_match_the_generator(self, means, extra, snapshot_every, k, seed):
         # few distinct means and bounds clamped at 1 make most picks ties,
-        # and every tie set changes as the picked arm leaves it
-        self._assert_matches_generator_draws(
-            bernoulli_environment(means), SCHEMES, len(means) + extra, [seed],
-            snapshot_every, min(k, len(means)))
+        # and every tie set changes as the picked arm leaves it; under a
+        # NumPy Generator and under the command line's Draws
+        for generator in (np.random.default_rng, Draws):
+            self._assert_matches_generator_draws(
+                bernoulli_environment(means), SCHEMES, len(means) + extra, [seed],
+                snapshot_every, min(k, len(means)), generator)
 
     def test_bootstrap_arms_match_the_generator(self):
         # pools of 1 (no draw), 6, 57 and 200 ratings

@@ -538,6 +538,22 @@ class TestStartup:
         assert lines == _fresh("import numpy\n" + _STARTUP_STATE, tmp_path)
 
     @pytest.mark.parametrize("argv", [
+        ["coverage", "--t-max", "300", "--reps", "50"],
+        ["simulate", "--n", "8", "--alpha", "1", "--budget", "200", "--reps", "2"],
+        ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "2"],
+        ["replay", "--input", "contest_42.csv", "--budget", "150", "--reps", "2", "--k", "1"],
+        ["table1", "--n", "8,16,32,64", "--alpha", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_no_command_imports_numpy_random(self, tmp_path, argv):
+        # a fresh interpreter, since this one has loaded numpy.random already
+        _contest_file(tmp_path)
+        code = ("import sys\n"
+                "from lilklucb.cli import main\n"
+                f"print(main({argv + ['--output', 'o.csv']!r}))\n"
+                "print('numpy.random' in sys.modules)\n")
+        assert _fresh(code, tmp_path)[-2:] == ["0", "False"]
+
+    @pytest.mark.parametrize("argv", [
         ["table1", "--n", "8,16,32,64", "--alpha", "0.5,1"],  # polyfit: the one LAPACK call
         ["coverage", "--t-max", "500", "--reps", "200"],
     ])
@@ -618,16 +634,6 @@ class TestCoverage:
         assert main(argv + ["--seed", str(2**64 - 1), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert read_output(a).metadata["seed"] == 2**64 - 1
-
-    def test_coverage_never_imports_numpy_random(self, tmp_path):
-        # a fresh interpreter, since this one has loaded numpy.random already
-        out = tmp_path / "c.csv"
-        argv = ["coverage", "--t-max", "300", "--reps", "50", "--output", str(out)]
-        code = ("import sys\n"
-                "from lilklucb.cli import main\n"
-                f"print(main({argv!r}))\n"
-                "print('numpy.random' in sys.modules)\n")
-        assert _fresh(code, tmp_path) == [str(out), "0", "False"]
 
     def test_rows_sorted_and_in_range(self, tmp_path):
         config = build_config(

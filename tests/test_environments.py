@@ -1,6 +1,7 @@
 """Tests for the reward processes and environment construction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
     Bernoulli,
     Bootstrap,
+    Draws,
     Environment,
-    ScalarDraws,
     bernoulli_environment,
     from_contest,
     gap_family,
@@ -170,54 +171,37 @@ class TestFromContest:
         assert draws <= {0.0, 0.5, 1.0}
 
 
-# every branch of integers(m): no draw at 1, Lemire with rare and with
-# frequent (about one in two at 2**31 + 1) rejections, the full 32-bit
-# range, and the 64-bit ranges handed to the Generator
-RANGES = (1, 2, 3, 57, 200, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+def _rejection_integers(rng: random.Random, m: int) -> int:
+    """Uniform on [0, m): getrandbits(m.bit_length()) until below m, no draw for m = 1."""
+    if m == 1:
+        return 0
+    while True:
+        x = rng.getrandbits(m.bit_length())
+        if x < m:
+            return x
 
 
-def _plain(state):
-    """A bit generator state with its arrays as lists, so == compares it."""
-    if isinstance(state, dict):
-        return {key: _plain(value) for key, value in state.items()}
-    if isinstance(state, np.ndarray):
-        return state.tolist()
-    return state
+class TestDraws:
+    # small ranges, powers of two (half of all draws rejected), and 2**31 + 1
+    # and 2**40, which span more than one 32-bit word of the twister
+    @pytest.mark.parametrize("m", [*range(2, 34), 2**31 + 1, 2**40])
+    def test_integers_follow_the_rejection_definition(self, m):
+        draws, reference = Draws(5), random.Random(5)
+        for _ in range(300):
+            got = draws.integers(m)
+            assert type(got) is int and 0 <= got < m
+            assert got == _rejection_integers(reference, m)
+            assert draws.random() == reference.random()
+        assert draws.getstate() == reference.getstate()
 
+    def test_integers_of_one_draws_nothing(self):
+        draws = Draws(5)
+        state = draws.getstate()
+        assert draws.integers(1) == 0
+        assert draws.getstate() == state
 
-def _script(length: int, seed: int) -> list[tuple[str, int]]:
-    """Scalar draws of every range mixed with the Generator's array draws."""
-    ops = [("random", 0)] + [("integers", m) for m in RANGES]
-    ops += [("random_array", 3), ("integers_array", 57)]
-    picks = np.random.default_rng(seed).integers(len(ops), size=length)
-    return [ops[i] for i in picks]
-
-
-class TestScalarDraws:
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
-                                               np.random.Philox])
-    def test_same_values_and_state_as_the_generator(self, bit_generator):
-        rng = np.random.Generator(bit_generator(5))
-        reference = np.random.Generator(bit_generator(5))
-        draws = ScalarDraws(rng)
-        for op, arg in _script(3000, 1):
-            if op == "random":
-                got, want = draws.random(), reference.random()
-                assert type(got) is float
-            elif op == "integers":
-                got, want = draws.integers(arg), reference.integers(arg)
-                assert type(got) is int
-            elif op == "random_array":
-                got, want = rng.random(arg).tolist(), reference.random(arg).tolist()
-            else:
-                got = rng.integers(arg, size=3).tolist()
-                want = reference.integers(arg, size=3).tolist()
-            assert got == want, (op, arg)
-        # includes the buffered half word (has_uint32, uinteger) where there is one
-        assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
-
-    def test_invalid_range_raises_as_the_generator_does(self):
-        draws = ScalarDraws(np.random.default_rng(0))
+    def test_invalid_range_raises(self):
+        draws = Draws(0)
         for m in (0, -3):
             with pytest.raises(ValueError):
                 draws.integers(m)
@@ -232,7 +216,10 @@ class TestScalarDraws:
         ],
     )
     def test_arms_draw_the_same_rewards(self, arm):
-        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        draws = ScalarDraws(rng)
-        assert [arm.draw(draws) for _ in range(500)] == [arm.draw(reference) for _ in range(500)]
-        assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
+        draws, reference = Draws(9), random.Random(9)
+        if isinstance(arm, Bernoulli):
+            want = [1.0 if reference.random() < arm.p else 0.0 for _ in range(500)]
+        else:
+            want = [arm.pool[_rejection_integers(reference, len(arm.pool))] for _ in range(500)]
+        assert [arm.draw(draws) for _ in range(500)] == want
+        assert draws.getstate() == reference.getstate()
