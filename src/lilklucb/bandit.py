@@ -197,14 +197,22 @@ def lil_klucb(
     )
 
 
-def _best_arm_in_top_k(means: np.ndarray, k: int, rng: Draws) -> bool:
+def _best_arm_in_top_k(sums: list, pulls: list, k: int, rng: Draws) -> bool:
     """Whether arm 0 ranks in the top k by empirical mean, ties broken at random.
 
-    Each arm's tie-break key is one scalar ``rng.random()``, in arm order; a
-    NumPy Generator's scalar calls give the values of its ``random(n)``.
+    Each arm draws one tie-break key ``rng.random()``, in arm order, and the
+    arms rank by larger mean, then by smaller key (arm 0 first on an equal
+    key).  Arm 0's rank is the number of arms with a larger mean, plus those
+    with an equal mean and a smaller key; no arm is sorted.
     """
-    order = np.lexsort(([rng.random() for _ in range(means.size)], -means))
-    return bool(np.any(order[:k] == 0))
+    random = rng.random
+    best, mine = sums[0] / pulls[0], random()
+    rank = 0
+    for i in range(1, len(sums)):
+        mean, key = sums[i] / pulls[i], random()
+        if mean > best or mean == best and key < mine:
+            rank += 1
+    return rank < k
 
 
 def _check_race(n_arms: int, budget: int, snapshot_every: int, k: int) -> None:
@@ -257,7 +265,8 @@ def ucb_race(
     heap = [-ucb for ucb in holders]
     heapify(heap)
     total = n
-    snapshots = [(total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
+    snapshots = [(total, _best_arm_in_top_k(sums, pulls, k, rng))]
+    due = min(total + snapshot_every, budget)  # the sample count of the next snapshot
     while total < budget:
         top = -heap[0]
         ties = holders[top]
@@ -284,8 +293,9 @@ def ucb_race(
             else:
                 insort(others, arm)
         total += 1
-        if (total - n) % snapshot_every == 0 or total == budget:
-            snapshots.append((total, _best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
+        if total == due:
+            snapshots.append((total, _best_arm_in_top_k(sums, pulls, k, rng)))
+            due = min(total + snapshot_every, budget)
     return RunRecord(
         recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng),
         total_samples=total,

@@ -260,6 +260,8 @@ def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     if pulls < 1:
         raise ValueError("upper_bound requires at least one sample")
     mu_hat = reward_sum / pulls
+    if mu_hat == 1.0:  # every scheme's bound is 1 there; no threshold read, no inversion
+        return 1.0
     if scheme.kind == KL_TILTED:
         return tilted_kl_upper_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:

@@ -382,6 +382,40 @@ class TestUcbRace:
         assert all(b >= a - 0.15 for a, b in zip(curve, curve[1:]))
 
 
+def _lexsort_top_k(sums, pulls, k, rng) -> bool:
+    """Whether arm 0 is among the first k arms sorted by ``np.lexsort``, the rank's reference.
+
+    The arms sort by mean descending, then by a key ``rng.random()`` drawn
+    per arm in arm order; the sort is stable, so arm 0 leads on an equal key.
+    """
+    means = np.divide(sums, pulls)
+    order = np.lexsort(([rng.random() for _ in range(means.size)], -means))
+    return bool(np.any(order[:k] == 0))
+
+
+class TestTopKRank:
+    # a mean is a fraction num/den, stored as (num * c, den * c) so that
+    # equal means come from different keys; the fractions 1/3 and 2/3 are
+    # inexact, and each equal pair still divides to equal floats
+    FRACTIONS = ((0, 1), (1, 3), (1, 2), (2, 3), (1, 1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_rank_matches_the_sort(self, data, n, seed):
+        picks = data.draw(st.lists(st.integers(0, len(self.FRACTIONS) - 1), min_size=n, max_size=n))
+        if n > 1:  # arm 0 shares its mean with at least one other arm
+            picks[0] = picks[data.draw(st.integers(1, n - 1))]
+        scales = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        sums = [float(self.FRACTIONS[j][0] * c) for j, c in zip(picks, scales)]
+        pulls = [self.FRACTIONS[j][1] * c for j, c in zip(picks, scales)]
+        k = data.draw(st.integers(1, n))
+        for generator in (np.random.default_rng, Draws):
+            rng, reference_rng = generator(seed), generator(seed)
+            assert (bandit._best_arm_in_top_k(sums, pulls, k, rng)
+                    == _lexsort_top_k(sums, pulls, k, reference_rng))
+            assert _state(rng) == _state(reference_rng)
+
+
 def _generator_ucb_race(env, scheme, budget, snapshot_every, k, rng):
     """``ucb_race`` drawing every scalar from the Generator, scanning all bounds per pull.
 
@@ -406,14 +440,14 @@ def _generator_ucb_race(env, scheme, budget, snapshot_every, k, rng):
     for i in range(n):
         pull(i)
     total, ties = n, 0
-    snapshots = [(total, bandit._best_arm_in_top_k(np.divide(sums, pulls), k, rng))]
+    snapshots = [(total, _lexsort_top_k(sums, pulls, k, rng))]
     while total < budget:
         arm, tied = pick(np.array(ucbs))
         ties += tied
         pull(arm)
         total += 1
         if (total - n) % snapshot_every == 0 or total == budget:
-            snapshots.append((total, bandit._best_arm_in_top_k(np.divide(sums, pulls), k, rng)))
+            snapshots.append((total, _lexsort_top_k(sums, pulls, k, rng)))
     recommended, _ = pick(np.divide(sums, pulls))
     return RunRecord(recommended, total, tuple(pulls), False, tuple(snapshots)), ties
 

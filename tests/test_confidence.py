@@ -31,7 +31,7 @@ from lilklucb.confidence import (
     upper_bound_side,
 )
 from lilklucb.environments import bernoulli_environment
-from lilklucb.kl_math import _kl, kl_lower_inverse, kl_upper_inverse
+from lilklucb.kl_math import _kl, kl_lower_inverse, kl_upper_inverse, tilted_kl_upper_inverse
 
 
 def _deviations(scheme: BoundScheme, mu: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,6 +302,25 @@ class TestScheduleWork:
         env = bernoulli_environment((0.9, 0.5, 0.4, 0.2))
         ucb_race(env, BoundScheme(kind, 8, 0.05), budget, 100, 1, np.random.default_rng(0))
         assert 0 < len(calls) <= math.ceil(math.log2(budget)) + 1
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
+    def test_saturated_upper_bound_reads_no_threshold_and_inverts_nothing(self, monkeypatch, kind):
+        # a mean of exactly 1 is every scheme's bound; the full path, a
+        # threshold read and then the inverse or the radius, gives the same
+        scheme = BoundScheme(kind, 8, 0.05)
+        ts = (1, 2, 1000, _TABLE_CAP + 1)
+        full = {
+            KL_TILTED: lambda t: tilted_kl_upper_inverse(1.0, threshold(scheme, t), scheme.tilt),
+            KL_PRIME: lambda t: kl_upper_inverse(1.0, threshold(scheme, t)),
+        }.get(kind, lambda t: min(1.0, 1.0 + sg_radius(scheme, t)))
+        expected = [full(t) for t in ts]
+
+        def refuse(*args):
+            raise AssertionError("a saturated upper bound read the threshold or inverted")
+
+        for name in ("threshold", "tilted_kl_upper_inverse", "kl_upper_inverse"):
+            monkeypatch.setattr(confidence, name, refuse)
+        assert [upper_bound(scheme, t, float(t)) for t in ts] == expected == [1.0] * len(ts)
 
     @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
     def test_coverage_envelope_makes_one_evaluation_and_no_scalar_call(self, monkeypatch, kind):

@@ -135,6 +135,22 @@ def test_no_fromiter_calls():
     assert _nodes(ast.Call, where=calls_fromiter) == []
 
 
+# The bandit loops and the helpers they call per pull or per snapshot.  A
+# NumPy call there converts Python lists first: microseconds per call.
+LOOP_FUNCTIONS = {"ucb_race", "lil_klucb", "_first_pulls", "_argmax_random_tie",
+                  "_best_arm_in_top_k"}
+
+
+def test_no_numpy_in_the_loops():
+    """The loops and their per-pull and per-snapshot helpers do not name ``np``."""
+    tree = ast.parse((SRC / "bandit.py").read_text(encoding="utf-8"))
+    bodies = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in LOOP_FUNCTIONS]
+    assert {node.name for node in bodies} == LOOP_FUNCTIONS
+    assert [f"bandit.py:{node.lineno}" for body in bodies for node in ast.walk(body)
+            if isinstance(node, ast.Name) and node.id == "np"] == []
+
+
 def _names(tree: ast.AST) -> Counter:
     """How often ``tree`` names each identifier: in a Name, an Attribute or an exact string."""
     return Counter(
