@@ -21,10 +21,9 @@ from .confidence import (
     BoundScheme,
     _check_delta,
     _schedule,
+    bound_side,
     lower_bound,
-    lower_bound_may_exceed,
     upper_bound,
-    upper_bound_side,
 )
 from .environments import Draws, Environment, gap_family
 from .kl_math import chernoff_information
@@ -113,16 +112,16 @@ def lil_klucb(
 
     A round evaluates only the bounds a decision needs.  An arm's upper
     bound goes stale when it is pulled.  Each round, every stale rival but
-    the newest table miss s gets its bound, and ``upper_bound_side``
-    places s against u2, the highest bound of the other rivals: below it,
-    u2's first holder is the challenger; above it, s is, and s is inverted
-    only if a stop is still possible (u2 below the leader's mean and
-    ``lower_bound_may_exceed`` at u2); if the certificate cannot tell, s
-    is inverted.  The leader's lower bound (never above its mean) is
-    inverted only if every rival's upper bound is below that mean and
-    ``lower_bound_may_exceed`` does not rule out a stop.  Bounds are pure
-    in their key and both certificates are sound, so record and generator
-    state equal those of evaluating them all.
+    the newest table miss s gets its bound, and ``bound_side`` places s's
+    upper bound against u2, the highest bound of the other rivals: short of
+    it, u2's first holder is the challenger; beyond it, s is, and s is
+    inverted only if a stop is still possible (u2 below the leader's mean
+    and the leader's lower bound not certainly beyond u2); if the
+    certificate cannot tell, s is inverted.  The leader's lower bound
+    (never above its mean) is inverted only if every rival's upper bound
+    is below that mean and ``bound_side`` does not place it beyond them.
+    Bounds are pure in their key and the certificate is sound, so record
+    and generator state equal those of evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
     holds one upper-bound table per scheme, keyed by (pulls, reward_sum).
@@ -137,7 +136,7 @@ def lil_klucb(
     leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
-    sample, upper, may_exceed = environments.sample, upper_bound, lower_bound_may_exceed
+    sample, upper, side_of = environments.sample, upper_bound, bound_side
     pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     means = [s / p for s, p in zip(sums, pulls)]
     stale = []  # arms whose bound predates their last pull, newest last; their ucbs entry is -inf
@@ -161,8 +160,8 @@ def lil_klucb(
         challenger = ucbs.index(level)  # first index on ties
         key = (pulls[top], sums[top])
         if s is not None:
-            side = upper_bound_side(scheme, pulls[s], sums[s], level)
-            if side > 0 and (level >= means[top] or not may_exceed(leader_scheme, *key, level)):
+            side = side_of(scheme, pulls[s], sums[s], level, 1.0)
+            if side > 0 and (level >= means[top] or side_of(leader_scheme, *key, level, 0.0) > 0):
                 challenger, level = s, math.inf  # s leads the rivals; no stop
             elif side >= 0:
                 s_key = (pulls[s], sums[s])
@@ -171,7 +170,7 @@ def lil_klucb(
                 level = max(ucbs)
                 challenger = ucbs.index(level)
         ucbs[top] = held
-        if (level < means[top] and may_exceed(leader_scheme, *key, level)
+        if (level < means[top] and side_of(leader_scheme, *key, level, 0.0) < 1
                 and lower_bound(leader_scheme, *key) > level):
             stopped = True
             break
@@ -307,29 +306,21 @@ def ucb_race(
 
 @dataclass(frozen=True)
 class ComplexityBound:
-    """Predicted sample-complexity decomposition for one instance.
+    """Predicted sample complexity of one instance.
 
     ``total`` adds the best-arm term and one term per suboptimal arm, all up
     to the universal constant (reported with that constant set to 1).
     ``witness`` is the mean separating every suboptimal arm from the best.
     ``crossing_indices`` holds, for each suboptimal arm, the first sample
     size at which the threshold schedule at confidence delta^2 drops below
-    the arm's Chernoff separation from the witness.
+    the arm's Chernoff separation from the witness; ``best_arm_crossing``
+    is the best arm's, at confidence delta/(n-1).
     """
 
-    per_arm_terms: tuple[float, ...]
-    best_arm_term: float
     total: float
     witness: float
     crossing_indices: tuple[int, ...]
     best_arm_crossing: int
-
-    def __post_init__(self) -> None:
-        if self.best_arm_term <= 0 or any(t <= 0 for t in self.per_arm_terms):
-            raise ValueError("all bound terms must be positive")
-        expected = self.best_arm_term + math.fsum(self.per_arm_terms)
-        if not math.isclose(self.total, expected, rel_tol=1e-9):
-            raise ValueError("total must equal the sum of its terms")
 
 
 class UnresolvedSeparation(ValueError):
@@ -428,16 +419,12 @@ def predicted_complexity(
     candidates = np.linspace(mus[1], mus[0], grid_points + 2)[1:-1]
     best = None
     for v in candidates:
-        d_best = chernoff_information(mus[0], v)
-        total = _bound_term(d_best, (n - 1) / delta)
-        arm_terms = []
+        total = _bound_term(chernoff_information(mus[0], v), (n - 1) / delta)
         for mu_i in mus[1:]:
-            term = _bound_term(chernoff_information(mu_i, v), 1.0 / delta)
-            arm_terms.append(term)
-            total += term
+            total += _bound_term(chernoff_information(mu_i, v), 1.0 / delta)
         if best is None or total < best[0]:
-            best = (total, float(v), _bound_term(d_best, (n - 1) / delta), tuple(arm_terms))
-    total, witness, best_term, arm_terms = best
+            best = (total, float(v))
+    total, witness = best
 
     crossings = tuple(
         _first_crossing(pair_scheme, chernoff_information(mu_i, witness))
@@ -445,8 +432,6 @@ def predicted_complexity(
     )
     best_crossing = _first_crossing(leader_scheme, chernoff_information(mus[0], witness))
     return ComplexityBound(
-        per_arm_terms=arm_terms,
-        best_arm_term=best_term,
         total=total,
         witness=witness,
         crossing_indices=crossings,

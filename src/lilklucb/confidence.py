@@ -281,7 +281,7 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     return max(0.0, mu_hat - sg_radius(scheme, pulls))
 
 
-# Smallest budget the certificates below trust.  _kl's rounding noise near a
+# Smallest budget ``bound_side`` trusts.  _kl's rounding noise near a
 # bound (a few 1e-16) outgrows the divergence's change over one NEWTON_TOL,
 # about NEWTON_TOL * sqrt(2 budget / (p (1 - p))), from budgets near 1e-9 down.
 _CERTIFICATE_FLOOR = 1e-7
@@ -290,9 +290,12 @@ _CERTIFICATE_FLOOR = 1e-7
 def _over_budget(scheme: BoundScheme, pulls: int, mu_hat: float, m: float) -> bool | None:
     """Whether the divergence a ``kl``/``kl-prime`` key's bounds invert exceeds the budget at m.
 
-    It is computed as the inverses compute it.  None (cannot tell) for a
-    budget below _CERTIFICATE_FLOOR or infinite.
+    It is computed as the inverses compute it.  True for any m outside
+    (0, 1), since no bound lies beyond 0 or 1, before the budget is read;
+    None (cannot tell) for a budget below _CERTIFICATE_FLOOR or infinite.
     """
+    if not 0.0 < m < 1.0:
+        return True
     budget = threshold(scheme, pulls)
     if not _CERTIFICATE_FLOOR <= budget < math.inf:
         return None
@@ -301,51 +304,39 @@ def _over_budget(scheme: BoundScheme, pulls: int, mu_hat: float, m: float) -> bo
     return _kl(mu_hat, m) > budget
 
 
-def lower_bound_may_exceed(scheme: BoundScheme, pulls: int, reward_sum: float,
-                           level: float) -> bool:
-    """False only when ``lower_bound(scheme, pulls, reward_sum) > level`` cannot hold.
+def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edge: float) -> int:
+    """+1 if the bound toward ``edge`` lies certainly beyond x, -1 if short of it, else 0.
 
-    For ``kl`` and ``kl-prime`` the lower bound m* inverts, on [0, p] with
-    p = reward_sum / pulls, a divergence that is nonincreasing there, and
-    the divergence one NEWTON_TOL below m* exceeds the budget.  If m* >
-    level, the point x = level - NEWTON_TOL lies below m* - NEWTON_TOL,
-    so its divergence exceeds the budget too: one divergence at x within
-    the budget proves m* <= level.  ``sg1``, ``sg2``, an x outside (0, p)
-    and a budget ``_over_budget`` does not trust give True.
-    """
-    if pulls < 1:
-        raise ValueError("lower_bound_may_exceed requires at least one sample")
-    mu_hat = reward_sum / pulls
-    x = level - NEWTON_TOL
-    return (scheme.kind in (SG1, SG2) or not 0.0 < x < mu_hat
-            or _over_budget(scheme, pulls, mu_hat, x) is not False)
-
-
-def upper_bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float) -> int:
-    """+1 if ``upper_bound(scheme, pulls, reward_sum)`` is certainly above x, -1 if below, else 0.
-
+    ``edge`` is 1.0 for ``upper_bound`` and 0.0 for ``lower_bound``;
+    "beyond" means farther from p = reward_sum / pulls toward the edge.
     For ``kl`` and ``kl-prime`` the bound m* inverts a divergence that is
-    nondecreasing on [p, 1], p = reward_sum / pulls.  The solver returns a
-    feasible point it evaluated (or p), with an evaluated infeasible point
-    (or 1, where the divergence is infinite) at most NEWTON_TOL above it.
-    So x < p gives +1 (m* >= p exactly); a divergence within the budget at
-    x + NEWTON_TOL puts that infeasible point above it, so m* > x; and a
-    divergence over the budget at x - NEWTON_TOL >= p puts the feasible m*
-    below x.  As in ``lower_bound_may_exceed``, the point one tolerance
-    beyond x keeps _kl's rounding noise from deciding: at x itself, a point
-    one float below m* can read over the budget.  m* is p when p = 1, and
-    a budget of 0 or inf is not trusted.  ``sg1`` and ``sg2`` give 0:
-    their bound is a table read and a square root.
+    monotone from p to the edge, and the solver returns a feasible point it
+    evaluated (or p), with an evaluated infeasible point (or the edge,
+    where the divergence is infinite) at most NEWTON_TOL beyond it.  So x
+    short of p gives +1 (m* is p or beyond); with step = NEWTON_TOL toward
+    the edge, a divergence within the budget at x + step puts that
+    infeasible point beyond it, so m* lies beyond x; and a divergence over
+    the budget at x - step, beyond p, puts the feasible m* short of x.
+    The point one step off x keeps _kl's rounding noise from deciding: at
+    x itself, a point one float inside m* can read over the budget.
+    ``_over_budget`` reads any point outside (0, 1) as over the budget and
+    trusts no budget below _CERTIFICATE_FLOOR or infinite.  ``sg1`` and
+    ``sg2`` give 0: their bound is a table read and a square root.
     """
     if pulls < 1:
-        raise ValueError("upper_bound_side requires at least one sample")
+        raise ValueError("bound_side requires at least one sample")
     if scheme.kind in (SG1, SG2):
         return 0
     mu_hat = reward_sum / pulls
-    if x < mu_hat or _over_budget(scheme, pulls, mu_hat, x + NEWTON_TOL) is False:
+    step = NEWTON_TOL if edge else -NEWTON_TOL
+    if ((x < mu_hat if edge else x > mu_hat)
+            or _over_budget(scheme, pulls, mu_hat, x + step) is False):
         return 1
-    below = x - NEWTON_TOL
-    return -1 if below >= mu_hat and _over_budget(scheme, pulls, mu_hat, below) else 0
+    short = x - step
+    if ((short <= mu_hat if edge else short >= mu_hat)
+            or not _over_budget(scheme, pulls, mu_hat, short)):
+        return 0
+    return -1
 
 
 def _check_coverage(mu: float, t_max: int) -> float:

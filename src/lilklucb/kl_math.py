@@ -111,7 +111,7 @@ def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
 
 
 def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
-                            start, tol: float = NEWTON_TOL) -> np.ndarray:
+                            start, tol: float) -> np.ndarray:
     """``_bracketed_newton`` for every budget in ``bounds`` at once.
 
     One function f, mapping an array of points to arrays of (value, slope),
@@ -285,28 +285,15 @@ def tilted_kl_lower_inverse(p: float, bound: float, tilt: int) -> float:
     return _invert(p, bound, 0.0, tilt)
 
 
-def chernoff_crossing(x: float, y: float) -> float:
-    """The unique z between x and y with D(z, x) = D(z, y).
+def _chernoff_crossing(a: float, b: float) -> float:
+    """The unique z in [a, b] with D(z, a) = D(z, b), for 0 < a < b < 1.
 
-    For a < b, D(z, a) - D(z, b) = z log(b/a) + (1 - z) log((1-b)/(1-a)) is
-    linear in z, with root z = u / (u + w) for u = log1p((b-a)/(1-b)) and
+    D(z, a) - D(z, b) = z log(b/a) + (1 - z) log((1-b)/(1-a)) is linear in
+    z, with root z = u / (u + w) for u = log1p((b-a)/(1-b)) and
     w = log1p((b-a)/a); log1p keeps full relative accuracy for b near a.
     Where (b-a)/a overflows (a subnormal), w = log b - log a.  The result is
-    clamped to [a, b].  Returns x when x == y; at a degenerate endpoint (0
-    or 1) the crossing collapses onto that endpoint and the boundary value
-    is returned.
+    clamped to [a, b].
     """
-    x = as_prob(x, "x")
-    y = as_prob(y, "y")
-    a, b = (x, y) if x <= y else (y, x)
-    if a == b:
-        return a
-    if a == 0.0 and b == 1.0:
-        return 0.5
-    if a == 0.0:
-        return 0.0
-    if b == 1.0:
-        return 1.0
     u = math.log1p((b - a) / (1.0 - b))
     ratio = (b - a) / a
     w = math.log1p(ratio) if ratio < math.inf else math.log(b) - math.log(a)
@@ -327,12 +314,9 @@ def chernoff_information(x: float, y: float) -> float:
     a, b = (x, y) if x <= y else (y, x)
     if a == b:
         return 0.0
-    if a == 0.0 and b == 1.0:
-        return math.inf
     if a == 0.0:
-        return -math.log1p(-b)
+        return _kl(0.0, b)
     if b == 1.0:
-        return -math.log(a)
-    z = chernoff_crossing(a, b)
+        return _kl(1.0, a)
+    z = _chernoff_crossing(a, b)
     return 0.5 * (_kl(z, a) + _kl(z, b))
-

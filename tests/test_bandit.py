@@ -557,12 +557,6 @@ class TestPredictedComplexity:
         for mu_i in (0.6, 0.3):
             assert mu_i < bound.witness < 0.8
 
-    def test_total_decomposes(self):
-        bound = predicted_complexity((0.8, 0.6, 0.3), 0.05, 17)
-        assert bound.total == pytest.approx(
-            bound.best_arm_term + sum(bound.per_arm_terms)
-        )
-
     def test_crossing_beyond_int64_is_exact(self):
         scheme = BoundScheme("kl", 8, 0.01)
         f = partial(threshold, scheme)

@@ -20,18 +20,23 @@ from lilklucb.confidence import (
     BoundScheme,
     _kappa_series,
     _schedule,
+    bound_side,
     coverage_envelope,
     kappa,
     lower_bound,
-    lower_bound_may_exceed,
     sg_radius,
     threshold,
     untilt_factor,
     upper_bound,
-    upper_bound_side,
 )
 from lilklucb.environments import bernoulli_environment
-from lilklucb.kl_math import _kl, kl_lower_inverse, kl_upper_inverse, tilted_kl_upper_inverse
+from lilklucb.kl_math import (
+    NEWTON_TOL,
+    _kl,
+    kl_lower_inverse,
+    kl_upper_inverse,
+    tilted_kl_upper_inverse,
+)
 
 
 def _deviations(scheme: BoundScheme, mu: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,14 +430,12 @@ class TestBounds:
             upper_bound(scheme, 0, 0.0)
         with pytest.raises(ValueError):
             lower_bound(scheme, 0, 0.0)
-        for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
-            with pytest.raises(ValueError):
-                lower_bound_may_exceed(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5)
 
-    def test_upper_bound_side_rejects_unsampled_arm(self):
+    def test_bound_side_rejects_unsampled_arm(self):
         for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
-            with pytest.raises(ValueError):
-                upper_bound_side(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5)
+            for edge in (0.0, 1.0):
+                with pytest.raises(ValueError):
+                    bound_side(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5, edge)
 
     def test_lower_bound_certificate_distrusts_tiny_budgets(self):
         # a budget of 4.3e-10, where _kl's rounding noise exceeds its change
@@ -443,7 +446,32 @@ class TestBounds:
         level = 0.7417725669981757
         assert threshold(scheme, key[0]) < 1e-9
         assert lower_bound(scheme, *key) > level
-        assert lower_bound_may_exceed(scheme, *key, level)
+        assert bound_side(scheme, *key, level, 0.0) == 0
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME])
+    @pytest.mark.parametrize("x, lower_side, upper_side", [
+        (-math.inf, -1, 1), (-0.5, -1, 1), (1.5, 1, -1), (math.inf, 1, -1)])
+    def test_bound_side_outside_the_unit_interval(self, kind, x, lower_side, upper_side):
+        # every bound lies in [0, 1]; at x = -inf the tilted divergence's
+        # mixture point is -inf too, where _kl reads 0 through p == q
+        for pulls, reward_sum in ((1, 0.0), (1, 1.0), (100, 37.0)):
+            scheme = BoundScheme(kind, 8, 0.01)
+            assert bound_side(scheme, pulls, reward_sum, x, 0.0) == lower_side
+            assert bound_side(scheme, pulls, reward_sum, x, 1.0) == upper_side
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME])
+    def test_bound_side_at_a_mean_on_the_edge(self, kind):
+        # a budget below the floor, and the point one step short of x landing
+        # on the mean at 0 or 1: outside (0, 1), but no divergence over the
+        # budget lies there, so the side is not certain
+        scheme = BoundScheme(kind, 8, 0.05)
+        pulls = 10**12
+        assert threshold(scheme, pulls) < 1e-7
+        assert upper_bound(scheme, pulls, 0.0) > NEWTON_TOL
+        assert bound_side(scheme, pulls, 0.0, NEWTON_TOL, 1.0) == 0
+        x = 1.0 - NEWTON_TOL
+        assert x + NEWTON_TOL == 1.0 and lower_bound(scheme, pulls, float(pulls)) < x
+        assert bound_side(scheme, pulls, float(pulls), x, 0.0) == 0
 
     def test_kl_prime_composes_documented_primitives(self):
         scheme = BoundScheme(KL_PRIME, 8, 0.01)

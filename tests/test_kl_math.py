@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from lilklucb.kl_math import (
+    _chernoff_crossing,
     _kl,
     as_divergence,
     as_prob,
-    chernoff_crossing,
     chernoff_information,
     kl_lower_inverse,
     kl_upper_inverse,
@@ -177,13 +177,13 @@ class TestChernoff:
     def test_symmetric_pair_pins_the_crossing(self):
         # x = 1 - y forces the crossing to 1/2, so the value collapses to
         # a plain divergence evaluation
-        assert chernoff_crossing(0.25, 0.75) == pytest.approx(0.5, abs=1e-9)
+        assert _chernoff_crossing(0.25, 0.75) == pytest.approx(0.5, abs=1e-9)
         assert chernoff_information(0.25, 0.75) == pytest.approx(
             _kl(0.5, 0.25), abs=1e-9
         )
 
     def test_defining_fixed_point(self):
-        z = chernoff_crossing(0.3, 0.8)
+        z = _chernoff_crossing(0.3, 0.8)
         assert abs(_kl(z, 0.3) - _kl(z, 0.8)) <= 1e-10
 
     def test_degenerate_endpoints(self):
@@ -225,7 +225,7 @@ class TestChernoff:
                 u = mpmath.log1p((mb - ma) / (1 - mb))
                 w = mpmath.log(mb / ma)
                 expected = u / (u + w)
-                z = chernoff_crossing(x, y)
+                z = _chernoff_crossing(a, b)
                 assert a <= z <= b, (x, y, z)
                 assert abs(z - expected) <= 1e-15 * expected, (x, y, z)
 

@@ -1,6 +1,6 @@
 """Property tests for the divergence maps the inverses rely on, for the
-tolerance contract every inverse keeps, and for the bounds never crossing
-the empirical mean.
+tolerance contract every inverse keeps, for the bounds never crossing
+the empirical mean, and for the answers of the bound certificate.
 
 The contract, for each of the six inverses (plain and tilted kl_math
 inverses upward and downward, and the array first-argument inverse behind
@@ -13,6 +13,7 @@ samples the divergence at the result is within 1e-9 of the budget.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,85 +119,49 @@ def test_bounds_bracket_the_empirical_mean(kind, tilt, delta, pulls, share):
             <= confidence.upper_bound(scheme, pulls, reward_sum))
 
 
+@pytest.mark.parametrize("edge", [0.0, 1.0])
 @PROPERTY
 @given(
     kind_tilt=st.sampled_from([("kl", t) for t in (1, 2, 8, 64, 1024)]
                               + [("kl-prime", t) for t in (4, 8, 64)]),
     delta=st.sampled_from([0.001, 0.05, 0.5]),
-    pulls=st.integers(1, 10**6),
-    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
-    where=st.one_of(st.just("uniform"), st.just("ulp below"),
-                    st.sampled_from([i / 2.0 for i in range(-6, 7)])),
-    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-)
-def test_lower_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where, frac):
-    # lil_klucb skips the leader's lower bound whenever the certificate says
-    # it cannot exceed the largest rival's upper bound.  Levels: uniform in
-    # (0, mean), one float below the bound, or within three tolerances of
-    # it in half-tolerance steps.
-    kind, tilt = kind_tilt
-    reward_sum = float(round(share * pulls))
-    scheme = confidence.BoundScheme(kind, tilt, delta)
-    bound = confidence.lower_bound(scheme, pulls, reward_sum)
-    if where == "uniform":
-        level = frac * (reward_sum / pulls)
-    elif where == "ulp below":
-        level = math.nextafter(bound, 0.0)
-    else:
-        level = bound + where * NEWTON_TOL
-    if not confidence.lower_bound_may_exceed(scheme, pulls, reward_sum, level):
-        assert bound <= level
-
-
-@PROPERTY
-@given(
-    kind=st.sampled_from([confidence.SG1, confidence.SG2]),
-    pulls=st.integers(1, 10**6),
-    share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
-    level=UNIT,
-)
-def test_sub_gaussian_lower_bounds_are_never_certified(kind, pulls, share, level):
-    scheme = confidence.BoundScheme(kind, 8, 0.05)
-    assert confidence.lower_bound_may_exceed(scheme, pulls, float(round(share * pulls)), level)
-
-
-@PROPERTY
-@given(
-    kind_tilt=st.sampled_from([("kl", t) for t in (1, 8, 64, 1024)]
-                              + [("kl-prime", t) for t in (4, 8, 64)]),
-    delta=st.sampled_from([0.001, 0.05, 0.5]),
     pulls=st.one_of(st.integers(1, 10**6), st.integers(10**6, 10**12)),
     share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
-    where=st.one_of(st.just("uniform"), st.just("ulp below"), st.just("ulp above"),
-                    st.sampled_from([j / 2.0 for j in range(-6, 7)])),
+    where=st.one_of(st.just("uniform"), st.just("inside"), st.just("ulp below"),
+                    st.just("ulp above"), st.sampled_from([j / 2.0 for j in range(-6, 7)])),
     u=UNIT,
 )
-def test_upper_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where, u):
-    # lil_klucb picks the challenger, and rules out a stop, from the side
-    # the certificate gives.  Points: uniform in [0, 1], one float either
-    # side of the bound, or within three tolerances of it in half-tolerance
-    # steps.  Pulls reach 1e12, where the budget falls below the floor.
+def test_bound_side_is_sound(edge, kind_tilt, delta, pulls, share, where, u):
+    # lil_klucb picks the challenger, and rules out a stop, from the sides
+    # the certificate gives.  Points: uniform in [0, 1], uniform between
+    # the mean and the edge, one float either side of the bound, or within
+    # three tolerances of it in half-tolerance steps.  Pulls reach 1e12,
+    # where the budget falls below the floor.
     kind, tilt = kind_tilt
     reward_sum = float(round(share * pulls))
     scheme = confidence.BoundScheme(kind, tilt, delta)
-    bound = confidence.upper_bound(scheme, pulls, reward_sum)
+    bound = (confidence.upper_bound if edge else confidence.lower_bound)(scheme, pulls, reward_sum)
+    mean = reward_sum / pulls
     if where == "uniform":
         x = u
+    elif where == "inside":
+        x = mean + u * (edge - mean)
     elif where == "ulp below":
         x = math.nextafter(bound, -math.inf)
     elif where == "ulp above":
         x = math.nextafter(bound, math.inf)
     else:
         x = bound + where * NEWTON_TOL
-    side = confidence.upper_bound_side(scheme, pulls, reward_sum, x)
+    side = confidence.bound_side(scheme, pulls, reward_sum, x, edge)
     if side > 0:
-        assert bound > x
+        assert bound > x if edge else bound < x
     elif side < 0:
-        assert bound < x
+        assert bound < x if edge else bound > x
     elif confidence.threshold(scheme, pulls) >= confidence._CERTIFICATE_FLOOR:
         assert abs(bound - x) <= 2 * NEWTON_TOL
 
 
+@pytest.mark.parametrize("edge", [0.0, 1.0])
 @PROPERTY
 @given(
     kind=st.sampled_from([confidence.SG1, confidence.SG2]),
@@ -204,6 +169,6 @@ def test_upper_bound_certificate_is_sound(kind_tilt, delta, pulls, share, where,
     share=st.one_of(st.just(0.0), st.just(1.0), UNIT),
     x=UNIT,
 )
-def test_sub_gaussian_upper_bounds_are_never_certified(kind, pulls, share, x):
+def test_sub_gaussian_bounds_are_never_certified(edge, kind, pulls, share, x):
     scheme = confidence.BoundScheme(kind, 8, 0.05)
-    assert confidence.upper_bound_side(scheme, pulls, float(round(share * pulls)), x) == 0
+    assert confidence.bound_side(scheme, pulls, float(round(share * pulls)), x, edge) == 0
