@@ -238,18 +238,10 @@ def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarra
     start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * b * mu * (1.0 - mu))
              + b * (1.0 - 2.0 * mu) / 3.0)
 
-    def f(x):  # x * up + (1 - x) * down and up - down, in place where it can be
-        up = np.divide(x, mu)
-        np.log(up, out=up)
-        down = np.subtract(1.0, x)
-        down /= 1.0 - mu
-        np.log(down, out=down)
-        value = np.multiply(x, up)
-        rest = np.subtract(1.0, x)
-        rest *= down
-        value += rest
-        up -= down
-        return value, up
+    def f(x):
+        up = np.log(x / mu)
+        down = np.log((1.0 - x) / (1.0 - mu))
+        return x * up + (1.0 - x) * down, up - down
 
     out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
     return out
@@ -310,9 +302,9 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     ``edge`` is 1.0 for ``upper_bound`` and 0.0 for ``lower_bound``;
     "beyond" means farther from p = reward_sum / pulls toward the edge.
     For ``kl`` and ``kl-prime`` the bound m* inverts a divergence that is
-    monotone from p to the edge, and the solver returns a feasible point it
-    evaluated (or p), with an evaluated infeasible point (or the edge,
-    where the divergence is infinite) at most NEWTON_TOL beyond it.  So x
+    monotone from p to the edge, and ``kl_math._invert`` returns a feasible
+    point it evaluated (or p), with an evaluated infeasible point (or the
+    edge, where the divergence is infinite) at most NEWTON_TOL beyond it.  So x
     short of p gives +1 (m* is p or beyond); with step = NEWTON_TOL toward
     the edge, a divergence within the budget at x + step puts that
     infeasible point beyond it, so m* lies beyond x; and a divergence over

@@ -4,13 +4,13 @@ Exact binary KL divergence, numerical inverses of the divergence in its
 second argument (plain and tilted variants), and Chernoff information at
 the equal-divergence crossing point, which has a closed form.
 
-Every inverse runs one bracketed Newton solver (``_bracketed_newton``): it
-keeps a bracket with the root inside, takes Newton steps from the analytic
-derivative and bisects whenever a step is unsafe.  Contract: the returned
-point is feasible (its divergence, as ``_kl`` computes it, is within the
-budget) and lies within NEWTON_TOL of the point where ``_kl`` crosses
-the budget.  ``_bracketed_newton_array`` runs the same rules on a whole
-array of budgets at once.
+Two solvers invert a divergence: ``_invert`` for one budget, behind every
+scalar inverse, and ``_bracketed_newton_array`` for a whole array of
+budgets, behind the coverage envelope.  Both keep a bracket with the root
+inside, take Newton steps from the analytic derivative and bisect whenever
+a step is unsafe.  Contract: the returned point is feasible (its
+divergence, as the solver computes it, is within the budget) and lies
+within the tolerance of the point where that divergence crosses the budget.
 
 All logarithms are natural.  Inputs are validated on entry; degenerate
 cases follow the conventions 0*log(0) = 0 and D(p, q) = +inf exactly when
@@ -59,71 +59,21 @@ def _kl(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
-                      start: float, tol: float = NEWTON_TOL) -> float:
-    """Feasible point within ``tol`` of the root of f(x) = bound between two ends.
-
-    ``f(x)`` returns (value, slope); f is monotone between the ends with
-    f(feasible) <= bound < f(infeasible), and is evaluated only strictly
-    inside them.  Each evaluated point replaces the end on its side, so the
-    bracket always holds the root.  The next point is a Newton step in
-    log|infeasible - x|, where a divergence with its log singularity at that
-    end is nearly linear and no step crosses the end; it is the midpoint
-    instead when the slope is not finite or points the wrong way, or the
-    step leaves the bracket or exceeds half the step before last.  Points
-    stay tol/2 inside the bracket, so iterates closing in from one side end
-    with a point on the other.  Returns the feasible end once the ends are
-    within ``tol``; ``start`` is the first point if it lies inside the
-    bracket.
-    """
-    # Work in y = d*x so that the bracket is ordered lo < hi; negation is
-    # exact, so the mirror adds no rounding.
-    d = 1.0 if infeasible > feasible else -1.0
-    lo, hi = d * feasible, d * infeasible
-    edge = hi
-    half = 0.5 * tol
-    y = d * start if lo < d * start < hi else 0.5 * (lo + hi)
-    step = step_before = hi - lo
-    for _ in range(NEWTON_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        if y < lo + half:
-            y = lo + half
-        elif y > hi - half:
-            y = hi - half
-        value, slope = f(d * y)
-        if value <= bound:
-            lo = y
-        else:
-            hi = y
-        gap = edge - y
-        scale = d * slope * gap
-        nxt = math.nan
-        if 0.0 < scale < math.inf:
-            ratio = (value - bound) / scale
-            if ratio < 50.0:  # beyond it the point leaves [0, 1] anyway
-                nxt = edge - gap * math.exp(ratio)
-        if not (lo <= nxt <= hi and abs(nxt - y) <= 0.5 * step_before):
-            nxt = 0.5 * (lo + hi)
-        step_before, step = step, abs(nxt - y)
-        y = nxt
-    return d * lo
-
-
 def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
                             start, tol: float) -> np.ndarray:
-    """``_bracketed_newton`` for every budget in ``bounds`` at once.
+    """Feasible point within ``tol`` of the root of f(x) = b, for every b in ``bounds``.
 
     One function f, mapping an array of points to arrays of (value, slope),
-    and one pair of ends serve every entry; each entry keeps its own bracket
-    and step history and runs the scalar solver's rules: the Newton step in
-    log|infeasible - x|, the midpoint on an unsafe step, points tol/2 inside
-    the bracket, and the feasible end once the ends are within ``tol``.
-    ``start`` (broadcast against ``bounds``) is each entry's first point if
-    it lies inside the bracket.  Entries leave the iteration as they finish.
-    An iteration works in place, in buffers cut to the live entries, and
-    only f and the removal of finished entries allocate; f must return
-    fresh arrays, which the solver overwrites.
+    and one pair of ends serve every entry; f is monotone between the ends
+    with f(feasible) <= b < f(infeasible), and each entry keeps its own
+    bracket and step history.  The rules are ``_invert``'s: the Newton step
+    in log|infeasible - x|, the midpoint on an unsafe step, points tol/2
+    inside the bracket, and the feasible end once the ends are within
+    ``tol``.  ``start`` (broadcast against ``bounds``) is each entry's first
+    point if it lies inside the bracket.  Entries leave the iteration as
+    they finish.  An iteration works in place, in buffers cut to the live
+    entries, and only f and the removal of finished entries allocate; f
+    must return fresh arrays, which the solver overwrites.
     """
     bounds = np.asarray(bounds, dtype=float)
     d = 1.0 if infeasible > feasible else -1.0
@@ -184,37 +134,85 @@ def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
     return out
 
 
-def _expansion_root(p: float, bound: float, edge: float, stretch: float, skew: float) -> float:
-    """Where a divergence at p reaches ``bound`` toward ``edge``, by its Taylor expansion.
-
-    The divergence is taken as r^2 / (2 v s^2) - skew (1 - 2p) r^3 / (v s)^2
-    in r = m - p, with v = p (1 - p) and s = ``stretch``; the root is solved
-    to first order in the cubic term.
-    """
-    r = math.copysign(stretch * math.sqrt(2.0 * bound * p * (1.0 - p)), edge - p)
-    return p + r + 2.0 * skew * stretch * stretch * bound * (1.0 - 2.0 * p)
-
-
 def _invert(p: float, bound: float, edge: float, tilt: int | None = None) -> float:
     """Farthest m from p toward ``edge`` (0 or 1) with divergence within ``bound``.
 
-    The divergence is the tilted one, or the plain D(p, m) for tilt None
-    (its limit as tilt grows).  Newton starts at the root of its expansion
-    at p: stretch (tilt+1)/tilt and skew (2 tilt + 3) / (6 (tilt+1)), from
+    Checks p and the budget; a tilt comes checked.  The divergence is the
+    tilted D(q, m) at q = (tilt*p + m)/(tilt+1), or the plain D(p, m) for
+    tilt None (its limit as tilt grows), with _kl's values, and monotone
+    from p to the edge.  The solve keeps the bracket [p, edge] around the
+    root, and each evaluated point replaces the end on its side.  The next
+    point is a Newton step in log|edge - m|, where a divergence with its
+    log singularity at the edge is nearly linear and no step crosses the
+    edge; it is the midpoint instead when the slope is not finite or points
+    the wrong way, or the step leaves the bracket or exceeds half the step
+    before last.  Points stay NEWTON_TOL/2 inside the bracket, so iterates
+    closing in from one side end with a point on the other.  Returns the
+    feasible end once the ends are within NEWTON_TOL.  The first point is
+    the root of the divergence's expansion at p,
+    r^2 / (2 v s^2) - skew (1 - 2p) r^3 / (v s)^2 in r = m - p with
+    v = p (1 - p), to first order in the cubic term: stretch
+    s = (tilt+1)/tilt and skew (2 tilt + 3) / (6 (tilt+1)), from
     q - p = r/(tilt+1) and m - q = r tilt/(tilt+1); plain: 1 and 1/3.
     """
+    p = as_prob(p, "p")
+    bound = as_divergence(bound, "bound")
     if math.isinf(bound):
         return edge
     if bound == 0.0 or p == edge:
         return p
     if tilt is None:
         stretch, skew = 1.0, 1.0 / 3.0
-        f = lambda m: (_kl(p, m), (m - p) / (m * (1.0 - m)))  # D(p, m) and its slope in m
     else:
         stretch, skew = (tilt + 1.0) / tilt, (2.0 * tilt + 3.0) / (6.0 * (tilt + 1.0))
-        f = lambda m: _tilted_div_and_slope(p, m, tilt)
-    return _bracketed_newton(f, bound, p, edge,
-                             start=_expansion_root(p, bound, edge, stretch, skew))
+        weighted, total = tilt * p, tilt + 1.0
+    r = math.copysign(stretch * math.sqrt(2.0 * bound * p * (1.0 - p)), edge - p)
+    start = p + r + 2.0 * skew * stretch * stretch * bound * (1.0 - 2.0 * p)
+    # Work in y = d*m so that the bracket is ordered lo < hi; negation is
+    # exact, so the mirror adds no rounding.
+    d = 1.0 if edge else -1.0
+    far = d * edge
+    lo, hi = d * p, far
+    half = 0.5 * NEWTON_TOL
+    y = d * start if lo < d * start < hi else 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    for _ in range(NEWTON_MAX_ITER):
+        if hi - lo <= NEWTON_TOL:
+            break
+        if y < lo + half:
+            y = lo + half
+        elif y > hi - half:
+            y = hi - half
+        m = d * y
+        if tilt is None:
+            value, slope = _kl(p, m), (m - p) / (m * (1.0 - m))
+        else:
+            q = (weighted + m) / total
+            if 0.0 < q < 1.0:
+                # _kl's two logs in its order, so the value is _kl(q, m);
+                # the slope is d/dm by the chain rule, with dq/dm = 1/(tilt+1)
+                up = math.log(q / m)
+                down = math.log((1.0 - q) / (1.0 - m))
+                value = q * up + (1.0 - q) * down
+                slope = (up - down + tilt * (m - p) / (m * (1.0 - m))) / total
+            else:  # q rounded onto 0 or 1: a NaN slope bisects
+                value, slope = _kl(q, m), math.nan
+        if value <= bound:
+            lo = y
+        else:
+            hi = y
+        gap = far - y
+        scale = d * slope * gap
+        nxt = math.nan
+        if 0.0 < scale < math.inf:
+            ratio = (value - bound) / scale
+            if ratio < 50.0:  # beyond it the point leaves [0, 1] anyway
+                nxt = far - gap * math.exp(ratio)
+        if not (lo <= nxt <= hi and abs(nxt - y) <= 0.5 * step_before):
+            nxt = 0.5 * (lo + hi)
+        step_before, step = step, abs(nxt - y)
+        y = nxt
+    return d * lo
 
 
 def kl_upper_inverse(p: float, bound: float) -> float:
@@ -225,15 +223,11 @@ def kl_upper_inverse(p: float, bound: float) -> float:
     a feasible point within NEWTON_TOL of m*.  Returns 1.0 for an
     infinite budget.
     """
-    p = as_prob(p, "p")
-    bound = as_divergence(bound, "bound")
     return _invert(p, bound, 1.0)
 
 
 def kl_lower_inverse(p: float, bound: float) -> float:
     """Smallest m <= p with D(p, m) <= bound; mirror of kl_upper_inverse on [0, p]."""
-    p = as_prob(p, "p")
-    bound = as_divergence(bound, "bound")
     return _invert(p, bound, 0.0)
 
 
@@ -241,24 +235,6 @@ def _check_tilt(tilt: int) -> int:
     if not isinstance(tilt, int) or tilt < 1:
         raise ValueError(f"tilt must be a positive integer, got {tilt!r}")
     return tilt
-
-
-def _tilted_div_and_slope(p: float, m: float, tilt: int) -> tuple[float, float]:
-    """D(q, m) at the mixture q = (tilt*p + m)/(tilt+1), and its derivative in m.
-
-    With dq/dm = 1/(tilt+1), the chain rule gives
-    (log(q(1-m) / (m(1-q))) + tilt (m-p) / (m(1-m))) / (tilt+1); the slope is
-    NaN (so the solver bisects) if q rounds onto 0 or 1.  Requires 0 < m < 1.
-    """
-    q = (tilt * p + m) / (tilt + 1.0)
-    if not 0.0 < q < 1.0:
-        return _kl(q, m), math.nan
-    # the two logs of _kl's interior branch, in its order, so the value is
-    # bit-identical to _kl(q, m)
-    up = math.log(q / m)
-    down = math.log((1.0 - q) / (1.0 - m))
-    value = q * up + (1.0 - q) * down
-    return value, (up - down + tilt * (m - p) / (m * (1.0 - m))) / (tilt + 1.0)
 
 
 def tilted_kl_upper_inverse(p: float, bound: float, tilt: int) -> float:
@@ -271,18 +247,12 @@ def tilted_kl_upper_inverse(p: float, bound: float, tilt: int) -> float:
     set on [p, 1] is therefore an interval [p, m*], and the bracketed Newton
     solve returns a feasible point within NEWTON_TOL of m*.
     """
-    p = as_prob(p, "p")
-    bound = as_divergence(bound, "bound")
-    _check_tilt(tilt)
-    return _invert(p, bound, 1.0, tilt)
+    return _invert(p, bound, 1.0, _check_tilt(tilt))
 
 
 def tilted_kl_lower_inverse(p: float, bound: float, tilt: int) -> float:
     """Smallest m <= p with D((tilt*p + m)/(tilt+1), m) <= bound; mirror on [0, p]."""
-    p = as_prob(p, "p")
-    bound = as_divergence(bound, "bound")
-    _check_tilt(tilt)
-    return _invert(p, bound, 0.0, tilt)
+    return _invert(p, bound, 0.0, _check_tilt(tilt))
 
 
 def _chernoff_crossing(a: float, b: float) -> float:

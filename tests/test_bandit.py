@@ -208,6 +208,9 @@ class TestLazyBounds:
         ((0.55, 0.5, 0.5, 0.45, 0.2), 5000),
         ((0.9, 0.6, 0.3), 3000),
     )
+    # For the runs that stop by confidence: far above every total they stop
+    # at, so that a loop that cannot stop fails instead of hanging
+    NO_STOP = 10**6
 
     @pytest.mark.parametrize("kind", ["kl", "kl-prime", "sg1", "sg2"])
     def test_matches_the_eager_loop(self, kind):
@@ -237,7 +240,7 @@ class TestLazyBounds:
 
         monkeypatch.setattr(bandit, "upper_bound", counted)
         env = bernoulli_environment((1.0, 0.0))
-        record = lil_klucb(env, BoundScheme("kl", 8, 0.05), None, np.random.default_rng(0))
+        record = lil_klucb(env, BoundScheme("kl", 8, 0.05), self.NO_STOP, np.random.default_rng(0))
         assert record.stopped and record.total_samples > 10
         assert len(calls) < record.total_samples
         assert len(calls) == record.per_arm_pulls[1] + 1
@@ -257,9 +260,10 @@ class TestLazyBounds:
         shared, reference_cache = {}, {}
         seeds = range(12)
         for seed in seeds:
-            record = lil_klucb(env, scheme, None, np.random.default_rng(seed), bound_cache=shared)
+            record = lil_klucb(env, scheme, self.NO_STOP, np.random.default_rng(seed),
+                               bound_cache=shared)
             expected = _eager_lil_klucb(
-                env, scheme, None, np.random.default_rng(seed), reference_cache)
+                env, scheme, self.NO_STOP, np.random.default_rng(seed), reference_cache)
             assert record == expected, seed
         assert len(calls) <= 2 * len(seeds)
 
@@ -277,7 +281,7 @@ class TestLazyBounds:
         scheme = BoundScheme("kl", 8, 0.05)
         shared = {}
         for seed in range(12):
-            lil_klucb(env, scheme, None, np.random.default_rng(seed), bound_cache=shared)
+            lil_klucb(env, scheme, self.NO_STOP, np.random.default_rng(seed), bound_cache=shared)
         assert len(calls) <= 1500
 
     def test_matches_the_eager_loop_on_tied_instances(self):

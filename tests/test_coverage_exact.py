@@ -8,7 +8,9 @@ from one array solve per side.  These tests pin each of those steps to the
 straightforward implementation kept below: the scalar first-argument
 inverse and the per-t envelope loop built on it, every block's count and
 steps drawn and joined, float exit curves, exact rational CDFs, and
-NumPy's own per-step Bernoulli sampler for the law.
+NumPy's own per-step Bernoulli sampler for the law.  The generic scalar
+bracketed-Newton solver behind the first-argument inverse is also the
+reference of ``kl_math._invert``, which must return its bits.
 """
 
 import math
@@ -44,7 +46,7 @@ from lilklucb.confidence import (
     sg_radius,
     threshold,
 )
-from lilklucb.kl_math import _bracketed_newton, _expansion_root, _kl
+from lilklucb.kl_math import NEWTON_TOL, NEWTON_MAX_ITER, _invert, _kl
 
 MUS = (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.5 + 1e-7, 2.0 / 3.0, 0.7, 0.9, 0.999, 1.0)
 GAMMA = 0x9E3779B97F4A7C15
@@ -54,6 +56,68 @@ GAMMA = 0x9E3779B97F4A7C15
 # int8 to int16 sums
 T_MAXES = (1, 63, 64, 65, 126, 127, 600)
 RATE_MUS = (0.0, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0)
+
+
+def _bracketed_newton(f, bound: float, feasible: float, infeasible: float,
+                      start: float, tol: float = NEWTON_TOL) -> float:
+    """Feasible point within ``tol`` of the root of f(x) = bound between two ends.
+
+    ``f(x)`` returns (value, slope); f is monotone between the ends with
+    f(feasible) <= bound < f(infeasible), and is evaluated only strictly
+    inside them.  Each evaluated point replaces the end on its side, so the
+    bracket always holds the root.  The next point is a Newton step in
+    log|infeasible - x|, where a divergence with its log singularity at that
+    end is nearly linear and no step crosses the end; it is the midpoint
+    instead when the slope is not finite or points the wrong way, or the
+    step leaves the bracket or exceeds half the step before last.  Points
+    stay tol/2 inside the bracket, so iterates closing in from one side end
+    with a point on the other.  Returns the feasible end once the ends are
+    within ``tol``; ``start`` is the first point if it lies inside the
+    bracket.
+    """
+    # Work in y = d*x so that the bracket is ordered lo < hi; negation is
+    # exact, so the mirror adds no rounding.
+    d = 1.0 if infeasible > feasible else -1.0
+    lo, hi = d * feasible, d * infeasible
+    edge = hi
+    half = 0.5 * tol
+    y = d * start if lo < d * start < hi else 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    for _ in range(NEWTON_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        if y < lo + half:
+            y = lo + half
+        elif y > hi - half:
+            y = hi - half
+        value, slope = f(d * y)
+        if value <= bound:
+            lo = y
+        else:
+            hi = y
+        gap = edge - y
+        scale = d * slope * gap
+        nxt = math.nan
+        if 0.0 < scale < math.inf:
+            ratio = (value - bound) / scale
+            if ratio < 50.0:  # beyond it the point leaves [0, 1] anyway
+                nxt = edge - gap * math.exp(ratio)
+        if not (lo <= nxt <= hi and abs(nxt - y) <= 0.5 * step_before):
+            nxt = 0.5 * (lo + hi)
+        step_before, step = step, abs(nxt - y)
+        y = nxt
+    return d * lo
+
+
+def _expansion_root(p: float, bound: float, edge: float, stretch: float, skew: float) -> float:
+    """Where a divergence at p reaches ``bound`` toward ``edge``, by its Taylor expansion.
+
+    The divergence is taken as r^2 / (2 v s^2) - skew (1 - 2p) r^3 / (v s)^2
+    in r = m - p, with v = p (1 - p) and s = ``stretch``; the root is solved
+    to first order in the cubic term.
+    """
+    r = math.copysign(stretch * math.sqrt(2.0 * bound * p * (1.0 - p)), edge - p)
+    return p + r + 2.0 * skew * stretch * stretch * bound * (1.0 - 2.0 * p)
 
 
 def _first_arg_inverse(mu: float, bound: float, edge: float, start: float | None = None) -> float:
@@ -328,3 +392,66 @@ def test_degenerate_and_saturated_entries_follow_the_scalar_rules():
         assert xs[0] == xs[1] == edge
         assert np.all(np.abs(xs - [_first_arg_inverse(0.4, b, edge) for b in bounds])
                       <= 2 * _FIRST_ARG_TOL)
+
+
+def _tilted_div_and_slope(p: float, m: float, tilt: int) -> tuple[float, float]:
+    """D(q, m) at the mixture q = (tilt*p + m)/(tilt+1), and its derivative in m.
+
+    With dq/dm = 1/(tilt+1), the chain rule gives
+    (log(q(1-m) / (m(1-q))) + tilt (m-p) / (m(1-m))) / (tilt+1); the slope is
+    NaN (so the solver bisects) if q rounds onto 0 or 1.  Requires 0 < m < 1.
+    """
+    q = (tilt * p + m) / (tilt + 1.0)
+    if not 0.0 < q < 1.0:
+        return _kl(q, m), math.nan
+    # the two logs of _kl's interior branch, in its order, so the value is
+    # bit-identical to _kl(q, m)
+    up = math.log(q / m)
+    down = math.log((1.0 - q) / (1.0 - m))
+    value = q * up + (1.0 - q) * down
+    return value, (up - down + tilt * (m - p) / (m * (1.0 - m))) / (tilt + 1.0)
+
+
+def _reference_invert(p, bound, edge, tilt=None):
+    """``_invert`` on checked arguments, as the generic solver ran it, with its closures."""
+    if math.isinf(bound):
+        return edge
+    if bound == 0.0 or p == edge:
+        return p
+    if tilt is None:
+        stretch, skew = 1.0, 1.0 / 3.0
+        f = lambda m: (_kl(p, m), (m - p) / (m * (1.0 - m)))  # D(p, m) and its slope in m
+    else:
+        stretch, skew = (tilt + 1.0) / tilt, (2.0 * tilt + 3.0) / (6.0 * (tilt + 1.0))
+        f = lambda m: _tilted_div_and_slope(p, m, tilt)
+    return _bracketed_newton(f, bound, p, edge,
+                             start=_expansion_root(p, bound, edge, stretch, skew))
+
+
+INVERT_PROBS = (0.0, 5e-324, 1e-300, 0.3, 1.0 - 2.0**-53, 1.0)
+INVERT_TILTS = (None, 1, 2, 8, 64, 2**20)
+
+
+def _assert_invert_is_the_reference(p, bound, edge, tilt):
+    assert _invert(p, bound, edge, tilt).hex() == _reference_invert(p, bound, edge, tilt).hex(), (
+        p, bound, edge, tilt)
+
+
+def test_invert_is_the_generic_solver_bit_for_bit():
+    # the kl schedule every 25th t up to 1e4, between budgets that reach
+    # each early return and the edges of the bracket
+    scheme = BoundScheme(KL_TILTED, 8, 0.05)
+    schedule = [threshold(scheme, t) for t in range(1, 10**4 + 1, 25)]
+    for bound in (0.0, 1e-300, 1e-12, 1e-7, *schedule, 0.3, 5.0, 800.0, math.inf):
+        for p in INVERT_PROBS:
+            for tilt in INVERT_TILTS:
+                for edge in (0.0, 1.0):
+                    _assert_invert_is_the_reference(p, bound, edge, tilt)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.floats(0.0, 1.0), st.sampled_from(INVERT_PROBS)),
+       bound=st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 1e3), st.just(math.inf)),
+       edge=st.sampled_from([0.0, 1.0]), tilt=st.sampled_from(INVERT_TILTS))
+def test_invert_is_the_generic_solver_on_random_arguments(p, bound, edge, tilt):
+    _assert_invert_is_the_reference(p, bound, edge, tilt)

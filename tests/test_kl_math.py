@@ -157,10 +157,19 @@ class TestInverses:
                 assert _kl(p, kl_lower_inverse(p, b)) <= b
 
     def test_tilt_validation(self):
-        with pytest.raises(ValueError):
-            tilted_kl_upper_inverse(0.5, 0.1, 0)
-        with pytest.raises(ValueError):
-            tilted_kl_lower_inverse(0.5, 0.1, -3)
+        # None too: the shared solver reads a tilt of None as the plain divergence
+        for inverse in (tilted_kl_upper_inverse, tilted_kl_lower_inverse):
+            for tilt in (None, 0, -3, 2.5):
+                with pytest.raises(ValueError, match="tilt must be a positive integer"):
+                    inverse(0.5, 0.1, tilt)
+
+    def test_numpy_arguments_give_python_floats(self):
+        # every return path, at the early returns and after a solve
+        for p, bound in ((0.3, 0.05), (0.3, 0.0), (0.3, math.inf), (0.0, 0.05), (1.0, 0.05)):
+            args = (np.float64(p), np.float64(bound))
+            for value in (kl_upper_inverse(*args), kl_lower_inverse(*args),
+                          tilted_kl_upper_inverse(*args, 8), tilted_kl_lower_inverse(*args, 8)):
+                assert type(value) is float, (p, bound)
 
 
 class TestChernoff:
