@@ -28,8 +28,8 @@ import numpy as np
 
 from .kl_math import (
     NEWTON_TOL,
-    _bracketed_newton_array,
     _check_tilt,
+    _first_arg_inverses,
     _kl,
     as_prob,
     kl_lower_inverse,
@@ -213,40 +213,6 @@ def sg_radius(scheme: BoundScheme, t: int) -> float:
     return math.sqrt(0.5 * threshold(scheme, t))
 
 
-# Absolute tolerance of the first-argument inverses behind the coverage
-# envelope; finer than NEWTON_TOL because the envelope is scaled by t.
-_FIRST_ARG_TOL = 1e-13
-
-
-def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
-    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= b, for every b in ``bounds``.
-
-    This inverts D in its first argument.  D(x, mu) is convex in x and 0 at
-    x = mu, so each feasible set is an interval.  A degenerate mu (0 or 1)
-    is returned as is, since D(x, mu) is infinite at every other x; a budget
-    with D(edge, mu) within it gives ``edge``.  Every other budget is solved
-    by ``_bracketed_newton_array`` from the root of the expansion
-    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu),
-    and lies within _FIRST_ARG_TOL of where the divergence, as computed
-    here with NumPy's logs, crosses its budget.
-    """
-    if mu == 0.0 or mu == 1.0:
-        return np.full(bounds.shape, mu)
-    out = np.full(bounds.shape, edge)
-    solve = ~(_kl(edge, mu) <= bounds)
-    b = bounds[solve]
-    start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * b * mu * (1.0 - mu))
-             + b * (1.0 - 2.0 * mu) / 3.0)
-
-    def f(x):
-        up = np.log(x / mu)
-        down = np.log((1.0 - x) / (1.0 - mu))
-        return x * up + (1.0 - x) * down, up - down
-
-    out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
-    return out
-
-
 def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     """Anytime upper confidence limit for the mean reward_sum / pulls of a key with pulls >= 1."""
     if pulls < 1:
@@ -352,7 +318,7 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     The budgets come from one ``_schedule`` call, so they and the
     sub-Gaussian radii carry the scalar functions' bits; the kl schemes
     invert D(., mu) at all t_max budgets per side in one array solve
-    (``_first_arg_inverses``), each within _FIRST_ARG_TOL.
+    (``kl_math._first_arg_inverses``), each within its tolerance, 1e-13.
     """
     mu = _check_coverage(mu, t_max)
     thr = _schedule(scheme, np.arange(1, t_max + 1, dtype=np.float64))

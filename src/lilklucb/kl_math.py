@@ -4,13 +4,15 @@ Exact binary KL divergence, numerical inverses of the divergence in its
 second argument (plain and tilted variants), and Chernoff information at
 the equal-divergence crossing point, which has a closed form.
 
-Two solvers invert a divergence: ``_invert`` for one budget, behind every
-scalar inverse, and ``_bracketed_newton_array`` for a whole array of
-budgets, behind the coverage envelope.  Both keep a bracket with the root
-inside, take Newton steps from the analytic derivative and bisect whenever
-a step is unsafe.  Contract: the returned point is feasible (its
-divergence, as the solver computes it, is within the budget) and lies
-within the tolerance of the point where that divergence crosses the budget.
+Two inversions, one per shape, each self-contained with its own
+tolerance: ``_invert`` for one budget, behind every scalar inverse, within
+NEWTON_TOL, and ``_first_arg_inverses`` for a whole array of budgets,
+behind the coverage envelope, within _FIRST_ARG_TOL.  Both run the same
+bracketed Newton rules: a bracket with the root inside, Newton steps from
+the analytic derivative and a bisection whenever a step is unsafe.
+Contract: the returned point is feasible (its divergence, as the inversion
+computes it, is within the budget) and lies within the tolerance of the
+point where that divergence crosses the budget.
 
 All logarithms are natural.  Inputs are validated on entry; degenerate
 cases follow the conventions 0*log(0) = 0 and D(p, q) = +inf exactly when
@@ -57,81 +59,6 @@ def _kl(p: float, q: float) -> float:
     if p == 1.0:
         return -math.log(q)
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-
-
-def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
-                            start, tol: float) -> np.ndarray:
-    """Feasible point within ``tol`` of the root of f(x) = b, for every b in ``bounds``.
-
-    One function f, mapping an array of points to arrays of (value, slope),
-    and one pair of ends serve every entry; f is monotone between the ends
-    with f(feasible) <= b < f(infeasible), and each entry keeps its own
-    bracket and step history.  The rules are ``_invert``'s: the Newton step
-    in log|infeasible - x|, the midpoint on an unsafe step, points tol/2
-    inside the bracket, and the feasible end once the ends are within
-    ``tol``.  ``start`` (broadcast against ``bounds``) is each entry's first
-    point if it lies inside the bracket.  Entries leave the iteration as
-    they finish.  An iteration works in place, in buffers cut to the live
-    entries, and only f and the removal of finished entries allocate; f
-    must return fresh arrays, which the solver overwrites.
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    d = 1.0 if infeasible > feasible else -1.0
-    edge = d * infeasible
-    half = 0.5 * tol
-    lo = np.full(bounds.shape, d * feasible)
-    hi = np.full(bounds.shape, edge)
-    y = np.broadcast_to(d * np.asarray(start, dtype=float), bounds.shape)
-    y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
-    step = hi - lo
-    step_before = step.copy()
-    out = np.empty(bounds.shape)
-    live = np.arange(bounds.size)
-    scratch = np.empty((3, bounds.size))
-    flags = np.empty((2, bounds.size), dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_ITER):
-            width = np.subtract(hi, lo, out=scratch[0, :live.size])
-            done = np.less_equal(width, tol, out=flags[0, :live.size])
-            if done.any():
-                out[live[done]] = d * lo[done]
-                keep = ~done
-                live, lo, hi, y, step, step_before, bounds = (
-                    x[keep] for x in (live, lo, hi, y, step, step_before, bounds))
-            if live.size == 0:
-                break
-            a, b, c = scratch[:, :live.size]
-            p, q = flags[:, :live.size]
-            # y = lo + half if y < lo + half, else hi - half if y > hi - half
-            np.less(y, np.add(lo, half, out=a), out=p)
-            np.greater(y, np.subtract(hi, half, out=b), out=q)
-            np.copyto(y, b, where=q)
-            np.copyto(y, a, where=p)
-            value, slope = f(np.multiply(y, d, out=c))
-            below = np.less_equal(value, bounds, out=p)
-            np.copyto(lo, y, where=below)
-            np.copyto(hi, y, where=np.logical_not(below, out=q))
-            gap = np.subtract(edge, y, out=a)
-            scale = np.multiply(np.multiply(slope, d, out=slope), gap, out=slope)
-            ratio = np.divide(np.subtract(value, bounds, out=value), scale, out=value)
-            newton = np.greater(scale, 0.0, out=p)
-            newton &= np.less(scale, math.inf, out=q)
-            newton &= np.less(ratio, 50.0, out=q)
-            off = np.logical_not(newton, out=q)
-            np.copyto(ratio, 0.0, where=off)
-            nxt = np.subtract(edge, np.multiply(gap, np.exp(ratio, out=ratio), out=ratio), out=ratio)
-            np.copyto(nxt, math.nan, where=off)
-            safe = np.less_equal(lo, nxt, out=p)
-            safe &= np.less_equal(nxt, hi, out=q)
-            moved = np.abs(np.subtract(nxt, y, out=b), out=b)
-            safe &= np.less_equal(moved, np.multiply(step_before, 0.5, out=a), out=q)
-            midpoint = np.multiply(np.add(lo, hi, out=a), 0.5, out=a)
-            np.copyto(nxt, midpoint, where=np.logical_not(safe, out=q))
-            step_before, step = step, step_before
-            np.abs(np.subtract(nxt, y, out=step), out=step)
-            y = nxt
-    out[live] = d * lo
-    return out
 
 
 def _invert(p: float, bound: float, edge: float, tilt: int | None = None) -> float:
@@ -213,6 +140,97 @@ def _invert(p: float, bound: float, edge: float, tilt: int | None = None) -> flo
         step_before, step = step, abs(nxt - y)
         y = nxt
     return d * lo
+
+
+# Absolute tolerance of the array inversion behind the coverage envelope;
+# finer than NEWTON_TOL because the envelope is scaled by t.
+_FIRST_ARG_TOL = 1e-13
+
+
+def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
+    """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= b, for every b in ``bounds``.
+
+    This inverts D in its first argument, for a 1-D array of budgets.
+    D(x, mu) is convex in x and 0 at x = mu, so each feasible set is an
+    interval.  A degenerate mu (0 or 1) is returned as is, since D(x, mu)
+    is infinite at every other x; a budget with D(edge, mu) within it gives
+    ``edge``.  Every other budget is solved by ``_invert``'s rules, with
+    _FIRST_ARG_TOL for NEWTON_TOL, each entry in its own bracket [mu, edge]
+    and from the root of the expansion
+    D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu).
+    Entries leave the iteration as they finish; an iteration works in
+    place, in buffers cut to the live entries, and only the removal of
+    finished entries allocates.  The result lies within _FIRST_ARG_TOL of
+    where D(x, mu), as computed here with NumPy's logs, crosses its budget.
+    """
+    if mu == 0.0 or mu == 1.0:
+        return np.full(bounds.shape, mu)
+    out = np.full(bounds.shape, edge)
+    live = np.flatnonzero(~(_kl(edge, mu) <= bounds))
+    bounds = bounds[live]
+    start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * bounds * mu * (1.0 - mu))
+             + bounds * (1.0 - 2.0 * mu) / 3.0)
+    # Work in y = d*x, as _invert does
+    d = 1.0 if edge else -1.0
+    far = d * edge
+    half = 0.5 * _FIRST_ARG_TOL
+    lo = np.full(live.size, d * mu)
+    hi = np.full(live.size, far)
+    y = d * start
+    y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
+    step = hi - lo
+    step_before = step.copy()
+    scratch = np.empty((4, live.size))
+    flags = np.empty((2, live.size), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            width = np.subtract(hi, lo, out=scratch[0, :live.size])
+            done = np.less_equal(width, _FIRST_ARG_TOL, out=flags[0, :live.size])
+            if done.any():
+                out[live[done]] = d * lo[done]
+                keep = ~done
+                live, lo, hi, y, step, step_before, bounds = (
+                    v[keep] for v in (live, lo, hi, y, step, step_before, bounds))
+            if live.size == 0:
+                break
+            a, b, up, down = scratch[:, :live.size]
+            p, q = flags[:, :live.size]
+            # y = lo + half if y < lo + half, else hi - half if y > hi - half
+            np.less(y, np.add(lo, half, out=a), out=p)
+            np.greater(y, np.subtract(hi, half, out=b), out=q)
+            np.copyto(y, b, where=q)
+            np.copyto(y, a, where=p)
+            # D(x, mu) = x up + (1 - x) down and its slope up - down, with
+            # up = log(x / mu) and down = log((1 - x) / (1 - mu))
+            x = np.multiply(y, d, out=b)
+            np.log(np.divide(x, mu, out=up), out=up)
+            np.log(np.divide(np.subtract(1.0, x, out=a), 1.0 - mu, out=down), out=down)
+            value = np.add(np.multiply(x, up, out=x), np.multiply(a, down, out=a), out=x)
+            slope = np.subtract(up, down, out=up)
+            below = np.less_equal(value, bounds, out=p)
+            np.copyto(lo, y, where=below)
+            np.copyto(hi, y, where=np.logical_not(below, out=q))
+            gap = np.subtract(far, y, out=a)
+            scale = np.multiply(np.multiply(slope, d, out=slope), gap, out=slope)
+            ratio = np.divide(np.subtract(value, bounds, out=value), scale, out=value)
+            newton = np.greater(scale, 0.0, out=p)
+            newton &= np.less(scale, math.inf, out=q)
+            newton &= np.less(ratio, 50.0, out=q)
+            off = np.logical_not(newton, out=q)
+            np.copyto(ratio, 0.0, where=off)
+            nxt = np.subtract(far, np.multiply(gap, np.exp(ratio, out=ratio), out=ratio), out=ratio)
+            np.copyto(nxt, math.nan, where=off)
+            safe = np.less_equal(lo, nxt, out=p)
+            safe &= np.less_equal(nxt, hi, out=q)
+            moved = np.abs(np.subtract(nxt, y, out=down), out=down)
+            safe &= np.less_equal(moved, np.multiply(step_before, 0.5, out=a), out=q)
+            midpoint = np.multiply(np.add(lo, hi, out=a), 0.5, out=a)
+            np.copyto(nxt, midpoint, where=np.logical_not(safe, out=q))
+            step_before, step = step, step_before
+            np.abs(np.subtract(nxt, y, out=step), out=step)
+            np.copyto(y, nxt)  # nxt is a scratch row, which the next step overwrites
+    out[live] = d * lo
+    return out
 
 
 def kl_upper_inverse(p: float, bound: float) -> float:

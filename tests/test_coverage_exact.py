@@ -10,7 +10,9 @@ inverse and the per-t envelope loop built on it, every block's count and
 steps drawn and joined, float exit curves, exact rational CDFs, and
 NumPy's own per-step Bernoulli sampler for the law.  The generic scalar
 bracketed-Newton solver behind the first-argument inverse is also the
-reference of ``kl_math._invert``, which must return its bits.
+reference of ``kl_math._invert``, and the generic array solver, with the
+plain divergence as its function, the reference of
+``kl_math._first_arg_inverses``; each must return its reference's bits.
 """
 
 import math
@@ -35,18 +37,25 @@ from lilklucb.cli import (
     splitmix64,
 )
 from lilklucb.confidence import (
-    _FIRST_ARG_TOL,
+    KL_PRIME,
     KL_TILTED,
     SG1,
     SG2,
     BoundScheme,
-    _first_arg_inverses,
+    _schedule,
     coverage_envelope,
     integer_exit_curves,
     sg_radius,
     threshold,
 )
-from lilklucb.kl_math import NEWTON_TOL, NEWTON_MAX_ITER, _invert, _kl
+from lilklucb.kl_math import (
+    _FIRST_ARG_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    _first_arg_inverses,
+    _invert,
+    _kl,
+)
 
 MUS = (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.5 + 1e-7, 2.0 / 3.0, 0.7, 0.9, 0.999, 1.0)
 GAMMA = 0x9E3779B97F4A7C15
@@ -455,3 +464,153 @@ def test_invert_is_the_generic_solver_bit_for_bit():
        edge=st.sampled_from([0.0, 1.0]), tilt=st.sampled_from(INVERT_TILTS))
 def test_invert_is_the_generic_solver_on_random_arguments(p, bound, edge, tilt):
     _assert_invert_is_the_reference(p, bound, edge, tilt)
+
+
+def _bracketed_newton_array(f, bounds, feasible: float, infeasible: float,
+                            start, tol: float) -> np.ndarray:
+    """Feasible point within ``tol`` of the root of f(x) = b, for every b in ``bounds``.
+
+    One function f, mapping an array of points to arrays of (value, slope),
+    and one pair of ends serve every entry; f is monotone between the ends
+    with f(feasible) <= b < f(infeasible), and each entry keeps its own
+    bracket and step history.  The rules are ``_invert``'s: the Newton step
+    in log|infeasible - x|, the midpoint on an unsafe step, points tol/2
+    inside the bracket, and the feasible end once the ends are within
+    ``tol``.  ``start`` (broadcast against ``bounds``) is each entry's first
+    point if it lies inside the bracket.  Entries leave the iteration as
+    they finish.  An iteration works in place, in buffers cut to the live
+    entries, and only f and the removal of finished entries allocate; f
+    must return fresh arrays, which the solver overwrites.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    d = 1.0 if infeasible > feasible else -1.0
+    edge = d * infeasible
+    half = 0.5 * tol
+    lo = np.full(bounds.shape, d * feasible)
+    hi = np.full(bounds.shape, edge)
+    y = np.broadcast_to(d * np.asarray(start, dtype=float), bounds.shape)
+    y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
+    step = hi - lo
+    step_before = step.copy()
+    out = np.empty(bounds.shape)
+    live = np.arange(bounds.size)
+    scratch = np.empty((3, bounds.size))
+    flags = np.empty((2, bounds.size), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            width = np.subtract(hi, lo, out=scratch[0, :live.size])
+            done = np.less_equal(width, tol, out=flags[0, :live.size])
+            if done.any():
+                out[live[done]] = d * lo[done]
+                keep = ~done
+                live, lo, hi, y, step, step_before, bounds = (
+                    x[keep] for x in (live, lo, hi, y, step, step_before, bounds))
+            if live.size == 0:
+                break
+            a, b, c = scratch[:, :live.size]
+            p, q = flags[:, :live.size]
+            # y = lo + half if y < lo + half, else hi - half if y > hi - half
+            np.less(y, np.add(lo, half, out=a), out=p)
+            np.greater(y, np.subtract(hi, half, out=b), out=q)
+            np.copyto(y, b, where=q)
+            np.copyto(y, a, where=p)
+            value, slope = f(np.multiply(y, d, out=c))
+            below = np.less_equal(value, bounds, out=p)
+            np.copyto(lo, y, where=below)
+            np.copyto(hi, y, where=np.logical_not(below, out=q))
+            gap = np.subtract(edge, y, out=a)
+            scale = np.multiply(np.multiply(slope, d, out=slope), gap, out=slope)
+            ratio = np.divide(np.subtract(value, bounds, out=value), scale, out=value)
+            newton = np.greater(scale, 0.0, out=p)
+            newton &= np.less(scale, math.inf, out=q)
+            newton &= np.less(ratio, 50.0, out=q)
+            off = np.logical_not(newton, out=q)
+            np.copyto(ratio, 0.0, where=off)
+            nxt = np.subtract(edge, np.multiply(gap, np.exp(ratio, out=ratio), out=ratio), out=ratio)
+            np.copyto(nxt, math.nan, where=off)
+            safe = np.less_equal(lo, nxt, out=p)
+            safe &= np.less_equal(nxt, hi, out=q)
+            moved = np.abs(np.subtract(nxt, y, out=b), out=b)
+            safe &= np.less_equal(moved, np.multiply(step_before, 0.5, out=a), out=q)
+            midpoint = np.multiply(np.add(lo, hi, out=a), 0.5, out=a)
+            np.copyto(nxt, midpoint, where=np.logical_not(safe, out=q))
+            step_before, step = step, step_before
+            np.abs(np.subtract(nxt, y, out=step), out=step)
+            y = nxt
+    out[live] = d * lo
+    return out
+
+
+def _reference_first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
+    """``_first_arg_inverses`` as the generic array solver ran it, with the plain ``f``."""
+    if mu == 0.0 or mu == 1.0:
+        return np.full(bounds.shape, mu)
+    out = np.full(bounds.shape, edge)
+    solve = ~(_kl(edge, mu) <= bounds)
+    b = bounds[solve]
+    start = (mu + math.copysign(1.0, edge - mu) * np.sqrt(2.0 * b * mu * (1.0 - mu))
+             + b * (1.0 - 2.0 * mu) / 3.0)
+
+    def f(x):
+        up = np.log(x / mu)
+        down = np.log((1.0 - x) / (1.0 - mu))
+        return x * up + (1.0 - x) * down, up - down
+
+    out[solve] = _bracketed_newton_array(f, b, mu, edge, start, tol=_FIRST_ARG_TOL)
+    return out
+
+
+FIRST_ARG_MUS = (5e-324, 1e-320, 1e-300, 1e-9, 1e-6, 0.01, 0.1, 1.0 / 3.0, 0.5, 0.5 + 1e-7,
+                 0.7, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 2.0**-53, 0.0, 1.0)
+
+
+def _assert_first_arg_inverses_are_the_reference(mu, bounds, edge):
+    ours = _first_arg_inverses(mu, bounds, edge)
+    assert ours.tobytes() == _reference_first_arg_inverses(mu, bounds, edge).tobytes(), (
+        mu, edge, bounds.size)
+
+
+def test_first_arg_inverses_are_the_generic_solver_bit_for_bit():
+    # the kl schedule every 25th t up to 1e4, budgets that reach each early
+    # return and the edges of the bracket, and many small and large budgets
+    rng = np.random.default_rng(28)
+    scheme = BoundScheme(KL_TILTED, 8, 0.05)
+    budgets = (
+        _schedule(scheme, np.arange(1, 10**4 + 1, 25, dtype=np.float64)),
+        np.array([0.0, 1e-300, 1e-12, 1e-7, 0.3, 5.0, 800.0, math.inf]),
+        rng.exponential(0.01, 5000),
+        rng.uniform(0.0, 3.0, 5000),
+    )
+    for mu in FIRST_ARG_MUS + tuple(rng.uniform(size=40).tolist()):
+        for bounds in budgets:
+            for edge in (0.0, 1.0):
+                _assert_first_arg_inverses_are_the_reference(mu, bounds, edge)
+
+
+@PROPERTY
+@given(mu=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0**-1022),
+                    st.sampled_from(FIRST_ARG_MUS)),
+       bounds=st.lists(st.one_of(st.floats(0.0, 1e-6), st.floats(1e-6, 1e3),
+                                 st.sampled_from([0.0, math.inf])), max_size=40),
+       edge=st.sampled_from([0.0, 1.0]))
+def test_first_arg_inverses_are_the_generic_solver_on_random_arguments(mu, bounds, edge):
+    _assert_first_arg_inverses_are_the_reference(mu, np.array(bounds, dtype=np.float64), edge)
+
+
+def test_first_arg_inverse_bits_do_not_depend_on_the_batch():
+    # the kl and kl-prime schedules every 50th t up to 1e4, budgets at and
+    # near 0, and budgets that give the edge
+    t = np.arange(1, 10**4 + 1, 50, dtype=np.float64)
+    bounds = np.concatenate([_schedule(BoundScheme(KL_TILTED, 8, 0.05), t),
+                             _schedule(BoundScheme(KL_PRIME, 8, 0.05), t),
+                             [0.0, 1e-300, 5.0, math.inf]])
+    order = np.random.default_rng(3).permutation(bounds.size)
+    for mu in (1e-320, 1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        for edge in (0.0, 1.0):
+            full = _first_arg_inverses(mu, bounds, edge)
+            cases = [(_first_arg_inverses(mu, bounds[order], edge), full[order]),
+                     (_first_arg_inverses(mu, bounds[::7], edge), full[::7])]  # strided view
+            for size, every in ((1, 9), (7, 7), (64, 64)):
+                cases += [(_first_arg_inverses(mu, bounds[i:i + size], edge), full[i:i + size])
+                          for i in range(0, bounds.size, every)]
+            assert all(ours.tobytes() == whole.tobytes() for ours, whole in cases), (mu, edge)

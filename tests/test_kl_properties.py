@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from lilklucb import confidence
 from lilklucb.kl_math import (
+    _FIRST_ARG_TOL,
     NEWTON_TOL,
+    _first_arg_inverses,
     _kl,
     kl_lower_inverse,
     kl_upper_inverse,
@@ -45,7 +47,7 @@ def _tilted(p, m, tilt):
 
 def _first_arg(mu, budget, edge):
     """The coverage envelope's first-argument inverse at one budget, as a float."""
-    return float(confidence._first_arg_inverses(mu, np.array([budget]), edge)[0])
+    return float(_first_arg_inverses(mu, np.array([budget]), edge)[0])
 
 
 # name -> (inverse(p, budget, tilt), divergence(p, m, tilt), outer direction, tolerance)
@@ -57,9 +59,9 @@ INVERSES = {
     "tilted_upper": (tilted_kl_upper_inverse, _tilted, 1.0, NEWTON_TOL),
     "tilted_lower": (tilted_kl_lower_inverse, _tilted, -1.0, NEWTON_TOL),
     "first_arg_upper": (lambda mu, b, tilt: _first_arg(mu, b, 1.0),
-                        lambda mu, x, tilt: _kl(x, mu), 1.0, confidence._FIRST_ARG_TOL),
+                        lambda mu, x, tilt: _kl(x, mu), 1.0, _FIRST_ARG_TOL),
     "first_arg_lower": (lambda mu, b, tilt: _first_arg(mu, b, 0.0),
-                        lambda mu, x, tilt: _kl(x, mu), -1.0, confidence._FIRST_ARG_TOL),
+                        lambda mu, x, tilt: _kl(x, mu), -1.0, _FIRST_ARG_TOL),
 }
 NAMES = st.sampled_from(sorted(INVERSES))
 

@@ -191,6 +191,13 @@ def test_every_src_function_has_a_caller():
     assert unused == []
 
 
+def test_only_kl_math_names_the_newton_rules():
+    """Every bracketed-Newton loop lives in ``kl_math``: no other module names its iteration cap."""
+    owners = [path.name for path in sorted(SRC.glob("*.py"))
+              if _names(ast.parse(path.read_text(encoding="utf-8")))["NEWTON_MAX_ITER"]]
+    assert owners == ["kl_math.py"]
+
+
 def test_no_unused_imports():
     """Every name an import binds in the package or the tests is named again in its file.
 
