@@ -88,8 +88,6 @@ def _first_pulls(env: Environment, rng: Draws, scheme: BoundScheme, table: dict)
 
 def _check_identify(n_arms: int, budget: int | None) -> None:
     """``lil_klucb``'s argument rules."""
-    if n_arms < 2:
-        raise ValueError("identification needs at least 2 arms")
     if budget is not None and budget < n_arms:
         raise ValueError("budget must cover one initialization pull per arm")
 
@@ -377,18 +375,12 @@ def _bound_term(div: float, log_factor: float) -> float:
 def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
     """``predicted_complexity``'s argument rules.
 
-    Returns the means as floats and the ``kl`` schemes of the crossing
-    schedules: delta^2 for the suboptimal arms, delta/(n-1) for the best.
-    Below delta of about 1.6e-162, delta^2 underflows to 0; the error names
-    the delta given.
+    ``mus`` must make a Bernoulli ``Environment``.  Returns them as floats
+    and the ``kl`` schemes of the crossing schedules: delta^2 for the
+    suboptimal arms, delta/(n-1) for the best.  Below delta of about
+    1.6e-162, delta^2 underflows to 0; the error names the delta given.
     """
-    mus = tuple(float(m) for m in mus)
-    if len(mus) < 2:
-        raise ValueError("need at least 2 arms")
-    if any(b > a for a, b in zip(mus, mus[1:])):
-        raise ValueError("means must be sorted in descending order")
-    if not mus[0] > mus[1]:
-        raise ValueError("the top two means must be strictly separated")
+    mus = environments.bernoulli_environment(mus).true_means
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     _check_delta(delta)

@@ -245,23 +245,6 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
 _CERTIFICATE_FLOOR = 1e-7
 
 
-def _over_budget(scheme: BoundScheme, pulls: int, mu_hat: float, m: float) -> bool | None:
-    """Whether the divergence a ``kl``/``kl-prime`` key's bounds invert exceeds the budget at m.
-
-    It is computed as the inverses compute it.  True for any m outside
-    (0, 1), since no bound lies beyond 0 or 1, before the budget is read;
-    None (cannot tell) for a budget below _CERTIFICATE_FLOOR or infinite.
-    """
-    if not 0.0 < m < 1.0:
-        return True
-    budget = threshold(scheme, pulls)
-    if not _CERTIFICATE_FLOOR <= budget < math.inf:
-        return None
-    if scheme.kind == KL_TILTED:
-        return _kl((scheme.tilt * mu_hat + m) / (scheme.tilt + 1.0), m) > budget
-    return _kl(mu_hat, m) > budget
-
-
 def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edge: float) -> int:
     """+1 if the bound toward ``edge`` lies certainly beyond x, -1 if short of it, else 0.
 
@@ -276,25 +259,41 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     infeasible point beyond it, so m* lies beyond x; and a divergence over
     the budget at x - step, beyond p, puts the feasible m* short of x.
     The point one step off x keeps _kl's rounding noise from deciding: at
-    x itself, a point one float inside m* can read over the budget.
-    ``_over_budget`` reads any point outside (0, 1) as over the budget and
-    trusts no budget below _CERTIFICATE_FLOOR or infinite.  ``sg1`` and
-    ``sg2`` give 0: their bound is a table read and a square root.
+    x itself, a point one float inside m* can read over the budget.  The
+    divergence is computed as the inverses compute it, a point outside
+    (0, 1) is over the budget (no bound lies past 0 or 1), and the budget
+    is read at most once and trusted from _CERTIFICATE_FLOOR up, short of
+    inf.  As in ``_invert``, d = +1 toward 1 and -1 toward 0 mirrors each
+    comparison.  ``sg1`` and ``sg2`` give 0: their bound is a table read
+    and a square root.
     """
     if pulls < 1:
         raise ValueError("bound_side requires at least one sample")
     if scheme.kind in (SG1, SG2):
         return 0
     mu_hat = reward_sum / pulls
-    step = NEWTON_TOL if edge else -NEWTON_TOL
-    if ((x < mu_hat if edge else x > mu_hat)
-            or _over_budget(scheme, pulls, mu_hat, x + step) is False):
+    d = 1.0 if edge else -1.0
+    if d * x < d * mu_hat:
         return 1
-    short = x - step
-    if ((short <= mu_hat if edge else short >= mu_hat)
-            or not _over_budget(scheme, pulls, mu_hat, short)):
+    tilt = scheme.tilt if scheme.kind == KL_TILTED else 0  # 0: the plain D(p, m)
+    budget = None
+    m = x + d * NEWTON_TOL
+    if 0.0 < m < 1.0:
+        budget = threshold(scheme, pulls)
+        if (_CERTIFICATE_FLOOR <= budget < math.inf
+                and not _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
+            return 1
+    m = x - d * NEWTON_TOL
+    if d * m <= d * mu_hat:
         return 0
-    return -1
+    if not 0.0 < m < 1.0:
+        return -1
+    if budget is None:
+        budget = threshold(scheme, pulls)
+    if (_CERTIFICATE_FLOOR <= budget < math.inf
+            and _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
+        return -1
+    return 0
 
 
 def _check_coverage(mu: float, t_max: int) -> float:

@@ -85,7 +85,7 @@ class Draws(random.Random):
 
 @dataclass(frozen=True)
 class Environment:
-    """A fixed set of arms, arm 0 strictly best by its mean.
+    """At least 2 arms, arm 0 strictly best by its mean.
 
     Immutable; concurrent runs should not share one generator.
     """
@@ -94,7 +94,9 @@ class Environment:
 
     def __post_init__(self) -> None:
         means = self.true_means
-        if len(means) >= 2 and not means[0] > means[1]:
+        if len(means) < 2:
+            raise ValueError(f"need at least 2 arms, got {len(means)}")
+        if not means[0] > means[1]:
             raise ValueError("arm 0 must be the unique best arm")
         for a, b in zip(means, means[1:]):
             if b > a:

@@ -116,8 +116,9 @@ class TestLilKlucb:
             lil_klucb(env, BoundScheme("kl", 8, 0.01), 1, np.random.default_rng(0))
 
     def test_single_arm_rejected(self):
-        env = bernoulli_environment((0.9,))
-        with pytest.raises(ValueError):
+        # the environment owns the arm count: a one-arm instance is never built
+        with pytest.raises(ValueError, match="at least 2 arms"):
+            env = bernoulli_environment((0.9,))
             lil_klucb(env, BoundScheme("kl", 8, 0.01), None, np.random.default_rng(0))
 
     def test_rounds_add_two_pulls(self):

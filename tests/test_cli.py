@@ -181,6 +181,16 @@ class TestConfigHandling:
             assert main(cmd + ["--config", str(cfg), "--reps", "2",
                                "--output", str(tmp_path / "o.csv")]) == 1
 
+    def test_one_config_mean_exits_1_naming_the_means(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": [0.7]}))
+        for cmd in (["identify"], ["simulate", "--budget", "30", "--k", "1"]):
+            assert main(cmd + ["--config", str(cfg), "--reps", "2",
+                               "--output", str(tmp_path / "o.csv")]) == 1
+            assert "configuration error: means: need at least 2 arms, got 1" in (
+                capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("means", [
         [0.5000000001, 0.5],  # the Chernoff separation rounds below zero
         [1e-310, 0.0],  # a positive separation below the schedule's floor

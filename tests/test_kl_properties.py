@@ -8,6 +8,9 @@ the coverage envelope toward either edge, called on one budget):
 the result is feasible as ``_kl`` computes it, the budget is exceeded one
 tolerance beyond it on the outer side, and inside the region criterion 6
 samples the divergence at the result is within 1e-9 of the budget.
+
+The certificate, ``confidence.bound_side``, must also give the answers of
+a reference kept below, which runs each probe through a helper of its own.
 """
 
 import math
@@ -161,6 +164,122 @@ def test_bound_side_is_sound(edge, kind_tilt, delta, pulls, share, where, u):
         assert bound < x if edge else bound > x
     elif confidence.threshold(scheme, pulls) >= confidence._CERTIFICATE_FLOOR:
         assert abs(bound - x) <= 2 * NEWTON_TOL
+
+
+def _reference_over_budget(scheme, pulls, mu_hat, m):
+    """Whether the divergence at m is over the budget; None for an untrusted budget."""
+    if not 0.0 < m < 1.0:
+        return True
+    budget = confidence.threshold(scheme, pulls)
+    if not confidence._CERTIFICATE_FLOOR <= budget < math.inf:
+        return None
+    if scheme.kind == confidence.KL_TILTED:
+        return _kl((scheme.tilt * mu_hat + m) / (scheme.tilt + 1.0), m) > budget
+    return _kl(mu_hat, m) > budget
+
+
+def _reference_bound_side(scheme, pulls, reward_sum, x, edge):
+    """The certificate with one ``_reference_over_budget`` call, and budget read, per probe."""
+    if pulls < 1:
+        raise ValueError("bound_side requires at least one sample")
+    if scheme.kind in (confidence.SG1, confidence.SG2):
+        return 0
+    mu_hat = reward_sum / pulls
+    step = NEWTON_TOL if edge else -NEWTON_TOL
+    if ((x < mu_hat if edge else x > mu_hat)
+            or _reference_over_budget(scheme, pulls, mu_hat, x + step) is False):
+        return 1
+    short = x - step
+    if ((short <= mu_hat if edge else short >= mu_hat)
+            or not _reference_over_budget(scheme, pulls, mu_hat, short)):
+        return 0
+    return -1
+
+
+# Every kind at tilts 4, 8 and 64 and three deltas; pulls from 1 to 1e12,
+# where the kl budgets fall below the certificate's floor, and 2^1023, where
+# the budget is infinite; rewards at 0, inside and at the top.  No pulls lie
+# between 2^14 and the table's cap, so no scheme keeps a table over 128 kB.
+REFERENCE_SCHEMES = [confidence.BoundScheme(kind, tilt, delta)
+                     for kind in confidence.SCHEME_KINDS for tilt in (4, 8, 64)
+                     for delta in (0.05, 0.5, 1e-10)]
+REFERENCE_PULLS = (1, 2, 7, 100, 10**4, 10**7, 10**9, 10**12, 2**1023)
+
+
+def _reference_grid():
+    """(scheme, pulls, reward_sum, x, edge): x near the bound, the mean, 0 and 1, and past them."""
+    for scheme in REFERENCE_SCHEMES:
+        for pulls in REFERENCE_PULLS:
+            for reward_sum in (0.0, float(round(0.3 * pulls)), float(pulls)):
+                mean = reward_sum / pulls
+                for edge in (0.0, 1.0):
+                    bound = (confidence.upper_bound if edge else confidence.lower_bound)(
+                        scheme, pulls, reward_sum)
+                    xs = [bound + j / 2.0 * NEWTON_TOL for j in range(-4, 5)]
+                    xs += [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+                    xs += [mean, math.nextafter(mean, -math.inf), math.nextafter(mean, math.inf),
+                           0.5 * (mean + bound)]
+                    xs += [0.0, 1.0, NEWTON_TOL, 1.0 - NEWTON_TOL, -0.5, 1.5, -math.inf, math.inf]
+                    for x in xs:
+                        yield scheme, pulls, reward_sum, x, edge
+
+
+def test_bound_side_is_the_reference_on_a_grid():
+    cases = list(_reference_grid())
+    assert len(cases) == 44712
+    for case in cases:
+        assert confidence.bound_side(*case) == _reference_bound_side(*case), case
+
+
+def _answer(side, *args):
+    """``side``'s answer, or the type of the error it raises (a mean past 1 leaves _kl's domain)."""
+    try:
+        return side(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(
+    scheme=st.sampled_from(REFERENCE_SCHEMES),
+    pulls=st.one_of(st.integers(1, 2**14), st.integers(2**20 + 1, 10**13),
+                    st.sampled_from(REFERENCE_PULLS)),
+    share=st.one_of(st.just(0.0), st.just(1.0), UNIT, st.floats(-1.0, 2.0)),
+    x=st.one_of(UNIT, st.floats()),
+    offset=st.integers(-8, 8),
+    edge=st.sampled_from([0.0, 1.0]),
+)
+def test_bound_side_is_the_reference_on_random_arguments(scheme, pulls, share, x, offset, edge):
+    # x anywhere, NaN and the infinities included, and near the bound in
+    # half-tolerance steps; reward sums also outside [0, pulls]
+    reward_sum = share * pulls
+    if offset and 0.0 <= share <= 1.0:
+        bound = (confidence.upper_bound if edge else confidence.lower_bound)(
+            scheme, pulls, reward_sum)
+        x = bound + offset / 2.0 * NEWTON_TOL
+    assert (_answer(confidence.bound_side, scheme, pulls, reward_sum, x, edge)
+            == _answer(_reference_bound_side, scheme, pulls, reward_sum, x, edge))
+
+
+def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
+    reads = []
+    real = confidence.threshold
+
+    def counted(scheme, t):
+        reads.append(t)
+        return real(scheme, t)
+
+    cases = list(_reference_grid())
+    monkeypatch.setattr(confidence, "threshold", counted)
+    for case in cases:
+        reads.clear()
+        confidence.bound_side(*case)
+        assert len(reads) <= 1, case
+    # past the edge both probes lie outside (0, 1): -1 with no read
+    reads.clear()
+    assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, 1.5, 1.0) == -1
+    assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, -0.5, 0.0) == -1
+    assert reads == []
 
 
 @pytest.mark.parametrize("edge", [0.0, 1.0])

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -142,7 +143,7 @@ def test_no_fromiter_calls():
 LOOP_FUNCTIONS = {
     "bandit.py": {"ucb_race", "lil_klucb", "_first_pulls", "_argmax_random_tie",
                   "_best_arm_in_top_k"},
-    "confidence.py": {"upper_bound", "lower_bound", "bound_side", "_over_budget"},
+    "confidence.py": {"upper_bound", "lower_bound", "bound_side"},
     "kl_math.py": {"_invert", "_kl"},
 }
 
@@ -219,3 +220,18 @@ def test_no_unused_imports():
             if not named[bound]
         ]
     assert unused == []
+
+
+def test_ci_runs_the_tier_1_command():
+    """The workflow runs ROADMAP's tier-1 command verbatim, on the requires-python floor and up."""
+    yaml = pytest.importorskip("yaml")
+    root = SRC.parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    assert set(workflow[True]) == {"push", "pull_request"}  # YAML 1.1 reads the key `on` as True
+    job = workflow["jobs"]["tests"]
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                        (root / "ROADMAP.md").read_text(encoding="utf-8")).group(1)
+    runs = [step.get("run") for step in job["steps"]]
+    assert runs[-2:] == ['pip install -e ".[test]"', command]
+    floor = re.search(r'requires-python = ">=([\d.]+)"', (root / "pyproject.toml").read_text())
+    assert job["strategy"]["matrix"]["python-version"][0] == floor.group(1)
