@@ -20,10 +20,10 @@ from lilklucb.cli import (
     coverage_rates,
     derive_seed,
     main,
-    splitmix64,
 )
 from lilklucb.bandit import GRID_POINTS, predicted_complexity
 from lilklucb.confidence import BoundScheme
+from lilklucb.coverage import splitmix64
 from lilklucb.data_ingest import read_output
 
 CONTEST_CSV = (
@@ -384,6 +384,16 @@ class TestSimulate:
         assert meta["bound_n"] == 8
         assert meta["alpha"] == 0.5
         assert meta["snapshot_every"] == 12  # twice the number of arms
+        # a means instance is recorded by its means, not by the unread --alpha
+        metas = []
+        for means in ([0.9, 0.5, 0.1], [0.6, 0.55, 0.5]):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"means": means}), encoding="utf-8")
+            assert main(["simulate", "--config", str(config), "--k", "1", "--budget", "60",
+                         "--reps", "2", "--output", str(path)]) == 0
+            metas.append(read_output(path, "csv").metadata)
+            assert metas[-1]["means"] == means and "alpha" not in metas[-1]
+        assert metas[0] != metas[1]
 
 
 class TestReplay:

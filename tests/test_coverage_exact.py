@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lilklucb import cli
-from lilklucb.cli import (
+from lilklucb import coverage
+from lilklucb.cli import coverage_rates
+from lilklucb.coverage import (
     _GUIDE_BITS,
     _arrange,
     _binomial_cdf,
@@ -33,7 +34,6 @@ from lilklucb.cli import (
     _counts,
     _splitmix64_array,
     _uniforms,
-    coverage_rates,
     splitmix64,
 )
 from lilklucb.confidence import (
@@ -301,7 +301,7 @@ def test_every_arrangement_is_equally_likely():
             counter = np.arange(64 * n, dtype=np.uint64).reshape(64, n)
             u = _uniforms(_splitmix64_array(counter * np.uint64(GAMMA)
                                             + np.uint64(100 * width + ones)))
-            steps = _arrange(np.full(n, ones), np.full(n, width), u)
+            steps = _arrange(np.full(n, ones), np.full(n, width), u, np.empty_like(u))
             assert not steps[width:].any()
             assert (steps.sum(axis=0) == ones).all()
             code = (steps[:width].T * (1 << np.arange(width))).sum(axis=1)
@@ -330,8 +330,8 @@ def test_rates_do_not_depend_on_the_batch(monkeypatch):
     scheme = BoundScheme("kl", 8, 0.9)
     cells = [(mu, t_max) for mu in (0.1, 0.5, 0.9) for t_max in (65, 600)]
     default = [coverage_rates(scheme, mu, t_max, 1300, seed=5) for mu, t_max in cells]
-    monkeypatch.setattr(cli, "_BATCH_BLOCKS", 23)
-    monkeypatch.setattr(cli, "_CHUNK_BLOCKS", 5)
+    monkeypatch.setattr(coverage, "_BATCH_BLOCKS", 23)
+    monkeypatch.setattr(coverage, "_CHUNK_BLOCKS", 5)
     assert [coverage_rates(scheme, mu, t_max, 1300, seed=5) for mu, t_max in cells] == default
     assert any(rates["joint"] > 0.0 for rates in default)
 

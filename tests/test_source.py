@@ -199,6 +199,14 @@ def test_only_kl_math_names_the_newton_rules():
     assert owners == ["kl_math.py"]
 
 
+def test_only_the_coverage_module_names_the_counter_layout():
+    """The coverage sampler's counters live in ``coverage``: no other module names their layout."""
+    owners = [path.name for path in sorted(SRC.glob("*.py"))
+              if any(_names(ast.parse(path.read_text(encoding="utf-8")))[name]
+                     for name in ("_GAMMA", "_STRIDE", "_SCREEN"))]
+    assert owners == ["coverage.py"]
+
+
 def test_no_unused_imports():
     """Every name an import binds in the package or the tests is named again in its file.
 
