@@ -3,6 +3,11 @@
 import os
 import sys
 
+
+class InputError(ValueError):
+    """An argument or input file that breaks a documented rule; the command line exits 1 on it."""
+
+
 # lilklucb makes no threaded BLAS call (its one LAPACK call, table1's polyfit,
 # fits a few points), so numpy is loaded with OpenBLAS on one thread: starting
 # the default pool of one thread per core takes about half of the import.  A

@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from . import environments
+from . import InputError, environments
 from .confidence import (
     KL_TILTED,
     BoundScheme,
@@ -60,9 +60,9 @@ def _argmax_random_tie(values: list, rng: Draws) -> int:
     return ties[rng.integers(len(ties))]
 
 
-def _reward_error(reward) -> ValueError:
+def _reward_error(reward) -> InputError:
     """The loops' error for a reward outside [0, 1]."""
-    return ValueError(f"rewards must lie in [0, 1], got {reward!r}")
+    return InputError(f"rewards must lie in [0, 1], got {reward!r}")
 
 
 def _first_pulls(env: Environment, rng: Draws, scheme: BoundScheme, table: dict):
@@ -89,7 +89,7 @@ def _first_pulls(env: Environment, rng: Draws, scheme: BoundScheme, table: dict)
 def _check_identify(n_arms: int, budget: int | None) -> None:
     """``lil_klucb``'s argument rules."""
     if budget is not None and budget < n_arms:
-        raise ValueError("budget must cover one initialization pull per arm")
+        raise InputError("budget must cover one initialization pull per arm")
 
 
 def lil_klucb(
@@ -122,7 +122,9 @@ def lil_klucb(
     and generator state equal those of evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
-    holds one upper-bound table per scheme, keyed by (pulls, reward_sum).
+    holds one upper-bound table per scheme, keyed by (pulls, reward_sum),
+    and under the key (scheme, n) the leader's scheme at delta/(n-1), so
+    runs that share the cache share that scheme's threshold table too.
     The leader's lower bound is inverted uncached: the certificate passes
     about one round per run, so its keys would almost never repeat.
 
@@ -131,16 +133,19 @@ def lil_klucb(
     """
     n = env.n_arms
     _check_identify(n, budget)
-    leader_scheme = scheme.with_delta(scheme.delta / (n - 1))
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
+    leader_scheme = cache.get((scheme, n))
+    if leader_scheme is None:
+        leader_scheme = cache[scheme, n] = scheme.with_delta(scheme.delta / (n - 1))
     sample, upper, side_of = environments.sample, upper_bound, bound_side
     pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     means = [s / p for s, p in zip(sums, pulls)]
     stale = []  # arms whose bound predates their last pull, newest last; their ucbs entry is -inf
     total = n
     while True:
-        top = _argmax_random_tie(means, rng)
+        best = max(means)
+        top = means.index(best) if means.count(best) == 1 else _argmax_random_tie(means, rng)
         s = None  # the newest stale rival without a table entry
         for arm in reversed(stale):
             if arm != top:
@@ -215,11 +220,11 @@ def _best_arm_in_top_k(sums: list, pulls: list, k: int, rng: Draws) -> bool:
 def _check_race(n_arms: int, budget: int, snapshot_every: int, k: int) -> None:
     """``ucb_race``'s argument rules."""
     if k < 1 or k > n_arms:
-        raise ValueError(f"k must lie in [1, {n_arms}], got {k!r}")
+        raise InputError(f"k must lie in [1, {n_arms}], got {k!r}")
     if budget < n_arms:
-        raise ValueError("budget must cover one initialization pull per arm")
+        raise InputError("budget must cover one initialization pull per arm")
     if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+        raise InputError("snapshot_every must be >= 1")
 
 
 def ucb_race(
@@ -321,7 +326,7 @@ class ComplexityBound:
     best_arm_crossing: int
 
 
-class UnresolvedSeparation(ValueError):
+class UnresolvedSeparation(InputError):
     """A crossing target that no threshold up to 2^1022 samples falls below.
 
     A Chernoff separation rounds to zero or below when the top two means
@@ -382,10 +387,10 @@ def _check_complexity(mus, delta: float, grid_points: int, tilt: int):
     """
     mus = environments.bernoulli_environment(mus).true_means
     if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
+        raise InputError("grid_points must be >= 3")
     _check_delta(delta)
     if delta * delta == 0.0:
-        raise ValueError(f"delta^2 rounds to 0 below delta of about 1.6e-162, got {delta!r}")
+        raise InputError(f"delta^2 rounds to 0 below delta of about 1.6e-162, got {delta!r}")
     return (mus, BoundScheme(KL_TILTED, tilt, delta * delta),
             BoundScheme(KL_TILTED, tilt, delta / (len(mus) - 1)))
 
@@ -440,7 +445,7 @@ def hardness_sums(n: int, alpha: float) -> tuple[float, float]:
     from a sure-success arm is infinite).
     """
     if n < 2:
-        raise ValueError("need at least 2 arms")
+        raise InputError("need at least 2 arms")
     gaps = gap_family(n, alpha)
     kl_sum = 0.0
     sg_sum = 0.0

@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
-from .bandit import GRID_POINTS, UnresolvedSeparation, lil_klucb, predicted_complexity, ucb_race
+from .bandit import GRID_POINTS, lil_klucb, predicted_complexity, ucb_race
 from .confidence import BoundScheme, _check_coverage, coverage_envelope, integer_exit_curves
 from .coverage import _MASK64, _check_counters, exit_rates, splitmix64
 from .data_ingest import ExperimentOutput, _check_format, parse_contest_csv, write_output
@@ -196,11 +197,11 @@ def build_config(argv=None) -> RunConfig:
 
 
 @contextmanager
-def _flags(names: str, error: type[ValueError] = ValueError):
-    """Report a library rule's ``error`` as a ConfigError naming the flags it read."""
+def _flags(names: str):
+    """Report a library rule's ``InputError`` as a ConfigError naming the flags it read."""
     try:
         yield
-    except error as exc:
+    except InputError as exc:
         raise ConfigError(f"{names}: {exc}") from None
 
 
@@ -357,7 +358,7 @@ def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
     try:
         dataset = parse_contest_csv(config.input)
         env = from_contest(dataset)
-    except (ValueError, csv.Error) as exc:  # the file's contents, not an I/O failure
+    except (InputError, csv.Error) as exc:  # the file's contents, not an I/O failure
         raise ConfigError(f"contest data: {exc}") from None
     extra = {
         "n": env.n_arms,
@@ -367,13 +368,21 @@ def cmd_replay(config: RunConfig) -> dict[str, ExperimentOutput]:
     return {kind: _race_experiment(env, kind, config, extra) for kind in config.schemes}
 
 
+# Predicted pulls per repetition past which an uncapped ``identify`` says so on stderr.
+LONG_RUN_PULLS = 1e7
+
+
 def cmd_identify(config: RunConfig) -> ExperimentOutput:
     """Repeated adaptive identification; error rate, sample costs, predicted bound."""
     env = _config_environment(config)
     scheme = BoundScheme(config.schemes[0], config.tilt, config.delta)
     # a top gap below the divergence's rounding is known only once the witness is found
-    with _flags(_instance_flags(config), UnresolvedSeparation):
+    with _flags(_instance_flags(config)):
         predicted = predicted_complexity(env.true_means, config.delta, GRID_POINTS, config.tilt)
+    if config.budget is None and predicted.total > LONG_RUN_PULLS:
+        print(f"lilklucb: identify predicts {predicted.total:.2g} pulls per repetition, up to "
+              "a constant, and no --budget caps them; set --budget to bound each run",
+              file=sys.stderr)
     records = _repetitions(config, "lil_klucb", env, scheme, config.budget)
     totals = [rec.total_samples for rec in records]
     errors = sum(1 for rec in records if rec.recommended != 0)

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import InputError
 from .kl_math import (
     NEWTON_TOL,
     _check_tilt,
@@ -58,13 +59,13 @@ _TABLE_CAP = 2**20
 def _check_delta(delta: float) -> float:
     delta = float(delta)
     if math.isnan(delta) or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        raise InputError(f"delta must lie in (0, 1), got {delta!r}")
     return delta
 
 
 def _check_tilt_pow2(tilt: int) -> int:
     if not isinstance(tilt, int) or not 1 <= tilt <= MAX_TILT or tilt & (tilt - 1):
-        raise ValueError(f"tilt must be a power of two in [1, {MAX_TILT}], got {tilt!r}")
+        raise InputError(f"tilt must be a power of two in [1, {MAX_TILT}], got {tilt!r}")
     return tilt
 
 
@@ -139,11 +140,11 @@ class BoundScheme:
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}; choose from {SCHEME_KINDS}")
+            raise InputError(f"unknown scheme kind {self.kind!r}; choose from {SCHEME_KINDS}")
         # kappa checks the tilt, before its series is summed, and then delta
         object.__setattr__(self, "kappa_cache", kappa(self.tilt, self.delta))
         if self.kind == KL_PRIME and self.tilt <= math.e:
-            raise ValueError("kl-prime requires tilt > e (use tilt >= 4)")
+            raise InputError("kl-prime requires tilt > e (use tilt >= 4)")
         c = 1.0
         if self.kind == KL_PRIME:
             c = untilt_factor(self.tilt)
@@ -198,7 +199,7 @@ def threshold(scheme: BoundScheme, t: int) -> float:
     if 0 < t <= len(table):
         return table[t - 1]
     if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
+        raise InputError(f"t must be >= 1, got {t!r}")
     if t > _TABLE_CAP:
         return float(_schedule(scheme, np.array([t], dtype=np.float64))[0])
     size = 1 << int(t - 1).bit_length()
@@ -216,7 +217,7 @@ def sg_radius(scheme: BoundScheme, t: int) -> float:
 def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     """Anytime upper confidence limit for the mean reward_sum / pulls of a key with pulls >= 1."""
     if pulls < 1:
-        raise ValueError("upper_bound requires at least one sample")
+        raise InputError("upper_bound requires at least one sample")
     mu_hat = reward_sum / pulls
     if mu_hat == 1.0:  # every scheme's bound is 1 there; no threshold read, no inversion
         return 1.0
@@ -230,7 +231,7 @@ def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
 def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     """Mirror of upper_bound, clamped at 0; never above the empirical mean, exactly as floats."""
     if pulls < 1:
-        raise ValueError("lower_bound requires at least one sample")
+        raise InputError("lower_bound requires at least one sample")
     mu_hat = reward_sum / pulls
     if scheme.kind == KL_TILTED:
         return tilted_kl_lower_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
@@ -262,13 +263,14 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     x itself, a point one float inside m* can read over the budget.  The
     divergence is computed as the inverses compute it, a point outside
     (0, 1) is over the budget (no bound lies past 0 or 1), and the budget
-    is read at most once and trusted from _CERTIFICATE_FLOOR up, short of
-    inf.  As in ``_invert``, d = +1 toward 1 and -1 toward 0 mirrors each
+    is read at most once (straight from the scheme's threshold table when
+    pulls lies in it, through ``threshold`` past its end) and trusted from
+    _CERTIFICATE_FLOOR up, short of inf.  As in ``_invert``, d = +1 toward 1 and -1 toward 0 mirrors each
     comparison.  ``sg1`` and ``sg2`` give 0: their bound is a table read
     and a square root.
     """
     if pulls < 1:
-        raise ValueError("bound_side requires at least one sample")
+        raise InputError("bound_side requires at least one sample")
     if scheme.kind in (SG1, SG2):
         return 0
     mu_hat = reward_sum / pulls
@@ -276,10 +278,11 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     if d * x < d * mu_hat:
         return 1
     tilt = scheme.tilt if scheme.kind == KL_TILTED else 0  # 0: the plain D(p, m)
+    table = scheme.threshold_table
     budget = None
     m = x + d * NEWTON_TOL
     if 0.0 < m < 1.0:
-        budget = threshold(scheme, pulls)
+        budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
         if (_CERTIFICATE_FLOOR <= budget < math.inf
                 and not _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
             return 1
@@ -289,7 +292,7 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     if not 0.0 < m < 1.0:
         return -1
     if budget is None:
-        budget = threshold(scheme, pulls)
+        budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
     if (_CERTIFICATE_FLOOR <= budget < math.inf
             and _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
         return -1
@@ -300,7 +303,7 @@ def _check_coverage(mu: float, t_max: int) -> float:
     """``coverage_envelope``'s argument rules; returns mu as a float."""
     mu = as_prob(mu, "mu")
     if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+        raise InputError(f"t_max must be >= 1, got {t_max!r}")
     return mu
 
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from . import InputError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
 
@@ -29,7 +31,7 @@ _GUIDE_BITS = 12  # bins of the guide that inverts a block's CDF, as a power of 
 def _check_counters(trajectories: int, t_max: int) -> None:
     """exit_rates' rule: every (trajectory, block, slot) counter lies below 2**64."""
     if trajectories * -(-t_max // _SCREEN) * _STRIDE > 1 << 64:
-        raise ValueError(f"{trajectories} trajectories of {t_max} steps need more than "
+        raise InputError(f"{trajectories} trajectories of {t_max} steps need more than "
                          f"2**64 random counters, so their draws would repeat")
 
 

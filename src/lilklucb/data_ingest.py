@@ -9,12 +9,15 @@ rows) or JSON (one object with "metadata", "columns" and "rows").
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from . import InputError
 
 CONTEST_COLUMNS = ("caption", "unfunny", "somewhat_funny", "funny")
 
@@ -28,9 +31,9 @@ class Caption:
 
     def __post_init__(self) -> None:
         if len(self.star_counts) != 3 or any(c < 0 for c in self.star_counts):
-            raise ValueError("star_counts must be three non-negative integers")
+            raise InputError("star_counts must be three non-negative integers")
         if sum(self.star_counts) < 1:
-            raise ValueError(f"caption {self.text!r} retained with zero votes")
+            raise InputError(f"caption {self.text!r} retained with zero votes")
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class ContestDataset:
 
     def __post_init__(self) -> None:
         if len(self.captions) < 2:
-            raise ValueError("a contest dataset needs at least 2 captions")
+            raise InputError("a contest dataset needs at least 2 captions")
 
 
 def parse_contest_csv(path) -> ContestDataset:
@@ -51,40 +54,44 @@ def parse_contest_csv(path) -> ContestDataset:
     The header must hold CONTEST_COLUMNS (other columns are ignored): the
     caption text and the 1/2/3-star counts, in that order.  Rows whose
     three counts sum to zero are dropped with a warning reporting how many
-    were removed.  The contest id is the first run of digits in the file
-    name (0 if there is none).
+    were removed.  A file that is not UTF-8 text is an input error.  The
+    contest id is the first run of digits in the file name (0 if there is
+    none).
     """
     path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     text_col, *count_cols = CONTEST_COLUMNS
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CONTEST_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        captions = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            counts = []
-            for col in count_cols:
-                raw = (row[col] or "").strip()
-                try:
-                    counts.append(int(raw))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-integer vote count {raw!r} in column "
-                        f"{col!r} on line {lineno}"
-                    ) from None
-            if any(c < 0 for c in counts):
-                raise ValueError(f"{path}: negative vote count on line {lineno}")
-            if sum(counts) == 0:
-                dropped += 1
-                continue
-            captions.append(Caption(text=row[text_col], star_counts=tuple(counts)))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in CONTEST_COLUMNS if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing required column(s): {', '.join(missing)}")
+    captions = []
+    dropped = 0
+    for lineno, row in enumerate(reader, start=2):
+        counts = []
+        for col in count_cols:
+            raw = (row[col] or "").strip()
+            try:
+                counts.append(int(raw))
+            except ValueError:
+                raise InputError(
+                    f"{path}: non-integer vote count {raw!r} in column "
+                    f"{col!r} on line {lineno}"
+                ) from None
+        if any(c < 0 for c in counts):
+            raise InputError(f"{path}: negative vote count on line {lineno}")
+        if sum(counts) == 0:
+            dropped += 1
+            continue
+        captions.append(Caption(text=row[text_col], star_counts=tuple(counts)))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} zero-vote caption row(s)")
     if len(captions) < 2:
-        raise ValueError(f"{path}: fewer than 2 captions with votes")
+        raise InputError(f"{path}: fewer than 2 captions with votes")
     match = re.search(r"\d+", path.stem)
     contest_id = int(match.group()) if match else 0
     return ContestDataset(contest_id=contest_id, captions=tuple(captions))
@@ -141,7 +148,7 @@ def _parse_cell(text: str):
 def _check_format(format: str) -> None:
     """The rule on ``format`` of ``write_output`` and ``read_output``."""
     if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        raise InputError(f"format must be 'csv' or 'json', got {format!r}")
 
 
 def write_output(out: ExperimentOutput, path, format: str = "csv") -> None:

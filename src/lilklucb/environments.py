@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
+from . import InputError
 from .data_ingest import ContestDataset
 from .kl_math import as_prob
 
@@ -47,7 +48,7 @@ class Bootstrap:
 
     def __post_init__(self) -> None:
         if not self.pool:
-            raise ValueError("bootstrap pool must be non-empty")
+            raise InputError("bootstrap pool must be non-empty")
         for v in self.pool:
             as_prob(v, "pool value")
 
@@ -75,7 +76,7 @@ class Draws(random.Random):
         if m == 1:
             return 0
         if m < 1:
-            raise ValueError(f"integers needs m >= 1, got {m!r}")
+            raise InputError(f"integers needs m >= 1, got {m!r}")
         bits = m.bit_length()
         x = self.getrandbits(bits)
         while x >= m:
@@ -95,12 +96,12 @@ class Environment:
     def __post_init__(self) -> None:
         means = self.true_means
         if len(means) < 2:
-            raise ValueError(f"need at least 2 arms, got {len(means)}")
+            raise InputError(f"need at least 2 arms, got {len(means)}")
         if not means[0] > means[1]:
-            raise ValueError("arm 0 must be the unique best arm")
+            raise InputError("arm 0 must be the unique best arm")
         for a, b in zip(means, means[1:]):
             if b > a:
-                raise ValueError("true_means must be non-increasing")
+                raise InputError("true_means must be non-increasing")
 
     @property
     def true_means(self) -> tuple[float, ...]:
@@ -123,9 +124,9 @@ def sample(env: Environment, arm: int, rng: Draws) -> float:
 def parametric_means(n: int, alpha: float) -> tuple[float, ...]:
     """Mean profile 1 - ((i-1)/n)^alpha for i = 1..n; the best mean is exactly 1."""
     if n < 2:
-        raise ValueError(f"need at least 2 arms, got {n!r}")
+        raise InputError(f"need at least 2 arms, got {n!r}")
     if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+        raise InputError(f"alpha must be positive, got {alpha!r}")
     return tuple(1.0 - ((i - 1) / n) ** alpha for i in range(1, n + 1))
 
 
@@ -133,21 +134,21 @@ def gap_family(n: int, alpha: float) -> tuple[float, ...]:
     """Mean gaps (i/n)^alpha for i = 1..n, positive and strictly increasing.
 
     The gaps are taken below a best mean of 1, so every mean 1 - gap must
-    also lie below 1.  Raises ValueError where floats cannot hold that: a
+    also lie below 1.  Raises InputError where floats cannot hold that: a
     large alpha underflows the smallest gaps to 0 or leaves them under
     about 1.1e-16, where 1 - gap rounds to 1; a tiny one rounds them all
     to 1.
     """
     if n < 1:
-        raise ValueError(f"need at least 1 gap, got {n!r}")
+        raise InputError(f"need at least 1 gap, got {n!r}")
     if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+        raise InputError(f"alpha must be positive, got {alpha!r}")
     gaps = tuple((i / n) ** alpha for i in range(1, n + 1))
     if not gaps[0] > 0.0 or any(b <= a for a, b in zip(gaps, gaps[1:])):
-        raise ValueError(
+        raise InputError(
             f"gaps (i/{n})^{alpha!r} are not positive and strictly increasing in floats")
     if not 1.0 - gaps[0] < 1.0:
-        raise ValueError(f"the mean 1 - (1/{n})^{alpha!r} rounds to the best mean 1")
+        raise InputError(f"the mean 1 - (1/{n})^{alpha!r} rounds to the best mean 1")
     return gaps
 
 

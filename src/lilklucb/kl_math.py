@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from . import InputError
+
 # Absolute tolerance on the probability argument of every inverse, with a
 # hard iteration cap so the cost is bounded.
 NEWTON_TOL = 1e-12
@@ -36,7 +38,7 @@ def as_prob(value: float, name: str = "probability") -> float:
     """Validate that ``value`` is a probability; rejects NaN and out-of-range."""
     value = float(value)
     if math.isnan(value) or value < 0.0 or value > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        raise InputError(f"{name} must lie in [0, 1], got {value!r}")
     return value
 
 
@@ -44,7 +46,7 @@ def as_divergence(value: float, name: str = "divergence") -> float:
     """Validate a divergence value: non-negative real, +inf allowed, NaN rejected."""
     value = float(value)
     if math.isnan(value) or value < 0.0:
-        raise ValueError(f"{name} must be a non-negative real, got {value!r}")
+        raise InputError(f"{name} must be a non-negative real, got {value!r}")
     return value
 
 
@@ -251,7 +253,7 @@ def kl_lower_inverse(p: float, bound: float) -> float:
 
 def _check_tilt(tilt: int) -> int:
     if not isinstance(tilt, int) or tilt < 1:
-        raise ValueError(f"tilt must be a positive integer, got {tilt!r}")
+        raise InputError(f"tilt must be a positive integer, got {tilt!r}")
     return tilt
 
 

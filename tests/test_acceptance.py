@@ -5,9 +5,11 @@ per criterion.  The full suite is sized for a desk machine (several minutes).
 """
 
 import math
+import time
 
 import numpy as np
 
+from exact_dp import exact_rates
 from lilklucb.bandit import hardness_sums, lil_klucb, ucb_race
 from lilklucb.cli import coverage_rates, derive_seed, main
 from lilklucb.confidence import BoundScheme, coverage_envelope, untilt_factor
@@ -45,6 +47,29 @@ def test_criterion_1_anytime_coverage():
                 details.append(f"{kind}@mu={mu}: {one_sided:.4f}")
     _report("criterion 1 coverage", ok, f"worst one-sided rate {worst:.4f} vs cap {cap:.4f}")
     assert ok, details
+
+
+def test_criterion_1_exact_anytime_coverage():
+    """Criterion 1's cells, exactly: each one-sided miss rate up to t_max is at most delta.
+
+    The rates come from the DP over the running sum (``exact_dp``), so no
+    Monte-Carlo slack enters the cap.  A rate above delta is a fault of the
+    schedule or of kappa, not of the test.
+    """
+    delta, t_max = 0.05, 10_000
+    start = time.perf_counter()
+    worst, cells = 0.0, []
+    for kind in ("kl", "kl-prime", "sg1"):
+        scheme = BoundScheme(kind, 8, delta)
+        for mu in (0.1, 0.5, 0.9):
+            rates = exact_rates(scheme, mu, t_max)
+            one_sided = max(rates["true_mean_below_lower"], rates["true_mean_above_upper"])
+            worst = max(worst, one_sided)
+            cells.append((kind, mu, one_sided))
+    ok = all(rate <= delta for _, _, rate in cells)
+    _report("criterion 1 exact coverage", ok, f"worst one-sided rate {worst:.4e} vs delta "
+            f"{delta}, {len(cells)} cells in {time.perf_counter() - start:.2f} s")
+    assert ok, [cell for cell in cells if cell[2] > delta]
 
 
 def _two_delta_pac(generator, criterion: str) -> None:

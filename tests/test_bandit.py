@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lilklucb import bandit
+from lilklucb import bandit, confidence
 from lilklucb.bandit import (
     RunRecord,
     UnresolvedSeparation,
@@ -20,6 +20,7 @@ from lilklucb.bandit import (
     predicted_complexity,
     ucb_race,
 )
+from lilklucb.cli import derive_seed
 from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
 from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
@@ -284,6 +285,28 @@ class TestLazyBounds:
         for seed in range(12):
             lil_klucb(env, scheme, self.NO_STOP, np.random.default_rng(seed), bound_cache=shared)
         assert len(calls) <= 1500
+
+    def test_leader_scheme_fills_its_threshold_table_once_per_block(self, monkeypatch):
+        # identify-interior4's block at command-line seed 12: the leader's
+        # scheme at delta/(n-1) lives in the shared cache, so its table is
+        # refilled only at each power of two that a leader's pulls reach
+        fills = []
+        real = confidence._schedule
+
+        def counted(scheme, t):
+            fills.append(scheme.delta)
+            return real(scheme, t)
+
+        monkeypatch.setattr(confidence, "_schedule", counted)
+        env = bernoulli_environment((0.8, 0.6, 0.4, 0.2))
+        scheme = BoundScheme("kl", 8, 0.05)
+        shared = {}
+        records = [lil_klucb(env, scheme, None, Draws(derive_seed(12, rep)), bound_cache=shared)
+                   for rep in range(12)]
+        assert all(record.stopped for record in records)
+        most = max(max(record.per_arm_pulls) for record in records)
+        leader_fills = fills.count(0.05 / 3)
+        assert 1 <= leader_fills <= math.ceil(math.log2(most)) + 1, (leader_fills, most)
 
     def test_matches_the_eager_loop_on_tied_instances(self):
         # 2-6 arms from a few means, so rivals often tie in mean and bound;

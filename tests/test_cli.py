@@ -21,7 +21,7 @@ from lilklucb.cli import (
     derive_seed,
     main,
 )
-from lilklucb.bandit import GRID_POINTS, predicted_complexity
+from lilklucb.bandit import GRID_POINTS, RunRecord, predicted_complexity
 from lilklucb.confidence import BoundScheme
 from lilklucb.coverage import splitmix64
 from lilklucb.data_ingest import read_output
@@ -297,6 +297,44 @@ class TestConfigHandling:
         assert "Traceback" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["identify", "--n", "4", "--reps", "2"],
+        ["coverage", "--t-max", "50", "--reps", "4"],
+    ])
+    def test_value_error_inside_a_checked_rule_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                       argv):
+        # a fault in kappa's series, under the flags that build the scheme,
+        # is the program's, not the input's
+        from lilklucb import confidence
+
+        def broken(tilt):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(confidence, "_kappa_series", broken)
+        assert main(argv + ["--output", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "math domain error" in err
+        assert "configuration error" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_error_inside_the_contest_reader_exits_3(self, tmp_path, monkeypatch, capsys):
+        from lilklucb import cli
+
+        def broken(dataset):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "from_contest", broken)
+        assert main(["replay", "--input", str(_contest_file(tmp_path)), "--budget", "50",
+                     "--reps", "2", "--output", str(tmp_path / "r.csv")]) == 3
+        assert "Traceback" in capsys.readouterr().err
+
+    def test_contest_csv_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "contest_1.csv"
+        path.write_bytes(CONTEST_CSV.replace("meh", "m\xe9h").encode("latin-1"))
+        assert main(["replay", "--input", str(path), "--budget", "50", "--reps", "2",
+                     "--output", str(tmp_path / "r.csv")]) == 1
+        assert "configuration error: contest data:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["coverage", "--t-max", "50", "--reps", "4"],
         ["table1", "--n", "8,16,32,64"],
     ])
@@ -499,6 +537,46 @@ class TestIdentify:
         # median_total_samples is np.median of integer totals; near 2**52 the
         # mean of the two middle totals is a half that rounds to even
         assert float(np.median(totals)) == float(statistics.median(totals))
+
+    def test_long_uncapped_run_says_so_before_it_starts(self, tmp_path, monkeypatch, capsys):
+        # means [0.5005, 0.5] predict about 4.8e8 pulls per repetition; the
+        # stub stands in for the loop, so the long run never starts
+        from lilklucb import cli
+
+        stub_record = RunRecord(0, 2, (1, 1), True, ())
+        runs = []
+
+        def stub(env, scheme, budget, rng, bound_cache=None):
+            runs.append(capsys.readouterr().err)  # what was written before this repetition
+            return stub_record
+
+        monkeypatch.setattr(cli, "lil_klucb", stub)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": [0.5005, 0.5]}))
+        argv = ["identify", "--config", str(cfg), "--reps", "2"]
+        warned, quiet = tmp_path / "warned.csv", tmp_path / "quiet.csv"
+        assert main(argv + ["--output", str(warned)]) == 0
+        (line,) = runs[0].splitlines()
+        assert runs[1:] == [""]
+        assert "4.8e+08 pulls per repetition, up to a constant" in line
+        assert "--budget" in line
+        # a --budget caps every run, so nothing is said
+        assert main(argv + ["--budget", "1000", "--output", str(quiet)]) == 0
+        assert runs[2:] == ["", ""]
+        # the data file does not change
+        monkeypatch.setattr(cli, "LONG_RUN_PULLS", math.inf)
+        assert main(argv + ["--output", str(quiet)]) == 0
+        assert runs[4:] == ["", ""]
+        assert warned.read_bytes() == quiet.read_bytes()
+
+    def test_identify_benchmark_instance_prints_nothing_on_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"means": [0.8, 0.6, 0.4, 0.2]}))
+        out = tmp_path / "o.csv"
+        assert main(["identify", "--delta", "0.05", "--scheme", "kl", "--reps", "12",
+                     "--bound-n", "8", "--seed", "12", "--config", str(cfg),
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr() == (f"{out}\n", "")
 
     def test_serial_run_loads_no_process_pool_or_statistics(self, tmp_path):
         # a fresh interpreter, since this one has loaded them already

@@ -70,11 +70,12 @@ def _run_case(name: str, fmt: str, workdir: Path) -> list[Path]:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, fmt, tmp_path):
+def test_output_matches_golden(name, fmt, tmp_path, capsys):
     for path in _run_case(name, fmt, tmp_path):
         golden = GOLDEN / path.name
         assert golden.is_file(), f"no golden fixture {golden.name}"
         assert path.read_bytes() == golden.read_bytes(), f"{path.name} differs from its golden"
+    assert capsys.readouterr().err == ""  # nothing is said beside the data
 
 
 @pytest.mark.parametrize("name", ["coverage-kl-nonzero", "coverage-sg1-nonzero",

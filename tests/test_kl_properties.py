@@ -14,6 +14,7 @@ a reference kept below, which runs each probe through a helper of its own.
 """
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -262,6 +263,7 @@ def test_bound_side_is_the_reference_on_random_arguments(scheme, pulls, share, x
 
 
 def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
+    # a read is a call of ``threshold`` or an index into the threshold table
     reads = []
     real = confidence.threshold
 
@@ -269,17 +271,30 @@ def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
         reads.append(t)
         return real(scheme, t)
 
-    cases = list(_reference_grid())
+    class CountedTable(array):
+        def __getitem__(self, i):
+            reads.append(i + 1)
+            return super().__getitem__(i)
+
+    cases = list(_reference_grid())  # fills every table the cases read: t <= 10**4
     monkeypatch.setattr(confidence, "threshold", counted)
-    for case in cases:
+    tables = [scheme.threshold_table for scheme in REFERENCE_SCHEMES]
+    try:
+        for scheme, table in zip(REFERENCE_SCHEMES, tables):
+            object.__setattr__(scheme, "threshold_table", CountedTable("d", table))
+        for case in cases:
+            reads.clear()
+            confidence.bound_side(*case)
+            assert len(reads) <= 1, case
+        assert all(type(scheme.threshold_table) is CountedTable for scheme in REFERENCE_SCHEMES)
+        # past the edge both probes lie outside (0, 1): -1 with no read
         reads.clear()
-        confidence.bound_side(*case)
-        assert len(reads) <= 1, case
-    # past the edge both probes lie outside (0, 1): -1 with no read
-    reads.clear()
-    assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, 1.5, 1.0) == -1
-    assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, -0.5, 0.0) == -1
-    assert reads == []
+        assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, 1.5, 1.0) == -1
+        assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, -0.5, 0.0) == -1
+        assert reads == []
+    finally:
+        for scheme, table in zip(REFERENCE_SCHEMES, tables):
+            object.__setattr__(scheme, "threshold_table", table)
 
 
 @pytest.mark.parametrize("edge", [0.0, 1.0])

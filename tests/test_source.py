@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -243,3 +244,16 @@ def test_ci_runs_the_tier_1_command():
     assert runs[-2:] == ['pip install -e ".[test]"', command]
     floor = re.search(r'requires-python = ">=([\d.]+)"', (root / "pyproject.toml").read_text())
     assert job["strategy"]["matrix"]["python-version"][0] == floor.group(1)
+
+
+def test_ci_smokes_every_benchmark_workload():
+    """The workflow runs each workload of BENCHMARK.json once and checks its ``correct`` flag."""
+    yaml = pytest.importorskip("yaml")
+    root = SRC.parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    (script,) = [step["run"] for step in workflow["jobs"]["benchmark-smoke"]["steps"]
+                 if "perfbench/run.py" in step.get("run", "")]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    loop = re.search(r"for workload in ([\w\- ]+); do", script).group(1).split()
+    assert loop == [workload["name"] for workload in benchmark["workloads"]]
+    assert "--seconds 0 --trace 0" in script and '"correct": true' in script
