@@ -13,9 +13,20 @@ class InputError(ValueError):
 # the default pool of one thread per core takes about half of the import.  A
 # thread count set by the user, or a numpy imported first, is left as it is.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]  # no child process inherits it
+
+
+def load_numpy():
+    """The numpy module, imported on the first call; no module of lilklucb imports it itself.
+
+    The scalar commands never call this, so they start without numpy; the
+    array code calls it where it starts, and binds the module to a local
+    name, so an attribute costs what a global's would.
+    """
+    if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]  # no child process inherits it
+    import numpy
+    return numpy

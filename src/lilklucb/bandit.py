@@ -13,8 +13,6 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-import numpy as np
-
 from . import InputError, environments
 from .confidence import (
     KL_TILTED,
@@ -340,24 +338,26 @@ class UnresolvedSeparation(InputError):
 def _first_crossing(scheme: BoundScheme, target: float) -> int:
     """Smallest t with threshold(scheme, t) < target; the schedule decreases for t >= 2.
 
-    One ``_schedule`` call at t = 2^0..2^1022, the last power of two at
-    which the schedule is finite (2.0 * t overflows at 2^1023), finds the
-    first power of two below the target; the bisection down from it reads
-    the schedule one t at a time.  The scheme's threshold table is neither
-    read nor grown.  A target that no power of two crosses, including every
-    target that is not positive (the schedule is clamped at 0), raises
-    ``UnresolvedSeparation``.
+    ``_schedule`` is read one t at a time: at t = 2^0, 2^1, ... up to the
+    first power of two below the target, or to 2^1022, the last power of
+    two at which the schedule is finite (2.0 * t overflows at 2^1023), and
+    then at each step of the bisection down from it.  The scheme's
+    threshold table is neither read nor grown.  A target that no power of
+    two crosses, including every target that is not positive (the schedule
+    is clamped at 0), raises ``UnresolvedSeparation``.
     """
-    below = np.flatnonzero(_schedule(scheme, np.ldexp(1.0, np.arange(1023))) < target)
-    if not below.size:
+    for level in range(1023):
+        if _schedule(scheme, (1 << level,))[0] < target:
+            break
+    else:
         raise UnresolvedSeparation(
             f"threshold schedule never falls below {target!r} within 2^1022 samples: "
             "the top two means are too close to separate")
-    hi = 1 << int(below[0])
+    hi = 1 << level
     lo = hi // 2  # at 0 when hi = 1; otherwise the schedule at lo is >= target
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _schedule(scheme, np.array([float(mid)]))[0] < target:
+        if _schedule(scheme, (mid,))[0] < target:
             hi = mid
         else:
             lo = mid
@@ -409,18 +409,22 @@ def predicted_complexity(
     grid: every per-arm term decreases as its witness rises while the
     best-arm term depends only on the largest witness, so the minimizing
     configuration places all witnesses at one common value, scanned over
-    ``grid_points`` interior points of (mu_2, mu_1).
+    ``grid_points`` interior points of (mu_2, mu_1): those of
+    np.linspace(mu_2, mu_1, grid_points + 2), in its operations.
     """
     mus, pair_scheme, leader_scheme = _check_complexity(mus, delta, grid_points, tilt)
     n = len(mus)
-    candidates = np.linspace(mus[1], mus[0], grid_points + 2)[1:-1]
+    gap, parts = mus[0] - mus[1], grid_points + 1
+    step = gap / parts
     best = None
-    for v in candidates:
+    for i in range(1, parts):
+        # where the step underflows to 0, linspace scales i / parts by the gap instead
+        v = (i * step if step else i / parts * gap) + mus[1]
         total = _bound_term(chernoff_information(mus[0], v), (n - 1) / delta)
         for mu_i in mus[1:]:
             total += _bound_term(chernoff_information(mu_i, v), 1.0 / delta)
         if best is None or total < best[0]:
-            best = (total, float(v))
+            best = (total, v)
     total, witness = best
 
     crossings = tuple(

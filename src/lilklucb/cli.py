@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import InputError
+from . import InputError, load_numpy
 from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
 from .bandit import GRID_POINTS, lil_klucb, predicted_complexity, ucb_race
 from .confidence import BoundScheme, _check_coverage, coverage_envelope, integer_exit_curves
@@ -214,7 +212,9 @@ def validate_config(config: RunConfig) -> None:
     """Reject invalid parameters before any computation starts.
 
     A command checks only the inputs it reads; a library rule, by calling its
-    owner's check, with ``_flags`` naming the flags behind it.
+    owner's check, with ``_flags`` naming the flags behind it.  ``coverage``
+    and ``table1``, the two commands that compute on arrays, load numpy here,
+    while being configured; the other three never load it.
     """
     if config.reps < 1:
         raise ConfigError("--reps must be >= 1")
@@ -266,6 +266,8 @@ def validate_config(config: RunConfig) -> None:
             for n in config.n_values:
                 for alpha in config.alpha_values:
                     gap_family(n, alpha)
+    if cmd in ("coverage", "table1"):
+        load_numpy()
     if cmd == "coverage":
         with _flags("--mu, --t-max"):
             _check_coverage(config.mu, config.t_max)
@@ -320,9 +322,9 @@ def _race_experiment(env, kind: str, config: RunConfig, extra_meta: dict) -> Exp
     records = _repetitions(config, "ucb_race", env, scheme, config.budget, snapshot_every,
                            config.k)
     counts = [c for c, _ in records[0].snapshots]
-    flags = np.array([[flag for _, flag in rec.snapshots] for rec in records], dtype=float)
-    probs = flags.mean(axis=0)
-    rows = tuple((int(c), float(p)) for c, p in zip(counts, probs))
+    # each snapshot's share of repetitions with the flag set: an exact count over reps
+    hits = [sum(flags) for flags in zip(*([flag for _, flag in rec.snapshots] for rec in records))]
+    rows = tuple((c, hit / config.reps) for c, hit in zip(counts, hits))
     metadata = {
         "command": config.command,
         "scheme": kind,
@@ -384,9 +386,12 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
               "a constant, and no --budget caps them; set --budget to bound each run",
               file=sys.stderr)
     records = _repetitions(config, "lil_klucb", env, scheme, config.budget)
-    totals = [rec.total_samples for rec in records]
+    # exact integer sums over their count, each rounded once, as np.mean and
+    # np.median round them: the median is the mean of the middle one or two
+    totals = sorted(rec.total_samples for rec in records)
+    mean_total = sum(totals) / config.reps
+    median_total = (totals[(config.reps - 1) // 2] + totals[config.reps // 2]) / 2
     errors = sum(1 for rec in records if rec.recommended != 0)
-    pulls = np.array([rec.per_arm_pulls for rec in records], dtype=float)
     metadata = {
         "command": "identify",
         "scheme": scheme.kind,
@@ -399,19 +404,21 @@ def cmd_identify(config: RunConfig) -> ExperimentOutput:
         "seed": config.seed,
         "error_rate": errors / config.reps,
         "stopped_fraction": sum(rec.stopped for rec in records) / config.reps,
-        "mean_total_samples": float(np.mean(totals)),
-        "median_total_samples": float(np.median(totals)),
+        "mean_total_samples": mean_total,
+        "median_total_samples": median_total,
         "predicted_total": predicted.total,
         "predicted_witness": predicted.witness,
         "predicted_crossings": list(predicted.crossing_indices),
         "predicted_best_arm_crossing": predicted.best_arm_crossing,
-        "empirical_over_predicted": float(np.mean(totals)) / predicted.total,
+        "empirical_over_predicted": mean_total / predicted.total,
     }
-    rows = tuple((arm, float(pulls[:, arm].mean())) for arm in range(env.n_arms))
+    arm_pulls = zip(*(rec.per_arm_pulls for rec in records))
+    rows = tuple((arm, sum(pulls) / config.reps) for arm, pulls in enumerate(arm_pulls))
     return ExperimentOutput(metadata, ("arm", "mean_pulls"), rows)
 
 
 def _loglog_slope(xs, ys) -> float:
+    np = load_numpy()
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
 
@@ -461,6 +468,7 @@ def coverage_rates(
     that mu leaves the interval.  The sums are compared with
     ``integer_exit_curves``, so the test is exact.
     """
+    np = load_numpy()
     _check_counters(trajectories, t_max)
     low, high = coverage_envelope(scheme, mu, t_max)
     if not (np.isfinite(low).all() and np.isfinite(high).all()):

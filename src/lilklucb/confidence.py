@@ -23,10 +23,9 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, count, islice, repeat
 
-import numpy as np
-
-from . import InputError
+from . import InputError, load_numpy
 from .kl_math import (
     NEWTON_TOL,
     _check_tilt,
@@ -46,14 +45,15 @@ SG2 = "sg2"
 SCHEME_KINDS = (KL_TILTED, KL_PRIME, SG1, SG2)
 
 # Largest tilt accepted.  The first series inside kappa has one term per
-# t in 1..tilt, so its time grows with the tilt (0.01 ms at tilt 8, 8 ms at
-# 2**20); its memory does not: it is summed _PIECE terms at a time.
+# t in 1..tilt, so its time grows with the tilt (0.01 ms at tilt 8, 0.1 s at
+# 2**20); its memory does not: its terms are summed as they are made.
 MAX_TILT = 2**20
-_PIECE = 8192
 
-# Most entries a scheme's threshold table holds (8 bytes each); beyond it
+# Most entries a scheme's threshold table holds (8 bytes each), and the
+# table size up to which a jump past its end still fills it; beyond either
 # ``threshold`` evaluates the schedule at one t at a time.
 _TABLE_CAP = 2**20
+_TABLE_START = 1024
 
 
 def _check_delta(delta: float) -> float:
@@ -74,26 +74,24 @@ def _kappa_series(tilt: int) -> float:
     """The delta-free series inside kappa, S1 + tilt * S2, from above.
 
     With s = (tilt+1)/tilt, S1 sums log2(2t)^-s over t in 1..tilt (dropped
-    entirely when tilt == 1), as NumPy sums of _PIECE terms.  S2 is the
-    Hurwitz zeta(s, log2(tilt) + 1): 32 explicit terms, then the
-    Euler-Maclaurin tail at x past them, tilt * x^(-1/tilt) + x^-s / 2 plus
-    the B2, B4 and B6 corrections.  The first correction left out (B8) is
-    negative, so the tail is an upper bound; all is summed by math.fsum and
+    entirely when tilt == 1).  S2 is the Hurwitz zeta(s, log2(tilt) + 1):
+    32 explicit terms, then the Euler-Maclaurin tail at x past them,
+    tilt * x^(-1/tilt) + x^-s / 2 plus the B2, B4 and B6 corrections.  The
+    first correction left out (B8) is negative, so the tail is an upper
+    bound; all is summed by one math.fsum, as the terms are made, and
     raised by 2^-50 for the rounding, which leaves the series at most a
     relative 1e-14 above the exact one.
     """
     level = tilt.bit_length() - 1
     s = (tilt + 1.0) / tilt
-    terms = []
-    for first in range(1, tilt + 1 if level else 1, _PIECE):
-        t = np.arange(first, min(first + _PIECE, tilt + 1), dtype=np.float64)
-        terms.append(float(np.sum(np.power(np.log2(2.0 * t, out=t), -s, out=t))))
+    # 2t counted in floats, each exact, so no int is made per term
+    s1 = map(pow, map(math.log2, islice(count(2.0, 2.0), tilt if level else 0)), repeat(-s))
     x = level + 33.0
     s3 = s * (s + 1.0) * (s + 2.0)
     tail = [k**-s for k in range(level + 1, level + 33)]
     tail += [tilt * x ** (-1.0 / tilt), x**-s / 2.0, s / 12.0 * x ** (-s - 1.0)]
     tail += [-s3 / 720.0 * x ** (-s - 3.0), s3 * (s + 3.0) * (s + 4.0) / 30240.0 * x ** (-s - 5.0)]
-    return math.fsum(terms + [tilt * v for v in tail]) * (1.0 + 2.0**-50)
+    return math.fsum(chain(s1, (tilt * v for v in tail))) * (1.0 + 2.0**-50)
 
 
 def kappa(tilt: int, delta: float) -> float:
@@ -159,52 +157,50 @@ class BoundScheme:
         return BoundScheme(self.kind, self.tilt, delta)
 
 
-def _schedule(scheme: BoundScheme, t: np.ndarray) -> np.ndarray:
-    """Budget after t samples, c * ln(kappa * log2(2t) / delta) / t, at every t.
+def _schedule(scheme: BoundScheme, ts) -> array:
+    """Budget after t samples, c * ln(kappa * log2(2t) / delta) / t, at every t of ``ts``.
 
-    ``t`` is a float64 array and c is the scheme's ``c_cache``.  ``sg2``
-    spends a per-time union bound instead, ln(pi^2 t^2 / (6 delta)) / t:
-    a Hoeffding tail at level 6 delta / (pi^2 t^2) at every t sums to
-    delta.  The budget is clamped below at zero, which can only engage for
-    delta pathologically close to 1.  Every path reads the schedule through
-    this function: NumPy's logarithms may differ from ``math.log`` in the
-    last bits, but an entry's bits do not depend on the batch it is
-    computed in.  The budget is inf once the log's argument overflows: at
-    t = 2^1023 (2t), and for ``sg2`` from t near 1e154 (t^2).
+    ``ts`` is a sized sequence of t (a range, a list or an array) and c is
+    the scheme's ``c_cache``.  ``sg2`` spends a per-time union bound
+    instead, ln(pi^2 t^2 / (6 delta)) / t: a Hoeffding tail at level
+    6 delta / (pi^2 t^2) at every t sums to delta.  The budget is clamped
+    below at zero, which can only engage for delta pathologically close to
+    1.  Every path reads the schedule through this function, which takes
+    each entry alone in float64 with libm's ``math.log2`` and ``math.log``
+    (2t, log2, times kappa, over delta, log, over t, times c; for ``sg2``
+    t pi^2 t / (6 delta), log, over t, times c), so an entry's bits depend
+    on neither the batch nor the CPU.  The budget is inf once the log's
+    argument overflows: at t = 2^1023 (2t), and for ``sg2`` from t near
+    1e154 (t^2).
     """
-    with np.errstate(over="ignore"):
-        if scheme.kind == SG2:
-            x = np.multiply(t, math.pi * math.pi)
-            x *= t
-            x /= 6.0 * scheme.delta
-        else:
-            x = np.multiply(t, 2.0)
-            np.log2(x, out=x)
-            x *= scheme.kappa_cache
-            x /= scheme.delta
-    np.log(x, out=x)
-    x /= t
-    x *= scheme.c_cache
-    return np.maximum(x, 0.0, out=x)
+    log, c, delta = math.log, scheme.c_cache, scheme.delta
+    if scheme.kind == SG2:
+        pi2, scale = math.pi * math.pi, 6.0 * delta
+        return array("d", [b if (b := log(t * pi2 * t / scale) / t * c) > 0.0 else 0.0
+                           for t in map(float, ts)])
+    log2, kappa = math.log2, scheme.kappa_cache
+    return array("d", [b if (b := log(log2(2.0 * t) * kappa / delta) / t * c) > 0.0 else 0.0
+                       for t in map(float, ts)])
 
 
 def threshold(scheme: BoundScheme, t: int) -> float:
     """``_schedule`` at one integer t >= 1, read from the scheme's table.
 
-    A t past the table's end replaces it with one that reaches the next
-    power of two; a t past _TABLE_CAP is evaluated alone.  A table is never
-    extended in place, so a reader always sees a complete one.
+    A t past the table's end, up to twice its length (or _TABLE_START)
+    and _TABLE_CAP, replaces it with one that reaches the next power of
+    two, computing only the new entries; a t past that is evaluated alone,
+    so a far jump costs one entry, not the entries in between.  A table is
+    never extended in place, so a reader always sees a complete one.
     """
     table = scheme.threshold_table
     if 0 < t <= len(table):
         return table[t - 1]
     if t < 1:
         raise InputError(f"t must be >= 1, got {t!r}")
-    if t > _TABLE_CAP:
-        return float(_schedule(scheme, np.array([t], dtype=np.float64))[0])
+    if t > min(max(2 * len(table), _TABLE_START), _TABLE_CAP):
+        return _schedule(scheme, (t,))[0]
     size = 1 << int(t - 1).bit_length()
-    table = array("d")
-    table.frombytes(_schedule(scheme, np.arange(1, size + 1, dtype=np.float64)).data.cast("B"))
+    table = table + _schedule(scheme, range(len(table) + 1, size + 1))
     object.__setattr__(scheme, "threshold_table", table)
     return table[t - 1]
 
@@ -322,8 +318,9 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     invert D(., mu) at all t_max budgets per side in one array solve
     (``kl_math._first_arg_inverses``), each within its tolerance, 1e-13.
     """
+    np = load_numpy()
     mu = _check_coverage(mu, t_max)
-    thr = _schedule(scheme, np.arange(1, t_max + 1, dtype=np.float64))
+    thr = np.frombuffer(_schedule(scheme, range(1, t_max + 1)))
     if scheme.kind in (SG1, SG2):
         r = np.sqrt(0.5 * thr)  # sg_radius's operations
         return mu - r, mu + r
@@ -338,7 +335,7 @@ def coverage_envelope(scheme: BoundScheme, mu: float, t_max: int):
     return zl, zu  # KL_PRIME: exit when D(m, mu) > thr on the matching side
 
 
-def integer_exit_curves(low: np.ndarray, high: np.ndarray):
+def integer_exit_curves(low, high):
     """``coverage_envelope``'s (low, high) as exit curves for integer sums.
 
     A sum s of t rewards in {0, 1} exceeds high[t-1]*t exactly when
@@ -347,6 +344,7 @@ def integer_exit_curves(low: np.ndarray, high: np.ndarray):
     [0, t_max], so the curves are clipped to [-1, t_max + 1] and returned
     as (low_sum, high_sum) of the smallest integer type that holds t_max + 1.
     """
+    np = load_numpy()
     t_max = len(low)
     dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max > t_max)
     t = np.arange(1, t_max + 1, dtype=np.float64)

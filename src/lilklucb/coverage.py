@@ -5,9 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
-from . import InputError
+from . import InputError, load_numpy
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
@@ -35,8 +33,9 @@ def _check_counters(trajectories: int, t_max: int) -> None:
                          f"2**64 random counters, so their draws would repeat")
 
 
-def _splitmix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _splitmix64_array(x, scratch=None):
     """``splitmix64`` of every entry of a uint64 array, in place; ``scratch`` is x's shape."""
+    np = load_numpy()
     x += np.uint64(_GAMMA)
     shifted = np.right_shift(x, np.uint64(30), out=scratch)
     x ^= shifted
@@ -47,31 +46,34 @@ def _splitmix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.nd
     return x
 
 
-def _uniforms(outputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _uniforms(outputs, out=None):
     """The uniforms in [0, 1) of splitmix64 outputs: their top 53 bits, shifted in place."""
+    np = load_numpy()
     outputs >>= np.uint64(11)
     return np.multiply(outputs, 2.0**-53, out=out)
 
 
-def _binomial_cdf(mu: float, width: int) -> np.ndarray:
+def _binomial_cdf(mu: float, width: int):
     """P(Binomial(width, mu) <= c) for c = 0..width, each correctly rounded.
 
     A float mu is exactly n/d, so every entry is an integer over d**width,
     and Python's integer division rounds it once; the last entry is 1.
     """
+    np = load_numpy()
     n, d = float(mu).as_integer_ratio()
     terms = (math.comb(width, c) * n**c * (d - n) ** (width - c) for c in range(width + 1))
     scale = d**width
     return np.array([total / scale for total in itertools.accumulate(terms)])
 
 
-def _count_table(cdf: np.ndarray) -> tuple:
+def _count_table(cdf) -> tuple:
     """``_counts``' table for a CDF: its guide over 2**_GUIDE_BITS equal bins of [0, 1]."""
+    np = load_numpy()
     edges = np.searchsorted(cdf, np.arange(2**_GUIDE_BITS + 1) * 2.0**-_GUIDE_BITS, side="right")
     return cdf, edges[:-1], edges[:-1] != edges[1:]
 
 
-def _counts(table: tuple, outputs: np.ndarray) -> np.ndarray:
+def _counts(table: tuple, outputs):
     """The CDF's inverse at each output's uniform: the number of its entries <= the uniform.
 
     That number is nondecreasing in the uniform, so where the guide gives one
@@ -79,6 +81,7 @@ def _counts(table: tuple, outputs: np.ndarray) -> np.ndarray:
     whole bin; only the uniforms in the other bins, at most one per CDF
     entry, search the CDF.
     """
+    np = load_numpy()
     cdf, edges, mixed = table
     bins = (outputs >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)
     counts = edges[bins]
@@ -87,7 +90,7 @@ def _counts(table: tuple, outputs: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _arrange(ones: np.ndarray, widths: np.ndarray, u: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _arrange(ones, widths, u, slots):
     """Steps of blocks holding ``ones`` ones in ``widths`` slots, from uniforms u (slots, blocks).
 
     Slot j of a block is a one when u[j] < ones left / slots left, so given
@@ -95,6 +98,7 @@ def _arrange(ones: np.ndarray, widths: np.ndarray, u: np.ndarray, slots: np.ndar
     block's width stay 0, since no ones are left for them.  ``slots``, shaped
     like u, receives the slots left.
     """
+    np = load_numpy()
     left = ones.astype(np.float64)
     slots = np.subtract(widths, np.arange(len(u), dtype=np.float64)[:, None], out=slots)
     np.maximum(slots, 1.0, out=slots)
@@ -105,8 +109,7 @@ def _arrange(ones: np.ndarray, widths: np.ndarray, u: np.ndarray, slots: np.ndar
     return steps
 
 
-def exit_rates(mu: float, low_sum: np.ndarray, high_sum: np.ndarray, trajectories: int,
-               seed: int) -> dict[str, float]:
+def exit_rates(mu: float, low_sum, high_sum, trajectories: int, seed: int) -> dict[str, float]:
     """Shares of Bernoulli(mu) trajectories whose running sum ever crosses an exit curve.
 
     A stream is cut into blocks of _SCREEN steps (the last one shorter when
@@ -129,6 +132,7 @@ def exit_rates(mu: float, low_sum: np.ndarray, high_sum: np.ndarray, trajectorie
     blocks, then the steps of _CHUNK_BLOCKS blocks, at a time) change a
     rate, and every scheme sees the same trajectories at one seed.
     """
+    np = load_numpy()
     t_max = len(high_sum)
     blocks = -(-t_max // _SCREEN)
     widths = np.full(blocks, _SCREEN)

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from . import InputError
+from . import InputError, load_numpy
 
 # Absolute tolerance on the probability argument of every inverse, with a
 # hard iteration cap so the cost is bounded.
@@ -149,7 +147,7 @@ def _invert(p: float, bound: float, edge: float, tilt: int | None = None) -> flo
 _FIRST_ARG_TOL = 1e-13
 
 
-def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarray:
+def _first_arg_inverses(mu: float, bounds, edge: float):
     """Farthest x from mu toward ``edge`` (0 or 1) with D(x, mu) <= b, for every b in ``bounds``.
 
     This inverts D in its first argument, for a 1-D array of budgets.
@@ -165,6 +163,7 @@ def _first_arg_inverses(mu: float, bounds: np.ndarray, edge: float) -> np.ndarra
     finished entries allocates.  The result lies within _FIRST_ARG_TOL of
     where D(x, mu), as computed here with NumPy's logs, crosses its budget.
     """
+    np = load_numpy()
     if mu == 0.0 or mu == 1.0:
         return np.full(bounds.shape, mu)
     out = np.full(bounds.shape, edge)

@@ -72,6 +72,34 @@ def test_criterion_1_exact_anytime_coverage():
     assert ok, [cell for cell in cells if cell[2] > delta]
 
 
+def test_criterion_1_exact_coverage_grid():
+    """Each one-sided miss rate up to t_max 10^3 is at most delta, exactly, on a 110-cell grid.
+
+    kl and sg1 at tilts 1, 2, 8 and 64, kl-prime at 8 and 64 (it needs a tilt
+    above e), and sg2; five means from 0.01 to 0.99 and two deltas.  A rate
+    above delta is a fault of the schedule or of kappa, not of the test.
+    """
+    t_max = 1000
+    schemes = [(kind, tilt) for kind in ("kl", "sg1") for tilt in (1, 2, 8, 64)]
+    schemes += [("kl-prime", 8), ("kl-prime", 64), ("sg2", 8)]
+    start = time.perf_counter()
+    cells = []
+    for kind, tilt in schemes:
+        for delta in (0.01, 0.05):
+            scheme = BoundScheme(kind, tilt, delta)
+            for mu in (0.01, 0.1, 0.5, 0.9, 0.99):
+                rates = exact_rates(scheme, mu, t_max)
+                one_sided = max(rates["true_mean_below_lower"], rates["true_mean_above_upper"])
+                cells.append((kind, tilt, delta, mu, one_sided / delta))
+    worst = max(cells, key=lambda cell: cell[-1])
+    ok = worst[-1] <= 1.0
+    _report("criterion 1 exact coverage grid", ok,
+            f"worst one-sided rate {worst[-1]:.4e} delta at {worst[:-1]}, {len(cells)} cells "
+            f"in {time.perf_counter() - start:.2f} s")
+    assert len(cells) == 110
+    assert ok, [cell for cell in cells if cell[-1] > 1.0]
+
+
 def _two_delta_pac(generator, criterion: str) -> None:
     """Criterion 2's instance, repetitions and cap, drawing from ``generator(seed)``."""
     delta, runs = 0.05, 400

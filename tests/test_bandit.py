@@ -21,7 +21,13 @@ from lilklucb.bandit import (
     ucb_race,
 )
 from lilklucb.cli import derive_seed
-from lilklucb.confidence import BoundScheme, lower_bound, threshold, upper_bound
+from lilklucb.confidence import (
+    BoundScheme,
+    _schedule,
+    lower_bound,
+    threshold,
+    upper_bound,
+)
 from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
     Bernoulli,
@@ -535,8 +541,14 @@ class TestRaceDraws:
 
 
 def _reference_crossing(scheme: BoundScheme, target: float) -> int:
-    """Smallest t with threshold(scheme, t) < target, by doubling and bisection over ``threshold``."""
-    f = partial(threshold, scheme)
+    """Smallest t with threshold(scheme, t) < target, by doubling and bisection.
+
+    The schedule is read one t at a time, with ``threshold``'s bits: doubling
+    through ``threshold`` itself would grow the scheme's table to 2^20 entries.
+    """
+    def f(t):
+        return _schedule(scheme, (t,))[0]
+
     if f(1) < target:
         return 1
     hi = 2
@@ -584,6 +596,30 @@ class TestPredictedComplexity:
         bound = predicted_complexity((0.8, 0.6, 0.3), 0.05, 17)
         for mu_i in (0.6, 0.3):
             assert mu_i < bound.witness < 0.8
+
+    def test_witness_grid_is_numpys_linspace(self, monkeypatch):
+        # every grid point the scan evaluates, bit for bit, over random mean
+        # pairs, near ties, the edges and gaps whose step underflows to 0
+        grid = []
+
+        def recorded(x, y):
+            grid.append((x, y))
+            return chernoff_information(x, y)
+
+        monkeypatch.setattr(bandit, "chernoff_information", recorded)
+        rng = np.random.default_rng(65)
+        pairs = [tuple(sorted(rng.uniform(size=2).tolist(), reverse=True)) for _ in range(40)]
+        pairs += [(1.0, 0.0), (0.5 + 1e-12, 0.5), (1.0, 1.0 - 2.0**-53), (0.9, 1e-300),
+                  (1e-300, 0.0), (2.0**-1060, 0.0), (5e-322, 0.0), (5e-324, 0.0), (0.7, 0.3)]
+        for mu1, mu2 in pairs:
+            for g in (3, 17, 64, 65, 100, 1000):
+                grid.clear()
+                try:
+                    predicted_complexity((mu1, mu2), 0.05, g)
+                except UnresolvedSeparation:  # raised after the scan, at the crossings
+                    pass
+                ours = [y for x, y in grid if x == mu1][:g]
+                assert ours == np.linspace(mu2, mu1, g + 2)[1:-1].tolist(), (mu1, mu2, g)
 
     def test_crossing_beyond_int64_is_exact(self):
         scheme = BoundScheme("kl", 8, 0.01)

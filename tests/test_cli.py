@@ -5,6 +5,7 @@ import math
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -533,10 +534,28 @@ class TestIdentify:
         [2**52 + 3, 2**52 - 5, 2**52], [2**52 - 1, 2**52 + 2],
         [2**52 + 6, 2**52 + 1, 2**52 + 3, 2**52 + 2],
     ])
-    def test_numpy_median_of_totals_equals_statistics_median(self, totals):
-        # median_total_samples is np.median of integer totals; near 2**52 the
-        # mean of the two middle totals is a half that rounds to even
-        assert float(np.median(totals)) == float(statistics.median(totals))
+    def test_numpy_median_of_totals_equals_statistics_median(self, tmp_path, monkeypatch, totals):
+        # identify's median of the totals is NumPy's bit for bit; near 2**52
+        # the mean of the two middle totals is a half that rounds to even.
+        # Its means are exact sums rounded once: NumPy's wherever its float
+        # sum is exact, which it is below 2**53; past that, NumPy's float
+        # partial sums round, and the last case's np.mean is 2**52 + 4
+        from lilklucb import cli
+
+        per_arm = [(total - 1, 1, 0, 0) for total in totals]
+        records = iter([RunRecord(0, sum(pulls), pulls, True, ()) for pulls in per_arm])
+        monkeypatch.setattr(cli, "lil_klucb", lambda *args, bound_cache=None: next(records))
+        config = build_config(["identify", "--n", "4", "--alpha", "1", "--reps", str(len(totals)),
+                               "--output", str(tmp_path / "o.csv")])
+        out = cmd_identify(config)
+        median = out.metadata["median_total_samples"]
+        assert median == float(np.median(totals)) == float(statistics.median(totals))
+        mean = out.metadata["mean_total_samples"]
+        assert mean == float(Fraction(sum(totals), len(totals)))
+        assert mean == float(np.mean(totals)) or sum(totals) >= 2**53
+        arm_means = np.mean(np.array(per_arm, dtype=float), axis=0).tolist()
+        assert out.rows == tuple(enumerate(arm_means)) or sum(totals) >= 2**53
+        assert out.rows[1:] == ((1, 1.0), (2, 0.0), (3, 0.0))
 
     def test_long_uncapped_run_says_so_before_it_starts(self, tmp_path, monkeypatch, capsys):
         # means [0.5005, 0.5] predict about 4.8e8 pulls per repetition; the
@@ -607,33 +626,77 @@ def _fresh(code: str, cwd, **env) -> list[str]:
     return done.stdout.splitlines()
 
 
-# The BLAS variables each run below leaves, and the process's OS threads (None off Linux)
+# Whether numpy is loaded, the BLAS variables each run below leaves, and the
+# process's OS threads (None off Linux)
 _STARTUP_STATE = (
     "import os, sys\n"
+    "print('numpy' in sys.modules)\n"
     "print([(k, v) for k, v in sorted(os.environ.items()) if k.endswith('_NUM_THREADS')])\n"
     "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None)\n"
 )
 
+# A command that computes on arrays, and so loads numpy
+_LOADS_NUMPY = ("from lilklucb.cli import main\n"
+                "main(['coverage', '--t-max', '300', '--reps', '50', '--output', 'o.csv'])\n")
+
 
 class TestStartup:
-    """lilklucb loads numpy with one OpenBLAS thread unless told otherwise."""
+    """Only the array commands load numpy, with one OpenBLAS thread unless told otherwise."""
 
     def test_numpy_loads_on_one_blas_thread(self, tmp_path):
-        env_line, threads = _fresh("import lilklucb.cli\n" + _STARTUP_STATE, tmp_path)
+        loaded, env_line, threads = _fresh(_LOADS_NUMPY + _STARTUP_STATE, tmp_path)[-3:]
+        assert loaded == "True"
         assert env_line == "[]"  # the variable is gone again, so no child inherits it
         if sys.platform == "linux":
             assert threads == "1"
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_user_thread_count_wins(self, tmp_path, name):
-        lines = _fresh("import lilklucb.cli\n" + _STARTUP_STATE, tmp_path, **{name: "2"})
-        assert lines[0] == str([(name, "2")])
+        lines = _fresh(_LOADS_NUMPY + _STARTUP_STATE, tmp_path, **{name: "2"})[-3:]
+        assert lines[:2] == ["True", str([(name, "2")])]
         assert lines == _fresh("import numpy\n" + _STARTUP_STATE, tmp_path, **{name: "2"})
 
     def test_numpy_imported_first_is_left_alone(self, tmp_path):
-        lines = _fresh("import numpy\nimport lilklucb.cli\n" + _STARTUP_STATE, tmp_path)
-        assert lines[0] == "[]"
+        lines = _fresh("import numpy\n" + _LOADS_NUMPY + _STARTUP_STATE, tmp_path)[-3:]
+        assert lines[1] == "[]"
         assert lines == _fresh("import numpy\n" + _STARTUP_STATE, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "8", "--alpha", "1", "--budget", "200", "--reps", "2"],
+        ["simulate", "--n", "8", "--alpha", "1", "--budget", "200", "--reps", "2",
+         "--parallel", "2"],
+        ["replay", "--input", "contest_42.csv", "--budget", "150", "--reps", "2", "--k", "1"],
+        ["replay", "--input", "contest_42.csv", "--budget", "150", "--reps", "2", "--k", "1",
+         "--parallel", "2"],
+        ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "2"],
+        ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "2",
+         "--parallel", "2"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-1:] * ("--parallel" in argv)))
+    def test_scalar_commands_never_load_numpy(self, tmp_path, argv):
+        _contest_file(tmp_path)
+        code = ("import sys\n"
+                "from lilklucb.cli import main\n"
+                "print('numpy' in sys.modules)\n"
+                f"print(main({argv + ['--output', 'o.csv']!r}))\n"
+                "print('numpy' in sys.modules)\n")
+        assert _fresh(code, tmp_path) == ["False", "o.csv", "0", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--t-max", "300", "--reps", "50"],
+        ["table1", "--n", "8,16,32,64", "--alpha", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_array_commands_load_numpy_while_configured(self, tmp_path, argv):
+        # numpy is loaded by validation, before the command runs, on one thread
+        code = ("import sys\n"
+                "from lilklucb.cli import build_config\n"
+                f"build_config({argv + ['--output', 'o.csv']!r})\n"
+                "print('numpy' in sys.modules)\n"
+                "from lilklucb.cli import main\n"
+                f"print(main({argv + ['--output', 'o.csv']!r}))\n" + _STARTUP_STATE)
+        lines = _fresh(code, tmp_path)
+        assert lines[:4] == ["True", "o.csv", "0", "True"]
+        if sys.platform == "linux":
+            assert lines[-1] == "1"
 
     @pytest.mark.parametrize("argv", [
         ["coverage", "--t-max", "300", "--reps", "50"],

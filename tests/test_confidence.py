@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import mpmath
 import numpy as np
@@ -212,12 +213,6 @@ def _libm_threshold(scheme: BoundScheme, t: int) -> float:
     return max(0.0, scheme.c_cache * base)
 
 
-def _ulps(a, b) -> np.ndarray:
-    """Distance in units in the last place between nonnegative float64 arrays."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return np.abs(a.view(np.int64) - b.view(np.int64))
-
-
 class TestScheduleBits:
     """``_schedule`` is the one source of the schedule's bits."""
 
@@ -226,19 +221,20 @@ class TestScheduleBits:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
     def test_table_entries_equal_one_element_evaluations(self, scheme):
         scheme = scheme.with_delta(scheme.delta)  # a fresh, empty table
-        full = _schedule(scheme, np.arange(1, 10_001, dtype=np.float64))
-        for t in range(1, 10_001):  # libm differs from NumPy first at t = 3406
+        full = _schedule(scheme, range(1, 10_001))
+        for t in range(1, 10_001):
             assert threshold(scheme, t) == full[t - 1]
             if t % 7 == 0:
-                assert full[t - 1] == _schedule(scheme, np.array([t], dtype=np.float64))[0]
+                assert full[t - 1] == _schedule(scheme, [t])[0]
         assert len(scheme.threshold_table) == 16384
         for t in (_TABLE_CAP + 1, 2**40 + 3, 2**1022):
-            assert threshold(scheme, t) == _schedule(scheme, np.array([float(t)]))[0]
+            assert threshold(scheme, t) == _schedule(scheme, [t])[0]
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
     def test_bits_do_not_depend_on_the_batch(self, scheme):
         t = np.arange(1, 20_001, dtype=np.float64)
-        full = _schedule(scheme, t)
+        full = np.asarray(_schedule(scheme, t))
+        assert full.tobytes() == _schedule(scheme, range(1, 20_001)).tobytes()
         order = np.random.default_rng(3).permutation(t.size)
         assert np.array_equal(_schedule(scheme, t[order]), full[order])
         assert np.array_equal(_schedule(scheme, t[::7]), full[::7])  # strided view
@@ -248,11 +244,28 @@ class TestScheduleBits:
             assert _schedule(scheme, t[i:i + 1])[0] == full[i]
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
-    def test_within_four_ulp_of_the_libm_formula(self, scheme):
+    def test_is_the_libm_formula_bit_for_bit(self, scheme):
         ts = list(range(1, 2**16 + 1)) + [2**k for k in range(17, 1023)]
-        ours = _schedule(scheme, np.array(ts, dtype=np.float64))
-        libm = [_libm_threshold(scheme, t) for t in ts]
-        assert _ulps(ours, libm).max() <= 4
+        ours = _schedule(scheme, ts)
+        assert ours.tobytes() == array("d", [_libm_threshold(scheme, t) for t in ts]).tobytes()
+
+    def test_a_far_jump_is_evaluated_alone(self):
+        # a t up to twice the table's length, or 1024, grows the table to the
+        # next power of two with only the new entries; a t beyond is read alone
+        scheme = BoundScheme(KL_TILTED, 8, 0.05)
+        calls = []
+
+        def counted(scheme, ts):
+            calls.append((ts[0], len(ts)))
+            return _schedule(scheme, ts)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(confidence, "_schedule", counted)
+            for t in (1025, 1000, 1024, 2048, 4097, 3000, 2**20, 2**20 + 1):
+                assert threshold(scheme, t) == _schedule(scheme, [t])[0]
+        assert calls == [(1025, 1), (1, 1024), (1025, 1024), (4097, 1), (2049, 2048),
+                         (2**20, 1), (2**20 + 1, 1)]
+        assert len(scheme.threshold_table) == 4096
 
     def test_domain_edges(self):
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
@@ -268,10 +281,10 @@ class TestScheduleBits:
 
     def test_sg2_budget_is_inf_once_t_squared_overflows(self):
         scheme = BoundScheme(SG2, 8, 0.05)
-        t = np.array([2.0**500, 2.0**520, 2.0**1022])
+        t = [2.0**500, 2.0**520, 2.0**1022]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            budget = _schedule(scheme, t)
+            budget = np.asarray(_schedule(scheme, t))
             assert threshold(scheme, 2**520) == math.inf
         assert math.isfinite(budget[0]) and budget[0] > 0.0
         assert np.all(budget[1:] == math.inf)
@@ -293,7 +306,7 @@ class TestScheduleWork:
         calls = []
 
         def counted(scheme, t):
-            calls.append((scheme.kind, t.size))
+            calls.append((scheme.kind, len(t)))
             return schedule(scheme, t)
 
         schedule = confidence._schedule
@@ -339,22 +352,23 @@ class TestScheduleWork:
         assert calls == [(kind, 5000)]
 
     def test_crossing_search_reads_the_schedule_and_not_the_table(self, monkeypatch):
-        # one evaluation at every power of two, then one-element bisection
-        # steps; a target never crossed costs the first evaluation alone
+        # one-element evaluations: at 2^0 up to the first power of two below
+        # the target, then one per bisection step; a target never crossed
+        # costs the 1023 powers of two 2^0..2^1022
         calls = self._count_evaluations(monkeypatch)
         monkeypatch.setattr(bandit, "_schedule", confidence._schedule)
-        for target in (0.05, 1e-3, 1e-4, 1e-5, 1e-7, 1e-20):
+        for target, crossing in ((0.05, 223), (1e-3, 11_606), (1e-4, 118_128), (1e-5, 1_198_438),
+                                 (1e-7, 122_582_389), (1e-20, 1_319_565_617_029_786_501_121)):
             scheme = BoundScheme(KL_TILTED, 8, 0.0025)
             calls.clear()
-            crossing = _first_crossing(scheme, target)
-            assert calls[0] == (KL_TILTED, 1023)
-            assert calls[1:] == [(KL_TILTED, 1)] * (len(calls) - 1)
-            assert len(calls) - 1 == max(0, (crossing - 1).bit_length() - 1)
+            assert _first_crossing(scheme, target) == crossing
+            level = (crossing - 1).bit_length()  # the first power of two below is 2^level
+            assert calls == [(KL_TILTED, 1)] * (level + 1 + max(0, level - 1))
             assert len(scheme.threshold_table) == 0
         calls.clear()
         with pytest.raises(ValueError):
             _first_crossing(scheme, 1e-310)
-        assert calls == [(KL_TILTED, 1023)]
+        assert calls == [(KL_TILTED, 1)] * 1023
         assert len(scheme.threshold_table) == 0
 
 

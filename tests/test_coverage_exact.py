@@ -576,7 +576,7 @@ def test_first_arg_inverses_are_the_generic_solver_bit_for_bit():
     rng = np.random.default_rng(28)
     scheme = BoundScheme(KL_TILTED, 8, 0.05)
     budgets = (
-        _schedule(scheme, np.arange(1, 10**4 + 1, 25, dtype=np.float64)),
+        np.asarray(_schedule(scheme, range(1, 10**4 + 1, 25))),
         np.array([0.0, 1e-300, 1e-12, 1e-7, 0.3, 5.0, 800.0, math.inf]),
         rng.exponential(0.01, 5000),
         rng.uniform(0.0, 3.0, 5000),
@@ -600,7 +600,7 @@ def test_first_arg_inverses_are_the_generic_solver_on_random_arguments(mu, bound
 def test_first_arg_inverse_bits_do_not_depend_on_the_batch():
     # the kl and kl-prime schedules every 50th t up to 1e4, budgets at and
     # near 0, and budgets that give the edge
-    t = np.arange(1, 10**4 + 1, 50, dtype=np.float64)
+    t = range(1, 10**4 + 1, 50)
     bounds = np.concatenate([_schedule(BoundScheme(KL_TILTED, 8, 0.05), t),
                              _schedule(BoundScheme(KL_PRIME, 8, 0.05), t),
                              [0.0, 1e-300, 5.0, math.inf]])
