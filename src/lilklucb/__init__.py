@@ -2,10 +2,47 @@
 
 import os
 import sys
+from operator import attrgetter
 
 
 class InputError(ValueError):
     """An argument or input file that breaks a documented rule; the command line exits 1 on it."""
+
+
+class Frozen:
+    """Base of the package's immutable records: equal, hashed and shown by ``_fields``.
+
+    Each subclass names its fields in ``_fields`` and writes its own
+    ``__init__``, its rules first, then one ``object.__setattr__`` per
+    attribute: a write through ``__dict__`` makes CPython 3.11 build the
+    instance's dict, after which every attribute read (an arm's per-pull
+    ``p``) is slower.  Attributes outside ``_fields`` (a scheme's caches)
+    are neither compared nor shown.  Unpickling fills ``__dict__`` without
+    calling ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)  # the fields' values, read in one call
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # lilklucb makes no threaded BLAS call (its one LAPACK call, table1's polyfit,

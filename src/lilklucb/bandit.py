@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
-from . import InputError, environments
+from . import Frozen, InputError, environments
 from .confidence import (
     KL_TILTED,
     BoundScheme,
@@ -27,22 +27,23 @@ from .environments import Draws, Environment, gap_family
 from .kl_math import chernoff_information
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Frozen):
     """Full trace of one bandit run."""
 
-    recommended: int
-    total_samples: int
-    per_arm_pulls: tuple[int, ...]
-    stopped: bool
-    snapshots: tuple[tuple[int, bool], ...]
+    _fields = ("recommended", "total_samples", "per_arm_pulls", "stopped", "snapshots")
 
-    def __post_init__(self) -> None:
-        if self.total_samples != sum(self.per_arm_pulls):
+    def __init__(self, recommended: int, total_samples: int, per_arm_pulls: tuple[int, ...],
+                 stopped: bool, snapshots: tuple[tuple[int, bool], ...]) -> None:
+        if total_samples != sum(per_arm_pulls):
             raise ValueError("total_samples must equal the sum of per-arm pulls")
-        counts = [s[0] for s in self.snapshots]
+        counts = [s[0] for s in snapshots]
         if counts != sorted(counts):
             raise ValueError("snapshots must be sorted by total sample count")
+        object.__setattr__(self, "recommended", recommended)
+        object.__setattr__(self, "total_samples", total_samples)
+        object.__setattr__(self, "per_arm_pulls", per_arm_pulls)
+        object.__setattr__(self, "stopped", stopped)
+        object.__setattr__(self, "snapshots", snapshots)
 
 
 def _argmax_random_tie(values: list, rng: Draws) -> int:
@@ -305,8 +306,7 @@ def ucb_race(
     )
 
 
-@dataclass(frozen=True)
-class ComplexityBound:
+class ComplexityBound(NamedTuple):
     """Predicted sample complexity of one instance.
 
     ``total`` adds the best-arm term and one term per suboptimal arm, all up

@@ -17,11 +17,10 @@ import csv
 import json
 import math
 import sys
-import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import InputError, load_numpy
 from .bandit import _check_complexity, _check_identify, _check_race, hardness_sums
@@ -40,8 +39,7 @@ def derive_seed(base: int, rep: int) -> int:
     return (base & _MASK64) ^ splitmix64(rep)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved parameters for one command invocation."""
 
     command: str
@@ -530,6 +528,8 @@ def main(argv=None) -> int:
         print(f"lilklucb: i/o error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # anything else is a fault of the program, not of its input
+        import traceback  # only a fault pays for its import
+
         traceback.print_exc()
         print("lilklucb: internal error", file=sys.stderr)
         return 3

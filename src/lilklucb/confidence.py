@@ -14,18 +14,18 @@ sub-Gaussian radius is sqrt(b_t / 2).
 
 A scheme's parameters are immutable after construction (its normalization
 constants are precomputed) and all operations are pure; its threshold table
-is only ever replaced whole, so schemes are safe to share across threads.
+is only ever replaced whole, so schemes are safe to share across threads
+(a race on its count of far reads only moves a growth).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
 
-from . import InputError, load_numpy
+from . import Frozen, InputError, load_numpy
 from .kl_math import (
     NEWTON_TOL,
     _check_tilt,
@@ -50,8 +50,9 @@ SCHEME_KINDS = (KL_TILTED, KL_PRIME, SG1, SG2)
 MAX_TILT = 2**20
 
 # Most entries a scheme's threshold table holds (8 bytes each), and the
-# table size up to which a jump past its end still fills it; beyond either
-# ``threshold`` evaluates the schedule at one t at a time.
+# table size up to which a jump past its end still fills it; beyond the cap
+# ``threshold`` evaluates the schedule at one t at a time, and beyond the
+# start (and twice the table) too, until the growth a far read skips pays.
 _TABLE_CAP = 2**20
 _TABLE_START = 1024
 
@@ -116,8 +117,7 @@ def untilt_factor(tilt: int) -> float:
     return (tilt + 1.0) / (tilt - math.log(tilt + 1.0))
 
 
-@dataclass(frozen=True)
-class BoundScheme:
+class BoundScheme(Frozen):
     """Which anytime confidence sequence is in force, plus its parameters.
 
     ``tilt`` is the mixing weight of the tilted divergence (the empirical
@@ -126,31 +126,33 @@ class BoundScheme:
     construction so bound evaluations stay cheap; ``c_cache`` scales the
     schedule: untilt_factor(tilt) for ``kl-prime``, ((tilt+1)/tilt)^2 for
     ``sg1`` and 1 otherwise.  ``threshold_table`` holds the schedule at
-    t = 1..len, starts empty and is filled by ``threshold``.
+    t = 1..len, starts empty and is filled by ``threshold``; ``far_reads``
+    counts the schedule's one-element evaluations since the table last grew.
+    Schemes compare and hash by (kind, tilt, delta) alone.
     """
 
-    kind: str
-    tilt: int = 8
-    delta: float = 0.01
-    kappa_cache: float = field(init=False, repr=False, compare=False)
-    c_cache: float = field(init=False, repr=False, compare=False)
-    threshold_table: array = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "tilt", "delta")
 
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise InputError(f"unknown scheme kind {self.kind!r}; choose from {SCHEME_KINDS}")
+    def __init__(self, kind: str, tilt: int = 8, delta: float = 0.01) -> None:
+        if kind not in SCHEME_KINDS:
+            raise InputError(f"unknown scheme kind {kind!r}; choose from {SCHEME_KINDS}")
         # kappa checks the tilt, before its series is summed, and then delta
-        object.__setattr__(self, "kappa_cache", kappa(self.tilt, self.delta))
-        if self.kind == KL_PRIME and self.tilt <= math.e:
+        kappa_cache = kappa(tilt, delta)
+        if kind == KL_PRIME and tilt <= math.e:
             raise InputError("kl-prime requires tilt > e (use tilt >= 4)")
         c = 1.0
-        if self.kind == KL_PRIME:
-            c = untilt_factor(self.tilt)
-        elif self.kind == SG1:
-            ratio = (self.tilt + 1.0) / self.tilt
+        if kind == KL_PRIME:
+            c = untilt_factor(tilt)
+        elif kind == SG1:
+            ratio = (tilt + 1.0) / tilt
             c = ratio * ratio
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tilt", tilt)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "kappa_cache", kappa_cache)
         object.__setattr__(self, "c_cache", c)
         object.__setattr__(self, "threshold_table", array("d"))
+        object.__setattr__(self, "far_reads", 0)
 
     def with_delta(self, delta: float) -> "BoundScheme":
         """Same scheme at a different confidence level."""
@@ -189,19 +191,27 @@ def threshold(scheme: BoundScheme, t: int) -> float:
     A t past the table's end, up to twice its length (or _TABLE_START)
     and _TABLE_CAP, replaces it with one that reaches the next power of
     two, computing only the new entries; a t past that is evaluated alone,
-    so a far jump costs one entry, not the entries in between.  A table is
-    never extended in place, so a reader always sees a complete one.
+    so a far jump costs one entry, not the entries in between.  Far reads
+    that keep coming grow it instead, once the one-element evaluations
+    since it last grew reach 1/8 of the entries that growth would add; a t
+    past _TABLE_CAP is always evaluated alone.  A table is never extended
+    in place, so a reader always sees a complete one.
     """
     table = scheme.threshold_table
-    if 0 < t <= len(table):
+    n = len(table)
+    if 0 < t <= n:
         return table[t - 1]
     if t < 1:
         raise InputError(f"t must be >= 1, got {t!r}")
-    if t > min(max(2 * len(table), _TABLE_START), _TABLE_CAP):
+    if t > _TABLE_CAP:
         return _schedule(scheme, (t,))[0]
     size = 1 << int(t - 1).bit_length()
-    table = table + _schedule(scheme, range(len(table) + 1, size + 1))
+    if t > max(2 * n, _TABLE_START) and 8 * scheme.far_reads < size - n:
+        object.__setattr__(scheme, "far_reads", scheme.far_reads + 1)
+        return _schedule(scheme, (t,))[0]
+    table = table + _schedule(scheme, range(n + 1, size + 1))
     object.__setattr__(scheme, "threshold_table", table)
+    object.__setattr__(scheme, "far_reads", 0)
     return table[t - 1]
 
 

@@ -13,39 +13,38 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from . import InputError
+from . import Frozen, InputError
 
 CONTEST_COLUMNS = ("caption", "unfunny", "somewhat_funny", "funny")
 
 
-@dataclass(frozen=True)
-class Caption:
+class Caption(Frozen):
     """One caption with its 1/2/3-star vote counts."""
 
-    text: str
-    star_counts: tuple[int, int, int]
+    _fields = ("text", "star_counts")
 
-    def __post_init__(self) -> None:
-        if len(self.star_counts) != 3 or any(c < 0 for c in self.star_counts):
+    def __init__(self, text: str, star_counts: tuple[int, int, int]) -> None:
+        if len(star_counts) != 3 or any(c < 0 for c in star_counts):
             raise InputError("star_counts must be three non-negative integers")
-        if sum(self.star_counts) < 1:
-            raise InputError(f"caption {self.text!r} retained with zero votes")
+        if sum(star_counts) < 1:
+            raise InputError(f"caption {text!r} retained with zero votes")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "star_counts", star_counts)
 
 
-@dataclass(frozen=True)
-class ContestDataset:
+class ContestDataset(Frozen):
     """Parsed vote counts for one contest."""
 
-    contest_id: int
-    captions: tuple[Caption, ...]
+    _fields = ("contest_id", "captions")
 
-    def __post_init__(self) -> None:
-        if len(self.captions) < 2:
+    def __init__(self, contest_id: int, captions: tuple[Caption, ...]) -> None:
+        if len(captions) < 2:
             raise InputError("a contest dataset needs at least 2 captions")
+        object.__setattr__(self, "contest_id", contest_id)
+        object.__setattr__(self, "captions", captions)
 
 
 def parse_contest_csv(path) -> ContestDataset:
@@ -97,29 +96,30 @@ def parse_contest_csv(path) -> ContestDataset:
     return ContestDataset(contest_id=contest_id, captions=tuple(captions))
 
 
-@dataclass(frozen=True)
-class ExperimentOutput:
+class ExperimentOutput(Frozen):
     """A plot-ready table with run metadata.
 
     Rows are tuples matching ``columns``; they must already be sorted by
     their first element (snapshot counts, arm indices, ...).
     """
 
-    metadata: dict[str, Any]
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    _fields = ("metadata", "columns", "rows")
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def __init__(self, metadata: dict[str, Any], columns: tuple[str, ...],
+                 rows: tuple[tuple, ...]) -> None:
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError("every row must match the column count")
-        firsts = [row[0] for row in self.rows]
+        firsts = [row[0] for row in rows]
         for a, b in zip(firsts, firsts[1:]):
             try:
                 if b < a:
                     raise ValueError("rows must be sorted by their first column")
             except TypeError:
                 pass
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
 
 def _format_cell(value) -> str:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Union
 
-from . import InputError
+from . import Frozen, InputError
 from .data_ingest import ContestDataset
 from .kl_math import as_prob
 
@@ -23,14 +22,14 @@ from .kl_math import as_prob
 STAR_REWARDS = {1: 0.0, 2: 0.5, 3: 1.0}
 
 
-@dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(Frozen):
     """Arm paying 1 with probability p, else 0."""
 
-    p: float
+    _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        as_prob(self.p, "p")
+    def __init__(self, p: float) -> None:
+        as_prob(p, "p")
+        object.__setattr__(self, "p", p)
 
     @property
     def mean(self) -> float:
@@ -40,17 +39,17 @@ class Bernoulli:
         return 1.0 if rng.random() < self.p else 0.0
 
 
-@dataclass(frozen=True)
-class Bootstrap:
+class Bootstrap(Frozen):
     """Arm resampling uniformly with replacement from an observed pool."""
 
-    pool: tuple[float, ...]
+    _fields = ("pool",)
 
-    def __post_init__(self) -> None:
-        if not self.pool:
+    def __init__(self, pool: tuple[float, ...]) -> None:
+        if not pool:
             raise InputError("bootstrap pool must be non-empty")
-        for v in self.pool:
+        for v in pool:
             as_prob(v, "pool value")
+        object.__setattr__(self, "pool", pool)
 
     @property
     def mean(self) -> float:
@@ -84,17 +83,16 @@ class Draws(random.Random):
         return x
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Frozen):
     """At least 2 arms, arm 0 strictly best by its mean.
 
     Immutable; concurrent runs should not share one generator.
     """
 
-    arms: tuple[ArmDistribution, ...]
+    _fields = ("arms",)
 
-    def __post_init__(self) -> None:
-        means = self.true_means
+    def __init__(self, arms: tuple[ArmDistribution, ...]) -> None:
+        means = tuple(arm.mean for arm in arms)
         if len(means) < 2:
             raise InputError(f"need at least 2 arms, got {len(means)}")
         if not means[0] > means[1]:
@@ -102,6 +100,7 @@ class Environment:
         for a, b in zip(means, means[1:]):
             if b > a:
                 raise InputError("true_means must be non-increasing")
+        object.__setattr__(self, "arms", arms)
 
     @property
     def true_means(self) -> tuple[float, ...]:

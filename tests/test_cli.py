@@ -641,7 +641,11 @@ _LOADS_NUMPY = ("from lilklucb.cli import main\n"
 
 
 class TestStartup:
-    """Only the array commands load numpy, with one OpenBLAS thread unless told otherwise."""
+    """Only the array commands load numpy, with one OpenBLAS thread unless told otherwise.
+
+    No command loads ``dataclasses``, and a scalar one loads neither
+    ``inspect`` nor, unless it fails, ``traceback``.
+    """
 
     def test_numpy_loads_on_one_blas_thread(self, tmp_path):
         loaded, env_line, threads = _fresh(_LOADS_NUMPY + _STARTUP_STATE, tmp_path)[-3:]
@@ -672,14 +676,34 @@ class TestStartup:
         ["identify", "--n", "4", "--alpha", "1", "--delta", "0.1", "--reps", "2",
          "--parallel", "2"],
     ], ids=lambda argv: "-".join(argv[:1] + argv[-1:] * ("--parallel" in argv)))
-    def test_scalar_commands_never_load_numpy(self, tmp_path, argv):
+    def test_scalar_commands_load_neither_numpy_nor_inspect(self, tmp_path, argv):
+        # a process pool imports traceback itself
         _contest_file(tmp_path)
+        names = ("numpy", "dataclasses", "inspect") + ("traceback",) * ("--parallel" not in argv)
         code = ("import sys\n"
                 "from lilklucb.cli import main\n"
-                "print('numpy' in sys.modules)\n"
+                f"names = {names!r}\n"
+                "print([name for name in names if name in sys.modules])\n"
                 f"print(main({argv + ['--output', 'o.csv']!r}))\n"
-                "print('numpy' in sys.modules)\n")
-        assert _fresh(code, tmp_path) == ["False", "o.csv", "0", "False"]
+                "print([name for name in names if name in sys.modules])\n")
+        assert _fresh(code, tmp_path) == ["[]", "o.csv", "0", "[]"]
+
+    def test_a_fault_prints_its_traceback_in_a_fresh_interpreter(self, tmp_path):
+        # this interpreter has loaded traceback already, so only a fresh one
+        # shows that the exit-3 branch imports it for itself
+        code = ("import sys\n"
+                "from lilklucb import confidence\n"
+                "from lilklucb.cli import main\n"
+                "def broken(tilt):\n"
+                "    raise ValueError('math domain error')\n"
+                "confidence._kappa_series = broken\n"
+                "sys.stderr = sys.stdout\n"
+                "print('traceback' in sys.modules)\n"
+                "print(main(['identify', '--n', '4', '--reps', '2', '--output', 'o.csv']))\n")
+        lines = _fresh(code, tmp_path)
+        assert lines[0] == "False" and lines[1] == "Traceback (most recent call last):"
+        assert lines[-3:] == ["ValueError: math domain error", "lilklucb: internal error", "3"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["coverage", "--t-max", "300", "--reps", "50"],
@@ -705,14 +729,14 @@ class TestStartup:
         ["replay", "--input", "contest_42.csv", "--budget", "150", "--reps", "2", "--k", "1"],
         ["table1", "--n", "8,16,32,64", "--alpha", "1"],
     ], ids=lambda argv: argv[0])
-    def test_no_command_imports_numpy_random(self, tmp_path, argv):
-        # a fresh interpreter, since this one has loaded numpy.random already
+    def test_no_command_imports_numpy_random_or_dataclasses(self, tmp_path, argv):
+        # a fresh interpreter, since this one has loaded both already
         _contest_file(tmp_path)
         code = ("import sys\n"
                 "from lilklucb.cli import main\n"
                 f"print(main({argv + ['--output', 'o.csv']!r}))\n"
-                "print('numpy.random' in sys.modules)\n")
-        assert _fresh(code, tmp_path)[-2:] == ["0", "False"]
+                "print([name for name in ('numpy.random', 'dataclasses') if name in sys.modules])\n")
+        assert _fresh(code, tmp_path)[-2:] == ["0", "[]"]
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--n", "8,16,32,64", "--alpha", "0.5,1"],  # polyfit: the one LAPACK call

@@ -267,6 +267,27 @@ class TestScheduleBits:
                          (2**20, 1), (2**20 + 1, 1)]
         assert len(scheme.threshold_table) == 4096
 
+    def test_far_reads_that_keep_coming_grow_the_table(self):
+        # an early read leaves 8 entries; reads from t = 3000 on lie past
+        # 1024, so each is evaluated alone, until their count reaches 1/8 of
+        # the 4088 entries a growth to 4096 adds, and the table grows instead
+        scheme = BoundScheme(KL_TILTED, 8, 0.05)
+        reference = _schedule(scheme, range(1, 8193))
+        calls = []
+
+        def counted(scheme, ts):
+            calls.append((ts[0], len(ts)))
+            return _schedule(scheme, ts)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(confidence, "_schedule", counted)
+            assert threshold(scheme, 5) == reference[4]
+            for t in range(3000, 8193):
+                assert threshold(scheme, t) == reference[t - 1]
+        singles = [(t, 1) for t in range(3000, 3000 + (4096 - 8) // 8)]
+        assert calls == [(1, 8)] + singles + [(9, 4088), (4097, 4096)]
+        assert scheme.threshold_table.tobytes() == reference.tobytes()
+
     def test_domain_edges(self):
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
         threshold(scheme, 10)  # a filled table must not admit t < 1

@@ -30,6 +30,22 @@ def test_no_assert_statements():
     assert _nodes(ast.Assert) == []
 
 
+def test_no_dataclasses_import():
+    """No package module imports ``dataclasses``.
+
+    Its import (which loads ``inspect`` and ``ast``) and its code generation
+    took about a third of a scalar command's start.  Records are
+    ``lilklucb.Frozen`` classes or NamedTuples.
+    """
+
+    def imports_dataclasses(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "dataclasses"
+        return any(alias.name == "dataclasses" for alias in node.names)
+
+    assert _nodes(ast.Import, ast.ImportFrom, where=imports_dataclasses) == []
+
+
 def test_no_global_statements():
     """No function rebinds module state: a worker process would keep its own copy."""
     assert _nodes(ast.Global, ast.Nonlocal) == []
