@@ -17,8 +17,9 @@ class Frozen:
     attribute: a write through ``__dict__`` makes CPython 3.11 build the
     instance's dict, after which every attribute read (an arm's per-pull
     ``p``) is slower.  Attributes outside ``_fields`` (a scheme's caches)
-    are neither compared nor shown.  Unpickling fills ``__dict__`` without
-    calling ``__setattr__``.
+    are neither compared, shown nor pickled: a record pickles as its class
+    and field values, in ``__init__``'s order, so unpickling rebuilds it
+    through ``__init__`` and its reads stay fast in a ``--parallel`` worker.
     """
 
     _fields: tuple[str, ...] = ()
@@ -39,6 +40,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field) for field in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

@@ -246,6 +246,12 @@ def ucb_race(
     samples thereafter (plus at the final budget), flagging whether arm 0
     currently sits among the k highest empirical means.
 
+    A pulled arm whose reward sum equals its pull count has mean exactly 1,
+    where every scheme's upper bound is 1, so its bound is neither read
+    from nor stored in the table: rewards lie in [0, 1] and are summed
+    left to right, so a sum never exceeds its count, and below 2^53 pulls
+    sum / pulls == 1.0 holds exactly when sum == pulls.
+
     Rewards, tie-breaks and snapshot keys are drawn by ``rng``'s scalar
     ``random()`` and ``integers(m)`` in one stream, so a NumPy Generator
     serves as well as a ``Draws``.
@@ -259,44 +265,50 @@ def ucb_race(
     # The running maximum: each upper bound some arm holds maps to the
     # ascending list of its holders, and the heap holds exactly those
     # values, negated.  Only the pulled arm moves, and it holds the top
-    # value, so a value that loses its last holder is the heap's top.
+    # value, so a value that loses its last holder is the heap's top, and
+    # the top and its holders change only when the pulled arm's bound does.
     holders: dict[float, list[int]] = {}
     for arm, ucb in enumerate(ucbs):
         holders.setdefault(ucb, []).append(arm)
     heap = [-ucb for ucb in holders]
     heapify(heap)
+    top = -heap[0]
+    ties = holders[top]
     total = n
     snapshots = [(total, _best_arm_in_top_k(sums, pulls, k, rng))]
-    due = min(total + snapshot_every, budget)  # the sample count of the next snapshot
     while total < budget:
-        top = -heap[0]
-        ties = holders[top]
-        arm = ties[0] if len(ties) == 1 else ties[integers(len(ties))]
-        reward = sample(env, arm, rng)
-        if not 0.0 <= reward <= 1.0:
-            raise _reward_error(reward)
-        pulls[arm] += 1
-        sums[arm] += reward
-        key = (pulls[arm], sums[arm])
-        ucb = table.get(key)
-        if ucb is None:
-            ucb = table[key] = upper(scheme, *key)
-        if ucb != top:
-            if len(ties) > 1:
-                ties.remove(arm)
+        due = min(total + snapshot_every, budget)  # the sample count of the next snapshot
+        for _ in range(due - total):
+            i = 0 if len(ties) == 1 else integers(len(ties))
+            arm = ties[i]
+            reward = sample(env, arm, rng)
+            if not 0.0 <= reward <= 1.0:
+                raise _reward_error(reward)
+            p = pulls[arm] = pulls[arm] + 1
+            s = sums[arm] = sums[arm] + reward
+            if s == p:
+                ucb = 1.0
             else:
-                del holders[top]
-                heappop(heap)
-            others = holders.get(ucb)
-            if others is None:
-                holders[ucb] = [arm]
-                heappush(heap, -ucb)
-            else:
-                insort(others, arm)
-        total += 1
-        if total == due:
-            snapshots.append((total, _best_arm_in_top_k(sums, pulls, k, rng)))
-            due = min(total + snapshot_every, budget)
+                key = (p, s)
+                ucb = table.get(key)
+                if ucb is None:
+                    ucb = table[key] = upper(scheme, p, s)
+            if ucb != top:
+                if len(ties) > 1:
+                    del ties[i]
+                else:
+                    del holders[top]
+                    heappop(heap)
+                others = holders.get(ucb)
+                if others is None:
+                    holders[ucb] = [arm]
+                    heappush(heap, -ucb)
+                else:
+                    insort(others, arm)
+                top = -heap[0]
+                ties = holders[top]
+        total = due
+        snapshots.append((total, _best_arm_in_top_k(sums, pulls, k, rng)))
     return RunRecord(
         recommended=_argmax_random_tie([s / p for s, p in zip(sums, pulls)], rng),
         total_samples=total,

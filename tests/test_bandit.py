@@ -31,6 +31,7 @@ from lilklucb.confidence import (
 from lilklucb.data_ingest import Caption, ContestDataset
 from lilklucb.environments import (
     Bernoulli,
+    Bootstrap,
     Draws,
     Environment,
     bernoulli_environment,
@@ -538,6 +539,59 @@ class TestRaceDraws:
         env = from_contest(dataset)
         picks, ties = self._assert_matches_generator_draws(env, ("kl",), 1000, range(10))
         assert ties > 0
+
+    @pytest.mark.parametrize("pools", [
+        ((1.0,), (1.0, 0.5), (1.0, 1 - 2**-53, 0.0), (0.5,)),
+        # 1 + (1 - 2^-53) rounds to 2: a sum that reaches its count without all rewards at 1
+        ((1.0, 1 - 2**-53), (1.0, 0.5), (1.0, 0.5), (0.0,)),
+    ])
+    @pytest.mark.parametrize("generator", [np.random.default_rng, Draws])
+    def test_saturated_pools_match_the_generator(self, pools, generator):
+        # arms whose mean sits at or just below 1 take the loop's
+        # saturated rule; the reference reads every bound from upper_bound
+        env = Environment(tuple(Bootstrap(pool) for pool in pools))
+        self._assert_matches_generator_draws(env, SCHEMES, 300, range(4), 7, 2, generator)
+
+
+SATURATING = [0.0, 0.5, 1 - 2**-53, 1.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    ones=st.one_of(st.integers(0, 8), st.integers(0, 2**53 - 200)),
+    rewards=st.lists(st.one_of(st.sampled_from(SATURATING), st.floats(0.0, 1.0)), max_size=100),
+)
+def test_a_sum_reaches_its_count_exactly_when_its_mean_is_one(ones, rewards):
+    # ucb_race's saturated rule: after ``ones`` rewards of 1, each further
+    # prefix sum, added left to right, never exceeds its count, and equals it
+    # exactly where the mean is 1.0, where every scheme's upper bound is 1
+    s, p = float(ones), ones
+    for reward in rewards:
+        s += reward
+        p += 1
+        assert s <= p
+        assert (s == p) == (s / p == 1.0)
+        if s == p:
+            assert all(upper_bound(BoundScheme(kind, 8, 0.05), p, s) == 1.0 for kind in SCHEMES)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_a_race_stores_no_saturated_bound(kind, monkeypatch):
+    # the best arm's mean is exactly 1, so most of its pulls keep its sum at
+    # its count; only the first pulls' key (1, 1.0) is looked up
+    calls = []
+
+    def recorded(scheme, pulls, reward_sum):
+        calls.append((pulls, reward_sum))
+        return upper_bound(scheme, pulls, reward_sum)
+
+    monkeypatch.setattr(bandit, "upper_bound", recorded)
+    scheme, cache = BoundScheme(kind, 8, 0.05), {}
+    record = ucb_race(bernoulli_environment(parametric_means(20, 1.0)), scheme, 2000, 100, 3,
+                      Draws(7), bound_cache=cache)
+    assert record.per_arm_pulls[0] > 100
+    assert {key for key in cache[scheme] if key[0] == key[1]} == {(1, 1.0)}
+    assert [key for key in calls if key[0] == key[1]] == [(1, 1.0)]
 
 
 def _reference_crossing(scheme: BoundScheme, target: float) -> int:

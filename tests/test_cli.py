@@ -27,19 +27,7 @@ from lilklucb.confidence import BoundScheme
 from lilklucb.coverage import splitmix64
 from lilklucb.data_ingest import read_output
 
-CONTEST_CSV = (
-    "caption,unfunny,somewhat_funny,funny\n"
-    "sharp,1,3,16\n"
-    "fine,4,8,8\n"
-    "meh,10,8,2\n"
-    "flat,16,3,1\n"
-)
-
-
-def _contest_file(tmp_path):
-    path = tmp_path / "contest_42.csv"
-    path.write_text(CONTEST_CSV, encoding="utf-8")
-    return path
+from golden_cases import CONTEST_CSV, _contest_file
 
 
 class TestSeedDerivation:

@@ -14,7 +14,13 @@ from lilklucb.bandit import lil_klucb, predicted_complexity
 from lilklucb.cli import RunConfig, build_config, cmd_identify, derive_seed
 from lilklucb.confidence import BoundScheme, threshold
 from lilklucb.data_ingest import ExperimentOutput, parse_contest_csv
-from lilklucb.environments import Draws, bernoulli_environment, from_contest
+from lilklucb.environments import (
+    Bernoulli,
+    Draws,
+    Environment,
+    bernoulli_environment,
+    from_contest,
+)
 
 CONTEST_CSV = (
     "caption,unfunny,somewhat_funny,funny\n"
@@ -109,9 +115,23 @@ def test_records_survive_pickling(tmp_path):
         assert copy == record and type(copy) is type(record)
         with pytest.raises(AttributeError):
             setattr(copy, _fields(copy)[0], None)
+    # a copy is rebuilt from its fields: the caches stay behind, and the
+    # copy fills its own table with the same values
     copy = pickle.loads(pickle.dumps(scheme))
-    assert copy.threshold_table == scheme.threshold_table
+    assert len(copy.threshold_table) == 0 < len(scheme.threshold_table)
+    assert threshold(copy, 100) == threshold(scheme, 100)
     assert threshold(copy, 5000) == threshold(BoundScheme("kl", 8, 0.05), 5000)
+
+
+def test_records_pickle_as_their_class_and_field_values():
+    # unpickling calls __init__, which sets each attribute through
+    # object.__setattr__ and so keeps the instance's fast attribute reads
+    assert Bernoulli(0.3).__reduce__() == (Bernoulli, (0.3,))
+    assert BoundScheme("sg1", 4, 0.1).__reduce__() == (BoundScheme, ("sg1", 4, 0.1))
+    env = bernoulli_environment((0.7, 0.5, 0.3))
+    assert env.__reduce__() == (Environment, (env.arms,))
+    copy = pickle.loads(pickle.dumps(env))
+    assert copy == env and all(type(arm) is Bernoulli for arm in copy.arms)
 
 
 def test_outputs_and_configs_build_by_keyword(tmp_path):

@@ -273,3 +273,26 @@ def test_ci_smokes_every_benchmark_workload():
     loop = re.search(r"for workload in ([\w\- ]+); do", script).group(1).split()
     assert loop == [workload["name"] for workload in benchmark["workloads"]]
     assert "--seconds 0 --trace 0" in script and '"correct": true' in script
+
+
+def test_ci_checks_the_scalar_goldens_without_installing():
+    """A job installs nothing and checks every ``simulate``, ``replay`` and ``identify`` golden.
+
+    Those commands need only the standard library, so the job shows that
+    they start and write their golden bytes without NumPy or the test tools.
+    """
+    yaml = pytest.importorskip("yaml")
+    from golden_cases import CASES
+
+    root = SRC.parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    job = workflow["jobs"]["scalar-goldens"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert not any("install" in run for run in runs)
+    (command,) = runs
+    prefix = "PYTHONPATH=src python tests/golden_cases.py --check "
+    assert command.startswith(prefix)
+    scalar = {name for name, argv in CASES.items() if argv[0] in ("simulate", "replay", "identify")}
+    assert sorted(command[len(prefix):].split()) == sorted(scalar)
+    floor = re.search(r'requires-python = ">=([\d.]+)"', (root / "pyproject.toml").read_text())
+    assert job["strategy"]["matrix"]["python-version"][0] == floor.group(1)
