@@ -49,12 +49,10 @@ class RunRecord(Frozen):
 def _argmax_random_tie(values: list, rng: Draws) -> int:
     """Index of the largest value in the list, ties broken at random.
 
-    With m > 1 values at the maximum, the ``rng.integers(m)``-th of them in
-    index order is returned; a unique maximum draws nothing.
+    With m values at the maximum, the ``rng.integers(m)``-th of them in
+    index order is returned; a unique maximum (``integers(1)``) draws nothing.
     """
     best = max(values)
-    if values.count(best) == 1:
-        return values.index(best)
     ties = [i for i, value in enumerate(values) if value == best]
     return ties[rng.integers(len(ties))]
 

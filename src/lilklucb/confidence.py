@@ -14,8 +14,7 @@ sub-Gaussian radius is sqrt(b_t / 2).
 
 A scheme's parameters are immutable after construction (its normalization
 constants are precomputed) and all operations are pure; its threshold table
-is only ever replaced whole, so schemes are safe to share across threads
-(a race on its count of far reads only moves a growth).
+is only ever replaced whole, so schemes are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ SCHEME_KINDS = (KL_TILTED, KL_PRIME, SG1, SG2)
 MAX_TILT = 2**20
 
 # Most entries a scheme's threshold table holds (8 bytes each), and the
-# table size up to which a jump past its end still fills it; beyond the cap
-# ``threshold`` evaluates the schedule at one t at a time, and beyond the
-# start (and twice the table) too, until the growth a far read skips pays.
+# most its first growth adds; a later growth at most doubles it, and
+# ``threshold`` evaluates a t past the grown table, or past the cap, alone.
 _TABLE_CAP = 2**20
 _TABLE_START = 1024
 
@@ -126,9 +124,8 @@ class BoundScheme(Frozen):
     construction so bound evaluations stay cheap; ``c_cache`` scales the
     schedule: untilt_factor(tilt) for ``kl-prime``, ((tilt+1)/tilt)^2 for
     ``sg1`` and 1 otherwise.  ``threshold_table`` holds the schedule at
-    t = 1..len, starts empty and is filled by ``threshold``; ``far_reads``
-    counts the schedule's one-element evaluations since the table last grew.
-    Schemes compare and hash by (kind, tilt, delta) alone.
+    t = 1..len, starts empty and is filled by ``threshold``.  Schemes
+    compare and hash by (kind, tilt, delta) alone.
     """
 
     _fields = ("kind", "tilt", "delta")
@@ -152,7 +149,6 @@ class BoundScheme(Frozen):
         object.__setattr__(self, "kappa_cache", kappa_cache)
         object.__setattr__(self, "c_cache", c)
         object.__setattr__(self, "threshold_table", array("d"))
-        object.__setattr__(self, "far_reads", 0)
 
     def with_delta(self, delta: float) -> "BoundScheme":
         """Same scheme at a different confidence level."""
@@ -188,14 +184,13 @@ def _schedule(scheme: BoundScheme, ts) -> array:
 def threshold(scheme: BoundScheme, t: int) -> float:
     """``_schedule`` at one integer t >= 1, read from the scheme's table.
 
-    A t past the table's end, up to twice its length (or _TABLE_START)
-    and _TABLE_CAP, replaces it with one that reaches the next power of
-    two, computing only the new entries; a t past that is evaluated alone,
-    so a far jump costs one entry, not the entries in between.  Far reads
-    that keep coming grow it instead, once the one-element evaluations
-    since it last grew reach 1/8 of the entries that growth would add; a t
-    past _TABLE_CAP is always evaluated alone.  A table is never extended
-    in place, so a reader always sees a complete one.
+    A t past the table's end, up to _TABLE_CAP, replaces it with one that
+    reaches t's power of two, but no more than twice its length (or
+    _TABLE_START), computing only the new entries; a t the new table still
+    misses, and every t past _TABLE_CAP, is evaluated alone.  So a far jump
+    costs one entry and at most one doubling, and reads that keep coming
+    there double the table once per read.  A table is never extended in
+    place, so a reader always sees a complete one.
     """
     table = scheme.threshold_table
     n = len(table)
@@ -205,14 +200,10 @@ def threshold(scheme: BoundScheme, t: int) -> float:
         raise InputError(f"t must be >= 1, got {t!r}")
     if t > _TABLE_CAP:
         return _schedule(scheme, (t,))[0]
-    size = 1 << int(t - 1).bit_length()
-    if t > max(2 * n, _TABLE_START) and 8 * scheme.far_reads < size - n:
-        object.__setattr__(scheme, "far_reads", scheme.far_reads + 1)
-        return _schedule(scheme, (t,))[0]
+    size = min(1 << int(t - 1).bit_length(), max(2 * n, _TABLE_START))
     table = table + _schedule(scheme, range(n + 1, size + 1))
     object.__setattr__(scheme, "threshold_table", table)
-    object.__setattr__(scheme, "far_reads", 0)
-    return table[t - 1]
+    return table[t - 1] if t <= size else _schedule(scheme, (t,))[0]
 
 
 def sg_radius(scheme: BoundScheme, t: int) -> float:
@@ -225,8 +216,6 @@ def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     if pulls < 1:
         raise InputError("upper_bound requires at least one sample")
     mu_hat = reward_sum / pulls
-    if mu_hat == 1.0:  # every scheme's bound is 1 there; no threshold read, no inversion
-        return 1.0
     if scheme.kind == KL_TILTED:
         return tilted_kl_upper_inverse(mu_hat, threshold(scheme, pulls), scheme.tilt)
     if scheme.kind == KL_PRIME:

@@ -123,8 +123,6 @@ class ExperimentOutput(Frozen):
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         s = f"{value:.15g}"
         # keep the float/int distinction through a text round-trip

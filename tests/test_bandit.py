@@ -82,6 +82,15 @@ class TestTopIndex:
         with pytest.raises(ValueError):
             top_index([(1, 0.5), (0, 0.0)], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("make", [Draws, np.random.default_rng], ids=["draws", "generator"])
+    def test_a_unique_maximum_draws_nothing(self, make):
+        # one holder calls integers(1), which leaves either generator as it was
+        rng = make(7)
+        state = _state(rng)
+        for values in ([0.3], [0.9, 0.1, 0.5], [0.1, 0.5, 0.5, 0.7]):
+            assert _argmax_random_tie(values, rng) == values.index(max(values))
+        assert _state(rng) == state
+
     def test_ties_split_uniformly(self):
         stats = [(2, 1.0), (2, 1.0)]
         rng = np.random.default_rng(123)

@@ -36,7 +36,6 @@ from lilklucb.kl_math import (
     _kl,
     kl_lower_inverse,
     kl_upper_inverse,
-    tilted_kl_upper_inverse,
 )
 
 
@@ -249,10 +248,9 @@ class TestScheduleBits:
         ours = _schedule(scheme, ts)
         assert ours.tobytes() == array("d", [_libm_threshold(scheme, t) for t in ts]).tobytes()
 
-    def test_a_far_jump_is_evaluated_alone(self):
-        # a t up to twice the table's length, or 1024, grows the table to the
-        # next power of two with only the new entries; a t beyond is read alone
-        scheme = BoundScheme(KL_TILTED, 8, 0.05)
+    @staticmethod
+    def _counted_reads(scheme, ts) -> list:
+        """(first t, length) of each ``_schedule`` call while ``threshold`` reads ``ts``."""
         calls = []
 
         def counted(scheme, ts):
@@ -261,32 +259,28 @@ class TestScheduleBits:
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(confidence, "_schedule", counted)
-            for t in (1025, 1000, 1024, 2048, 4097, 3000, 2**20, 2**20 + 1):
+            for t in ts:
                 assert threshold(scheme, t) == _schedule(scheme, [t])[0]
-        assert calls == [(1025, 1), (1, 1024), (1025, 1024), (4097, 1), (2049, 2048),
-                         (2**20, 1), (2**20 + 1, 1)]
-        assert len(scheme.threshold_table) == 4096
+        return calls
 
-    def test_far_reads_that_keep_coming_grow_the_table(self):
-        # an early read leaves 8 entries; reads from t = 3000 on lie past
-        # 1024, so each is evaluated alone, until their count reaches 1/8 of
-        # the 4088 entries a growth to 4096 adds, and the table grows instead
+    def test_a_far_jump_grows_the_table_once_and_is_evaluated_alone(self):
+        # a read past the end grows the table to t's power of two, but at
+        # most to twice its length (or 1024); a t still missed, or past 2^20,
+        # is evaluated alone
         scheme = BoundScheme(KL_TILTED, 8, 0.05)
-        reference = _schedule(scheme, range(1, 8193))
-        calls = []
+        ts = (1025, 1000, 1024, 2048, 4097, 3000, 2**20, 2**20 + 1)
+        assert self._counted_reads(scheme, ts) == [
+            (1, 1024), (1025, 1), (1025, 1024), (2049, 2048), (4097, 1), (4097, 4096),
+            (2**20, 1), (2**20 + 1, 1)]
+        assert len(scheme.threshold_table) == 8192
 
-        def counted(scheme, ts):
-            calls.append((ts[0], len(ts)))
-            return _schedule(scheme, ts)
-
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(confidence, "_schedule", counted)
-            assert threshold(scheme, 5) == reference[4]
-            for t in range(3000, 8193):
-                assert threshold(scheme, t) == reference[t - 1]
-        singles = [(t, 1) for t in range(3000, 3000 + (4096 - 8) // 8)]
-        assert calls == [(1, 8)] + singles + [(9, 4088), (4097, 4096)]
-        assert scheme.threshold_table.tobytes() == reference.tobytes()
+    def test_far_reads_that_keep_coming_double_the_table_per_read(self):
+        # an early read leaves 8 entries; reads from t = 3000 on double the
+        # table (the first to 1024) until it holds them
+        scheme = BoundScheme(KL_TILTED, 8, 0.05)
+        assert self._counted_reads(scheme, (5, *range(3000, 8193))) == [
+            (1, 8), (9, 1016), (3000, 1), (1025, 1024), (3001, 1), (2049, 2048), (4097, 4096)]
+        assert scheme.threshold_table.tobytes() == _schedule(scheme, range(1, 8193)).tobytes()
 
     def test_domain_edges(self):
         scheme = BoundScheme(KL_TILTED, 8, 0.01)
@@ -342,24 +336,13 @@ class TestScheduleWork:
         ucb_race(env, BoundScheme(kind, 8, 0.05), budget, 100, 1, np.random.default_rng(0))
         assert 0 < len(calls) <= math.ceil(math.log2(budget)) + 1
 
-    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
-    def test_saturated_upper_bound_reads_no_threshold_and_inverts_nothing(self, monkeypatch, kind):
-        # a mean of exactly 1 is every scheme's bound; the full path, a
-        # threshold read and then the inverse or the radius, gives the same
-        scheme = BoundScheme(kind, 8, 0.05)
+    def test_saturated_upper_bound_is_one_through_the_full_path(self):
+        # a mean of exactly 1 reads the threshold and inverts (or adds the
+        # radius) like any other; every scheme's bound there is 1
         ts = (1, 2, 1000, _TABLE_CAP + 1)
-        full = {
-            KL_TILTED: lambda t: tilted_kl_upper_inverse(1.0, threshold(scheme, t), scheme.tilt),
-            KL_PRIME: lambda t: kl_upper_inverse(1.0, threshold(scheme, t)),
-        }.get(kind, lambda t: min(1.0, 1.0 + sg_radius(scheme, t)))
-        expected = [full(t) for t in ts]
-
-        def refuse(*args):
-            raise AssertionError("a saturated upper bound read the threshold or inverted")
-
-        for name in ("threshold", "tilted_kl_upper_inverse", "kl_upper_inverse"):
-            monkeypatch.setattr(confidence, name, refuse)
-        assert [upper_bound(scheme, t, float(t)) for t in ts] == expected == [1.0] * len(ts)
+        for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
+            scheme = BoundScheme(kind, 8, 0.05)
+            assert [upper_bound(scheme, t, float(t)) for t in ts] == [1.0] * len(ts), kind
 
     @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
     def test_coverage_envelope_makes_one_evaluation_and_no_scalar_call(self, monkeypatch, kind):

@@ -276,7 +276,9 @@ def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
             reads.append(i + 1)
             return super().__getitem__(i)
 
-    cases = list(_reference_grid())  # fills every table the cases read: t <= 10**4
+    cases = list(_reference_grid())
+    # the grid has filled every table the cases read: t <= 10**4
+    assert all(len(scheme.threshold_table) >= 10**4 for scheme in REFERENCE_SCHEMES)
     monkeypatch.setattr(confidence, "threshold", counted)
     tables = [scheme.threshold_table for scheme in REFERENCE_SCHEMES]
     try:

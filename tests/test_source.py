@@ -51,6 +51,30 @@ def test_no_global_statements():
     assert _nodes(ast.Global, ast.Nonlocal) == []
 
 
+def test_records_change_only_in_their_init():
+    """No ``object.__setattr__`` outside an ``__init__``, but ``threshold``'s table.
+
+    A record's fields are set once, in its ``__init__``; the one later write
+    is ``confidence.threshold`` replacing a scheme's ``threshold_table``
+    whole, so a reader sees a complete table either way.
+    """
+    allowed = ("confidence.py", "threshold", "'threshold_table'")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"):
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            name = getattr(scope, "name", None)
+            if name != "__init__" and (path.name, name, ast.unparse(node.args[1])) != allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # The variables that set OpenBLAS's thread count: ``__init__.py`` may test and
 # set these, and only these, when it loads numpy.
 BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
