@@ -33,24 +33,23 @@ def _check_counters(trajectories: int, t_max: int) -> None:
                          f"2**64 random counters, so their draws would repeat")
 
 
-def _splitmix64_array(x, scratch=None):
-    """``splitmix64`` of every entry of a uint64 array, in place; ``scratch`` is x's shape."""
+def _splitmix64_array(x):
+    """``splitmix64`` of every entry of a uint64 array, in place."""
     np = load_numpy()
     x += np.uint64(_GAMMA)
-    shifted = np.right_shift(x, np.uint64(30), out=scratch)
-    x ^= shifted
+    x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= x >> np.uint64(31)
     return x
 
 
-def _uniforms(outputs, out=None):
+def _uniforms(outputs):
     """The uniforms in [0, 1) of splitmix64 outputs: their top 53 bits, shifted in place."""
     np = load_numpy()
     outputs >>= np.uint64(11)
-    return np.multiply(outputs, 2.0**-53, out=out)
+    return outputs * 2.0**-53
 
 
 def _binomial_cdf(mu: float, width: int):
@@ -90,21 +89,19 @@ def _counts(table: tuple, outputs):
     return counts
 
 
-def _arrange(ones, widths, u, slots):
+def _arrange(ones, widths, u):
     """Steps of blocks holding ``ones`` ones in ``widths`` slots, from uniforms u (slots, blocks).
 
     Slot j of a block is a one when u[j] < ones left / slots left, so given
     its count every arrangement of a block is equally likely; slots past a
-    block's width stay 0, since no ones are left for them.  ``slots``, shaped
-    like u, receives the slots left.
+    block's width stay 0, since no ones are left for them.
     """
     np = load_numpy()
     left = ones.astype(np.float64)
-    slots = np.subtract(widths, np.arange(len(u), dtype=np.float64)[:, None], out=slots)
-    np.maximum(slots, 1.0, out=slots)
+    slots = np.maximum(widths - np.arange(len(u), dtype=np.float64)[:, None], 1.0)
     steps = np.empty(u.shape, dtype=bool)
     for j in range(len(u)):
-        np.less(u[j], left / slots[j], out=steps[j])
+        steps[j] = u[j] < left / slots[j]
         left -= steps[j]
     return steps
 
@@ -154,10 +151,6 @@ def exit_rates(mu: float, low_sum, high_sum, trajectories: int, seed: int) -> di
                     + np.uint64(seed & _MASK64))
     width = min(t_max, _SCREEN)
     step_states = np.arange(1, width + 1, dtype=np.uint64)[:, None] * np.uint64(_GAMMA)
-    # A fresh array costs a page fault per page touched, so the steps of a
-    # chunk of blocks are drawn in buffers that every chunk reuses.
-    buffers = [np.empty(width * _CHUNK_BLOCKS, dtype)
-               for dtype in (np.uint64, np.uint64, np.float64, np.float64)]
     trajectory_gap = np.uint64(blocks * _STRIDE * _GAMMA & _MASK64)
     rows = max(1, _BATCH_BLOCKS // blocks)
     below = above = joint = 0
@@ -176,12 +169,9 @@ def exit_rates(mu: float, low_sum, high_sum, trajectories: int, seed: int) -> di
         near_r, near_k = np.nonzero(near)
         for lo in range(0, len(near_r), _CHUNK_BLOCKS):
             r, k = near_r[lo:lo + _CHUNK_BLOCKS], near_k[lo:lo + _CHUNK_BLOCKS]
-            states, scratch, u, slots = (buffer[:width * len(r)].reshape(width, len(r))
-                                         for buffer in buffers)
-            np.add(step_states, trajectory_states[r] + block_states[k], out=states)
-            _uniforms(_splitmix64_array(states, scratch), out=u)
-            sums = np.cumsum(_arrange(counts[r, k], widths[k], u, slots), axis=0,
-                             dtype=low_sum.dtype)
+            states = step_states + (trajectory_states[r] + block_states[k])
+            u = _uniforms(_splitmix64_array(states))
+            sums = np.cumsum(_arrange(counts[r, k], widths[k], u), axis=0, dtype=low_sum.dtype)
             sums += begins[r, k]
             hit_high[r[(sums > high_sum[:width, k]).any(axis=0)]] = True
             hit_low[r[(sums < low_sum[:width, k]).any(axis=0)]] = True

@@ -158,10 +158,9 @@ def _first_arg_inverses(mu: float, bounds, edge: float):
     _FIRST_ARG_TOL for NEWTON_TOL, each entry in its own bracket [mu, edge]
     and from the root of the expansion
     D(mu + r, mu) = r^2 / (2v) - (1 - 2 mu) r^3 / (6 v^2), v = mu (1 - mu).
-    Entries leave the iteration as they finish; an iteration works in
-    place, in buffers cut to the live entries, and only the removal of
-    finished entries allocates.  The result lies within _FIRST_ARG_TOL of
-    where D(x, mu), as computed here with NumPy's logs, crosses its budget.
+    Entries leave the iteration as they finish.  The result lies within
+    _FIRST_ARG_TOL of where D(x, mu), as computed here with NumPy's logs,
+    crosses its budget.
     """
     np = load_numpy()
     if mu == 0.0 or mu == 1.0:
@@ -179,57 +178,36 @@ def _first_arg_inverses(mu: float, bounds, edge: float):
     hi = np.full(live.size, far)
     y = d * start
     y = np.where((lo < y) & (y < hi), y, 0.5 * (lo + hi))
-    step = hi - lo
-    step_before = step.copy()
-    scratch = np.empty((4, live.size))
-    flags = np.empty((2, live.size), dtype=bool)
+    step = step_before = hi - lo
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            width = np.subtract(hi, lo, out=scratch[0, :live.size])
-            done = np.less_equal(width, _FIRST_ARG_TOL, out=flags[0, :live.size])
+            done = hi - lo <= _FIRST_ARG_TOL
             if done.any():
                 out[live[done]] = d * lo[done]
-                keep = ~done
                 live, lo, hi, y, step, step_before, bounds = (
-                    v[keep] for v in (live, lo, hi, y, step, step_before, bounds))
+                    v[~done] for v in (live, lo, hi, y, step, step_before, bounds))
             if live.size == 0:
                 break
-            a, b, up, down = scratch[:, :live.size]
-            p, q = flags[:, :live.size]
-            # y = lo + half if y < lo + half, else hi - half if y > hi - half
-            np.less(y, np.add(lo, half, out=a), out=p)
-            np.greater(y, np.subtract(hi, half, out=b), out=q)
-            np.copyto(y, b, where=q)
-            np.copyto(y, a, where=p)
+            # a live bracket is wider than _FIRST_ARG_TOL, so lo + half <= hi - half
+            y = np.clip(y, lo + half, hi - half)
             # D(x, mu) = x up + (1 - x) down and its slope up - down, with
             # up = log(x / mu) and down = log((1 - x) / (1 - mu))
-            x = np.multiply(y, d, out=b)
-            np.log(np.divide(x, mu, out=up), out=up)
-            np.log(np.divide(np.subtract(1.0, x, out=a), 1.0 - mu, out=down), out=down)
-            value = np.add(np.multiply(x, up, out=x), np.multiply(a, down, out=a), out=x)
-            slope = np.subtract(up, down, out=up)
-            below = np.less_equal(value, bounds, out=p)
-            np.copyto(lo, y, where=below)
-            np.copyto(hi, y, where=np.logical_not(below, out=q))
-            gap = np.subtract(far, y, out=a)
-            scale = np.multiply(np.multiply(slope, d, out=slope), gap, out=slope)
-            ratio = np.divide(np.subtract(value, bounds, out=value), scale, out=value)
-            newton = np.greater(scale, 0.0, out=p)
-            newton &= np.less(scale, math.inf, out=q)
-            newton &= np.less(ratio, 50.0, out=q)
-            off = np.logical_not(newton, out=q)
-            np.copyto(ratio, 0.0, where=off)
-            nxt = np.subtract(far, np.multiply(gap, np.exp(ratio, out=ratio), out=ratio), out=ratio)
-            np.copyto(nxt, math.nan, where=off)
-            safe = np.less_equal(lo, nxt, out=p)
-            safe &= np.less_equal(nxt, hi, out=q)
-            moved = np.abs(np.subtract(nxt, y, out=down), out=down)
-            safe &= np.less_equal(moved, np.multiply(step_before, 0.5, out=a), out=q)
-            midpoint = np.multiply(np.add(lo, hi, out=a), 0.5, out=a)
-            np.copyto(nxt, midpoint, where=np.logical_not(safe, out=q))
-            step_before, step = step, step_before
-            np.abs(np.subtract(nxt, y, out=step), out=step)
-            np.copyto(y, nxt)  # nxt is a scratch row, which the next step overwrites
+            x = y * d
+            up = np.log(x / mu)
+            down = np.log((1.0 - x) / (1.0 - mu))
+            value = x * up + (1.0 - x) * down
+            below = value <= bounds
+            lo = np.where(below, y, lo)
+            hi = np.where(below, hi, y)
+            gap = far - y
+            scale = (up - down) * d * gap
+            ratio = (value - bounds) / scale
+            newton = (scale > 0.0) & (scale < math.inf) & (ratio < 50.0)
+            nxt = np.where(newton, far - gap * np.exp(ratio), math.nan)
+            safe = (lo <= nxt) & (nxt <= hi) & (np.abs(nxt - y) <= step_before * 0.5)
+            nxt = np.where(safe, nxt, (lo + hi) * 0.5)
+            step_before, step = step, np.abs(nxt - y)
+            y = nxt
     out[live] = d * lo
     return out
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -382,6 +383,40 @@ class TestSimulate:
             for path in serial:
                 twin = path.with_name("b" + path.name[1:])
                 assert path.read_bytes() == twin.read_bytes(), path.name
+
+    @pytest.mark.parametrize("cores, workers", [(2, 2), (None, 1)])
+    def test_parallel_starts_at_most_one_worker_per_core(self, tmp_path, monkeypatch,
+                                                         cores, workers):
+        # a stub pool records its size and maps in this process, so no
+        # process is started; 64 blocks of one repetition still run
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                blocks = list(blocks)
+                sizes.append(len(blocks))
+                return map(fn, blocks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        argv = ["simulate", "--n", "10", "--alpha", "1", "--budget", "300",
+                "--reps", "64", "--k", "2", "--seed", "17"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--output", str(a)]) == 0
+        assert main(argv + ["--parallel", "64", "--output", str(b)]) == 0
+        assert sizes == [workers, 64]
+        assert a.read_bytes() == b.read_bytes()
 
     def test_easy_instance_ends_confident(self, tmp_path):
         config = build_config(
@@ -793,6 +828,15 @@ class TestCoverage:
         low_kl, high_kl = coverage_envelope(BoundScheme("kl", 8, 0.05), 0.3, 50)
         low_pr, high_pr = coverage_envelope(BoundScheme("kl-prime", 8, 0.05), 0.3, 50)
         assert not np.allclose(high_kl, high_pr)
+
+    @pytest.mark.parametrize("scheme, tilt, delta", [("sg2", 8, 1e-320), ("sg2", 8, 1e-306),
+                                                     ("sg1", 2**20, 1e-320)])
+    def test_infinite_sub_gaussian_budget_is_never_crossed(self, scheme, tilt, delta):
+        # the budget's log overflows at some t <= 300: the interval is [0, 1]
+        # there, and the run reports its rates instead of an internal error
+        rates = coverage_rates(BoundScheme(scheme, tilt, delta), 0.5, 300, 50, seed=0)
+        assert rates == {"true_mean_below_lower": 0.0, "true_mean_above_upper": 0.0,
+                         "joint": 0.0}
 
     def test_largest_counter_space_passes_validation(self, tmp_path):
         # one more repetition is rejected (INVALID_ARGV); this one is not run

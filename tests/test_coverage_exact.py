@@ -301,7 +301,7 @@ def test_every_arrangement_is_equally_likely():
             counter = np.arange(64 * n, dtype=np.uint64).reshape(64, n)
             u = _uniforms(_splitmix64_array(counter * np.uint64(GAMMA)
                                             + np.uint64(100 * width + ones)))
-            steps = _arrange(np.full(n, ones), np.full(n, width), u, np.empty_like(u))
+            steps = _arrange(np.full(n, ones), np.full(n, width), u)
             assert not steps[width:].any()
             assert (steps.sum(axis=0) == ones).all()
             code = (steps[:width].T * (1 << np.arange(width))).sum(axis=1)
