@@ -107,16 +107,19 @@ def lil_klucb(
 
     A round evaluates only the bounds a decision needs.  An arm's upper
     bound goes stale when it is pulled.  Each round, every stale rival but
-    the newest table miss s gets its bound, and ``bound_side`` places s's
-    upper bound against u2, the highest bound of the other rivals: short of
-    it, u2's first holder is the challenger; beyond it, s is, and s is
-    inverted only if a stop is still possible (u2 below the leader's mean
-    and the leader's lower bound not certainly beyond u2); if the
-    certificate cannot tell, s is inverted.  The leader's lower bound
+    the newest table miss s gets its bound, and the rivals' certificate
+    places s's upper bound against u2, the highest bound of the other
+    rivals: short of it, u2's first holder is the challenger; beyond it, s
+    is, and s is inverted only if a stop is still possible (u2 below the
+    leader's mean and the leader's lower bound not certainly beyond u2); if
+    the certificate cannot tell, s is inverted.  The leader's lower bound
     (never above its mean) is inverted only if every rival's upper bound
-    is below that mean and ``bound_side`` does not place it beyond them.
-    Bounds are pure in their key and the certificate is sound, so record
-    and generator state equal those of evaluating them all.
+    is below that mean and the leader's certificate does not place it
+    beyond them.  The run builds its two certificates once, with
+    ``bound_side``: toward 1 at delta for the rivals, and toward 0 at
+    delta/(n-1) for the leader.  Bounds are pure in their key and the
+    certificates are sound, so record and generator state equal those of
+    evaluating them all.
 
     ``bound_cache`` may be shared across runs to reuse bound inversions; it
     holds one upper-bound table per scheme, keyed by (pulls, reward_sum),
@@ -135,16 +138,17 @@ def lil_klucb(
     leader_scheme = cache.get((scheme, n))
     if leader_scheme is None:
         leader_scheme = cache[scheme, n] = scheme.with_delta(scheme.delta / (n - 1))
-    sample, upper, side_of = environments.sample, upper_bound, bound_side
+    sample, upper, lowest = environments.sample, upper_bound, -math.inf
+    upper_side, lower_side = bound_side(scheme, 1.0), bound_side(leader_scheme, 0.0)
     pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     means = [s / p for s, p in zip(sums, pulls)]
-    stale = []  # arms whose bound predates their last pull, newest last; their ucbs entry is -inf
+    stale = []  # arms whose bound predates their last pull, newest first; their ucbs entry is -inf
     total = n
     while True:
         best = max(means)
         top = means.index(best) if means.count(best) == 1 else _argmax_random_tie(means, rng)
         s = None  # the newest stale rival without a table entry
-        for arm in reversed(stale):
+        for arm in stale:
             if arm != top:
                 key = (pulls[arm], sums[arm])
                 ucb = table.get(key)
@@ -155,13 +159,13 @@ def lil_klucb(
                     ucb = table[key] = upper(scheme, *key)
                 ucbs[arm] = ucb
         held = ucbs[top]
-        ucbs[top] = -math.inf
+        ucbs[top] = lowest
         level = max(ucbs)  # over the rivals with a bound
         challenger = ucbs.index(level)  # first index on ties
         key = (pulls[top], sums[top])
         if s is not None:
-            side = side_of(scheme, pulls[s], sums[s], level, 1.0)
-            if side > 0 and (level >= means[top] or side_of(leader_scheme, *key, level, 0.0) > 0):
+            side = upper_side(pulls[s], sums[s], level)
+            if side > 0 and (level >= means[top] or lower_side(*key, level) > 0):
                 challenger, level = s, math.inf  # s leads the rivals; no stop
             elif side >= 0:
                 s_key = (pulls[s], sums[s])
@@ -170,7 +174,7 @@ def lil_klucb(
                 level = max(ucbs)
                 challenger = ucbs.index(level)
         ucbs[top] = held
-        if (level < means[top] and side_of(leader_scheme, *key, level, 0.0) < 1
+        if (level < means[top] and lower_side(*key, level) < 1
                 and lower_bound(leader_scheme, *key) > level):
             stopped = True
             break
@@ -184,8 +188,8 @@ def lil_klucb(
             pulls[arm] += 1
             sums[arm] += reward
             means[arm] = sums[arm] / pulls[arm]
-            ucbs[arm] = -math.inf
-        stale = [top, challenger] if s is None or s == challenger else [top, s, challenger]
+            ucbs[arm] = lowest
+        stale = [challenger, top] if s is None or s == challenger else [challenger, s, top]
         total += 2
     return RunRecord(
         recommended=top,

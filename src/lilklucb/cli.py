@@ -171,7 +171,7 @@ def build_config(argv=None) -> RunConfig:
             raise ConfigError(f"{config_path} must hold a JSON object")
         unknown = set(raw) - set(SETTINGS)
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"{config_path}: unknown config keys: {', '.join(sorted(unknown))}")
     raw.update((key, value) for key, value in vars(args).items()
                if key not in ("command", "config"))
 
@@ -231,7 +231,7 @@ def validate_config(config: RunConfig) -> None:
                 BoundScheme(kind, config.tilt, config.delta)
     if cmd in ("simulate", "replay"):
         if len(config.schemes) != len(set(config.schemes)):
-            raise ConfigError("duplicate schemes requested")
+            raise ConfigError("--scheme: duplicate schemes requested")
         if config.budget is None:
             raise ConfigError(f"{cmd} requires --budget")
     if cmd == "replay" and config.input is None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
 
@@ -241,11 +242,12 @@ def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
 _CERTIFICATE_FLOOR = 1e-7
 
 
-def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edge: float) -> int:
-    """+1 if the bound toward ``edge`` lies certainly beyond x, -1 if short of it, else 0.
+def bound_side(scheme: BoundScheme, edge: float) -> Callable[[int, float, float], int]:
+    """The certificate of the bound toward ``edge``, as side(pulls, reward_sum, x).
 
-    ``edge`` is 1.0 for ``upper_bound`` and 0.0 for ``lower_bound``;
-    "beyond" means farther from p = reward_sum / pulls toward the edge.
+    ``edge`` is 1.0 for ``upper_bound`` and 0.0 for ``lower_bound``.  side
+    gives +1 if the bound lies certainly beyond x, -1 if short of it, else
+    0; "beyond" means farther from p = reward_sum / pulls toward the edge.
     For ``kl`` and ``kl-prime`` the bound m* inverts a divergence that is
     monotone from p to the edge, and ``kl_math._invert`` returns a feasible
     point it evaluated (or p), with an evaluated infeasible point (or the
@@ -256,42 +258,62 @@ def bound_side(scheme: BoundScheme, pulls: int, reward_sum: float, x: float, edg
     the budget at x - step, beyond p, puts the feasible m* short of x.
     The point one step off x keeps _kl's rounding noise from deciding: at
     x itself, a point one float inside m* can read over the budget.  The
-    divergence is computed as the inverses compute it, a point outside
-    (0, 1) is over the budget (no bound lies past 0 or 1), and the budget
-    is read at most once (straight from the scheme's threshold table when
-    pulls lies in it, through ``threshold`` past its end) and trusted from
-    _CERTIFICATE_FLOOR up, short of inf.  As in ``_invert``, d = +1 toward 1 and -1 toward 0 mirrors each
+    divergence is computed as the inverses compute it (at x + step inline,
+    as ``_invert`` does, where the mixture point lies in (0, 1) apart from
+    the point; through ``_kl`` elsewhere), a point outside (0, 1) is over
+    the budget (no bound lies past 0 or 1), and the budget is read at most
+    once per call, at call time (straight from the threshold table the
+    scheme then holds when pulls lies in it, through ``threshold`` past its
+    end), and trusted from _CERTIFICATE_FLOOR up, short of inf.  What
+    depends on the scheme and the edge alone is worked out once, here.  As
+    in ``_invert``, d = +1 toward 1 and -1 toward 0 mirrors each
     comparison.  ``sg1`` and ``sg2`` give 0: their bound is a table read
     and a square root.
     """
-    if pulls < 1:
-        raise InputError("bound_side requires at least one sample")
     if scheme.kind in (SG1, SG2):
-        return 0
-    mu_hat = reward_sum / pulls
+        def side(pulls: int, reward_sum: float, x: float) -> int:
+            if pulls < 1:
+                raise InputError("bound_side requires at least one sample")
+            return 0
+        return side
+    tilt = float(scheme.tilt) if scheme.kind == KL_TILTED else 0.0  # 0: the plain D(p, m)
+    total = tilt + 1.0
     d = 1.0 if edge else -1.0
-    if d * x < d * mu_hat:
-        return 1
-    tilt = scheme.tilt if scheme.kind == KL_TILTED else 0  # 0: the plain D(p, m)
-    table = scheme.threshold_table
-    budget = None
-    m = x + d * NEWTON_TOL
-    if 0.0 < m < 1.0:
-        budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
-        if (_CERTIFICATE_FLOOR <= budget < math.inf
-                and not _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
+    step = d * NEWTON_TOL
+    floor, inf, log, kl = _CERTIFICATE_FLOOR, math.inf, math.log, _kl
+
+    def side(pulls: int, reward_sum: float, x: float) -> int:
+        if pulls < 1:
+            raise InputError("bound_side requires at least one sample")
+        mu_hat = reward_sum / pulls
+        if d * x < d * mu_hat:
             return 1
-    m = x - d * NEWTON_TOL
-    if d * m <= d * mu_hat:
+        table = scheme.threshold_table
+        budget = None
+        m = x + step
+        if 0.0 < m < 1.0:
+            budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
+            if floor <= budget < inf:
+                q = (tilt * mu_hat + m) / total if tilt else mu_hat
+                if 0.0 < q < 1.0 and q != m:  # _kl's last branch, its two logs in its order
+                    value = q * log(q / m) + (1.0 - q) * log((1.0 - q) / (1.0 - m))
+                else:
+                    value = kl(q, m)
+                if not value > budget:
+                    return 1
+        m = x - step
+        if d * m <= d * mu_hat:
+            return 0
+        if not 0.0 < m < 1.0:
+            return -1
+        if budget is None:
+            budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
+        if (floor <= budget < inf
+                and kl((tilt * mu_hat + m) / total if tilt else mu_hat, m) > budget):
+            return -1
         return 0
-    if not 0.0 < m < 1.0:
-        return -1
-    if budget is None:
-        budget = table[pulls - 1] if pulls <= len(table) else threshold(scheme, pulls)
-    if (_CERTIFICATE_FLOOR <= budget < math.inf
-            and _kl((tilt * mu_hat + m) / (tilt + 1.0) if tilt else mu_hat, m) > budget):
-        return -1
-    return 0
+
+    return side
 
 
 def _check_coverage(mu: float, t_max: int) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -134,7 +135,8 @@ class TestConfigHandling:
         for cmd in (["simulate", "--budget", "400"], ["identify", "--n", "3"]):
             argv = cmd + ["--reps", "2", "--config", str(cfg),
                           "--output", str(tmp_path / "o.csv")]
-            with pytest.raises(ConfigError, match=rf"^unknown config keys: {key}$"):
+            unknown = rf"^{re.escape(str(cfg))}: unknown config keys: {key}$"
+            with pytest.raises(ConfigError, match=unknown):
                 build_config(argv)
             assert main(argv) == 1
         assert list(tmp_path.iterdir()) == [cfg]

@@ -453,7 +453,7 @@ class TestBounds:
         for kind in (KL_TILTED, KL_PRIME, SG1, SG2):
             for edge in (0.0, 1.0):
                 with pytest.raises(ValueError):
-                    bound_side(BoundScheme(kind, 8, 0.01), 0, 0.0, 0.5, edge)
+                    bound_side(BoundScheme(kind, 8, 0.01), edge)(0, 0.0, 0.5)
 
     def test_lower_bound_certificate_distrusts_tiny_budgets(self):
         # a budget of 4.3e-10, where _kl's rounding noise exceeds its change
@@ -464,7 +464,7 @@ class TestBounds:
         level = 0.7417725669981757
         assert threshold(scheme, key[0]) < 1e-9
         assert lower_bound(scheme, *key) > level
-        assert bound_side(scheme, *key, level, 0.0) == 0
+        assert bound_side(scheme, 0.0)(*key, level) == 0
 
     @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME])
     @pytest.mark.parametrize("x, lower_side, upper_side", [
@@ -474,8 +474,8 @@ class TestBounds:
         # mixture point is -inf too, where _kl reads 0 through p == q
         for pulls, reward_sum in ((1, 0.0), (1, 1.0), (100, 37.0)):
             scheme = BoundScheme(kind, 8, 0.01)
-            assert bound_side(scheme, pulls, reward_sum, x, 0.0) == lower_side
-            assert bound_side(scheme, pulls, reward_sum, x, 1.0) == upper_side
+            assert bound_side(scheme, 0.0)(pulls, reward_sum, x) == lower_side
+            assert bound_side(scheme, 1.0)(pulls, reward_sum, x) == upper_side
 
     @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME])
     def test_bound_side_at_a_mean_on_the_edge(self, kind):
@@ -486,10 +486,10 @@ class TestBounds:
         pulls = 10**12
         assert threshold(scheme, pulls) < 1e-7
         assert upper_bound(scheme, pulls, 0.0) > NEWTON_TOL
-        assert bound_side(scheme, pulls, 0.0, NEWTON_TOL, 1.0) == 0
+        assert bound_side(scheme, 1.0)(pulls, 0.0, NEWTON_TOL) == 0
         x = 1.0 - NEWTON_TOL
         assert x + NEWTON_TOL == 1.0 and lower_bound(scheme, pulls, float(pulls)) < x
-        assert bound_side(scheme, pulls, float(pulls), x, 0.0) == 0
+        assert bound_side(scheme, 0.0)(pulls, float(pulls), x) == 0
 
     def test_kl_prime_composes_documented_primitives(self):
         scheme = BoundScheme(KL_PRIME, 8, 0.01)

@@ -158,7 +158,7 @@ def test_bound_side_is_sound(edge, kind_tilt, delta, pulls, share, where, u):
         x = math.nextafter(bound, math.inf)
     else:
         x = bound + where * NEWTON_TOL
-    side = confidence.bound_side(scheme, pulls, reward_sum, x, edge)
+    side = confidence.bound_side(scheme, edge)(pulls, reward_sum, x)
     if side > 0:
         assert bound > x if edge else bound < x
     elif side < 0:
@@ -225,11 +225,28 @@ def _reference_grid():
                         yield scheme, pulls, reward_sum, x, edge
 
 
+def _sides():
+    """Each reference scheme's certificate toward each edge, built once, as ``lil_klucb`` does."""
+    return {(scheme, edge): confidence.bound_side(scheme, edge)
+            for scheme in REFERENCE_SCHEMES for edge in (0.0, 1.0)}
+
+
 def test_bound_side_is_the_reference_on_a_grid():
+    # every certificate is built on an empty table, before the first case,
+    # and the cases grow each kl table past 10**4 entries (a captured table
+    # would still answer right, through ``threshold``: the reads test below
+    # catches one)
     cases = list(_reference_grid())
     assert len(cases) == 44712
-    for case in cases:
-        assert confidence.bound_side(*case) == _reference_bound_side(*case), case
+    for scheme in REFERENCE_SCHEMES:
+        object.__setattr__(scheme, "threshold_table", array("d"))
+    sides = _sides()
+    for scheme, pulls, reward_sum, x, edge in cases:
+        assert (sides[scheme, edge](pulls, reward_sum, x)
+                == _reference_bound_side(scheme, pulls, reward_sum, x, edge)), (
+            scheme, pulls, reward_sum, x, edge)
+    assert all(len(scheme.threshold_table) > 10**4 for scheme in REFERENCE_SCHEMES
+               if scheme.kind in (confidence.KL_TILTED, confidence.KL_PRIME))
 
 
 def _answer(side, *args):
@@ -258,12 +275,13 @@ def test_bound_side_is_the_reference_on_random_arguments(scheme, pulls, share, x
         bound = (confidence.upper_bound if edge else confidence.lower_bound)(
             scheme, pulls, reward_sum)
         x = bound + offset / 2.0 * NEWTON_TOL
-    assert (_answer(confidence.bound_side, scheme, pulls, reward_sum, x, edge)
+    assert (_answer(confidence.bound_side(scheme, edge), pulls, reward_sum, x)
             == _answer(_reference_bound_side, scheme, pulls, reward_sum, x, edge))
 
 
 def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
     # a read is a call of ``threshold`` or an index into the threshold table
+    # the scheme holds at call time
     reads = []
     real = confidence.threshold
 
@@ -279,20 +297,27 @@ def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
     cases = list(_reference_grid())
     # the grid has filled every table the cases read: t <= 10**4
     assert all(len(scheme.threshold_table) >= 10**4 for scheme in REFERENCE_SCHEMES)
+    # built before the counted tables replace the scheme's own, so a
+    # certificate that kept the table it was built on reads it uncounted
+    sides = _sides()
     monkeypatch.setattr(confidence, "threshold", counted)
     tables = [scheme.threshold_table for scheme in REFERENCE_SCHEMES]
     try:
         for scheme, table in zip(REFERENCE_SCHEMES, tables):
             object.__setattr__(scheme, "threshold_table", CountedTable("d", table))
-        for case in cases:
+        for scheme, pulls, reward_sum, x, edge in cases:
             reads.clear()
-            confidence.bound_side(*case)
-            assert len(reads) <= 1, case
+            sides[scheme, edge](pulls, reward_sum, x)
+            read = len(reads)
+            # the reference reads (once per probe it evaluates) exactly when a budget is needed
+            reads.clear()
+            _reference_bound_side(scheme, pulls, reward_sum, x, edge)
+            assert read == min(1, len(reads)), (scheme, pulls, reward_sum, x, edge)
         assert all(type(scheme.threshold_table) is CountedTable for scheme in REFERENCE_SCHEMES)
         # past the edge both probes lie outside (0, 1): -1 with no read
         reads.clear()
-        assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, 1.5, 1.0) == -1
-        assert confidence.bound_side(REFERENCE_SCHEMES[0], 100, 37.0, -0.5, 0.0) == -1
+        assert sides[REFERENCE_SCHEMES[0], 1.0](100, 37.0, 1.5) == -1
+        assert sides[REFERENCE_SCHEMES[0], 0.0](100, 37.0, -0.5) == -1
         assert reads == []
     finally:
         for scheme, table in zip(REFERENCE_SCHEMES, tables):
@@ -309,4 +334,4 @@ def test_bound_side_reads_the_budget_at_most_once(monkeypatch):
 )
 def test_sub_gaussian_bounds_are_never_certified(edge, kind, pulls, share, x):
     scheme = confidence.BoundScheme(kind, 8, 0.05)
-    assert confidence.bound_side(scheme, pulls, float(round(share * pulls)), x, edge) == 0
+    assert confidence.bound_side(scheme, edge)(pulls, float(round(share * pulls)), x) == 0

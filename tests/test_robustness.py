@@ -1,11 +1,16 @@
 """Generated command lines: every run exits 0, 1 or 2, never 3.
 
 Exit 3 is an internal error, a fault of the program whatever its input.
+An exit 1 says what to fix: its message names a setting the command line
+or the config file gave (as its flag or its config key), ``means``, or the
+config file.  An exit 0 writes files that read back with the metadata keys
+of their command's golden.
 The generator draws each command's flags, and a ``--config`` file, from
 edge values: delta down to 1e-320, non-power-of-two and maximal tilts, mu
 of 0, 1 and subnormal, tied, saturated and subnormal means, tiny budgets
-and values of the wrong type.  An exit 3 found here is mended in the
-program, never by narrowing these values.
+and values of the wrong type.  An exit 3, or a message that names
+nothing, found here is mended in the program, never by narrowing these
+values.
 
 Two inputs are left out on purpose:
 
@@ -20,14 +25,15 @@ Two inputs are left out on purpose:
 
 import json
 import math
+import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lilklucb.cli import main
+from lilklucb.cli import SETTINGS, main
 from lilklucb.data_ingest import read_output
 
-from golden_cases import _contest_file
+from golden_cases import GOLDEN, _contest_file
 
 # Each flag's values, as command-line text, valid ones first (None leaves
 # the flag out) and then invalid ones.  An example draws every flag from its
@@ -90,11 +96,40 @@ def command_lines(draw):
     return argv, draw(CONFIGS)
 
 
+# Each command's metadata keys, from its golden.  A simulate whose instance
+# comes from ``means`` writes them in place of ``alpha``.
+GOLDEN_KEYS = {command: set(read_output(GOLDEN / f"{name}.json", "json").metadata)
+               for command, name in (("simulate", "simulate_kl"), ("replay", "replay_kl"),
+                                     ("identify", "identify-kl"), ("table1", "table1"),
+                                     ("coverage", "coverage-kl"))}
+
+
+def _named(message, argv, config, config_path):
+    """Whether ``message`` names a setting the example gave, ``means`` or the config file.
+
+    A setting is given by its flag on the command line or its key in the
+    config file; the message may name it either way.  A key the program
+    does not know is no setting, and ``--config`` is named by its path.
+    """
+    keys = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")} - {"config"}
+    if isinstance(config, dict):
+        keys |= set(config)
+    keys = (keys & set(SETTINGS)) | {"means"}
+    words = set(re.findall(r"(?<![\w-])(?:--)?[a-z][a-z_-]*", message))
+    return (config_path is not None and config_path in message
+            or any(key in words or "--" + key.replace("_", "-") in words for key in keys))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=command_lines())
+# the first two messages this gate caught, kept as its first examples
+@example(case=(["simulate", "--n", "4", "--budget", "40", "--reps", "1", "--scheme", "kl,kl"],
+               None))
+@example(case=(["identify", "--n", "3", "--budget", "40", "--reps", "1"], {"bogus": 1}))
 def test_generated_command_lines_exit_0_1_or_2(case, tmp_path, capsys):
     argv, config = case
+    config_path = None
     if argv[0] == "replay":
         argv = argv + ["--input", str(_contest_file(tmp_path))]
     if config is not None:
@@ -103,12 +138,20 @@ def test_generated_command_lines_exit_0_1_or_2(case, tmp_path, capsys):
             path.write_bytes(config)
         else:
             path.write_text(json.dumps(config), encoding="utf-8")
-        argv = argv + ["--config", str(path)]
+        config_path = str(path)
+        argv = argv + ["--config", config_path]
     code = main(argv + ["--output", str(tmp_path / "o.out")])
     out, err = capsys.readouterr()
     assert code in (0, 1, 2), (argv, config, err)
+    if code == 1:
+        assert _named(err, argv, config, config_path), (argv, config, err)
     if code == 0:
         fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
         fmt = fmt or (config.get("format", "csv") if isinstance(config, dict) else "csv")
+        keys = GOLDEN_KEYS[argv[0]]
+        if argv[0] == "simulate" and isinstance(config, dict) and config.get("means") is not None:
+            keys = keys - {"alpha"} | {"means"}
         for written in out.splitlines():
-            assert read_output(written, fmt).metadata["command"] == argv[0], (argv, config)
+            metadata = read_output(written, fmt).metadata
+            assert metadata["command"] == argv[0], (argv, config)
+            assert set(metadata) == keys, (argv, config, sorted(metadata))

@@ -320,3 +320,12 @@ def test_ci_checks_the_scalar_goldens_without_installing():
     assert sorted(command[len(prefix):].split()) == sorted(scalar)
     floor = re.search(r'requires-python = ">=([\d.]+)"', (root / "pyproject.toml").read_text())
     assert job["strategy"]["matrix"]["python-version"][0] == floor.group(1)
+
+
+def test_every_ci_job_has_a_timeout():
+    """A job that cannot stop fails at its own limit, not at GitHub's six-hour default."""
+    yaml = pytest.importorskip("yaml")
+    root = SRC.parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    limits = {name: job.get("timeout-minutes") for name, job in workflow["jobs"].items()}
+    assert limits == {"tests": 30, "scalar-goldens": 15, "benchmark-smoke": 15}
