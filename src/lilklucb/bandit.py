@@ -20,6 +20,7 @@ from .confidence import (
     _check_delta,
     _schedule,
     bound_side,
+    grow_full_sums,
     lower_bound,
     upper_bound,
 )
@@ -248,11 +249,16 @@ def ucb_race(
     samples thereafter (plus at the final budget), flagging whether arm 0
     currently sits among the k highest empirical means.
 
-    A pulled arm whose reward sum equals its pull count has mean exactly 1,
-    where every scheme's upper bound is 1, so its bound is neither read
-    from nor stored in the table: rewards lie in [0, 1] and are summed
-    left to right, so a sum never exceeds its count, and below 2^53 pulls
-    sum / pulls == 1.0 holds exactly when sum == pulls.
+    A pulled arm whose reward sum reaches its count's
+    ``confidence.full_sum``, the smallest sum whose upper bound is 1, takes
+    the bound 1.0 without the table; every other pull reads the table, so
+    each bound is ``upper_bound``'s.  Rewards lie in [0, 1] and are summed
+    left to right, so a sum never exceeds its count: the kl kinds' full
+    sum, the count, is reached only at a mean of exactly 1 (below 2^53
+    pulls), and the sub-Gaussian min(1, s / p + r) is nondecreasing in s
+    (float division, addition and min round monotonically).  The full sums
+    sit in a list by count in ``bound_cache`` under (scheme, "full"), grown
+    by ``confidence.grow_full_sums`` when an arm first passes its end.
 
     Rewards, tie-breaks and snapshot keys are drawn by ``rng``'s scalar
     ``random()`` and ``integers(m)`` in one stream, so a NumPy Generator
@@ -262,6 +268,7 @@ def ucb_race(
     _check_race(n, budget, snapshot_every, k)
     cache = {} if bound_cache is None else bound_cache
     table = cache.setdefault(scheme, {})
+    full = cache.setdefault((scheme, "full"), [math.inf])  # at 0 pulls no sum is full
     sample, upper, integers = environments.sample, upper_bound, rng.integers
     pulls, sums, ucbs = _first_pulls(env, rng, scheme, table)
     # The running maximum: each upper bound some arm holds maps to the
@@ -288,7 +295,11 @@ def ucb_race(
                 raise _reward_error(reward)
             p = pulls[arm] = pulls[arm] + 1
             s = sums[arm] = sums[arm] + reward
-            if s == p:
+            try:
+                saturated = s >= full[p]
+            except IndexError:  # the first arm to reach p pulls
+                saturated = s >= grow_full_sums(scheme, full, p)
+            if saturated:
                 ucb = 1.0
             else:
                 key = (p, s)

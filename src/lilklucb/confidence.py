@@ -224,6 +224,51 @@ def upper_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     return min(1.0, mu_hat + sg_radius(scheme, pulls))
 
 
+def full_sum(scheme: BoundScheme, pulls: int) -> float:
+    """The smallest reward sum whose ``upper_bound`` at ``pulls`` is exactly 1.0.
+
+    For ``kl`` and ``kl-prime`` it is pulls: a smaller sum's mean is below
+    1 and inverts below 1 at a finite budget (an infinite one, where every
+    bound is 1, still gives pulls).  The sub-Gaussian min(1, s / pulls + r)
+    is nondecreasing in s, as float division, addition and min round
+    monotonically; so, with ``upper_bound`` as the test, steps doubling
+    from one float spacing at pulls * (1 - r) straddle the full sum, and
+    halving closes on it.
+    """
+    p = float(pulls)
+    if scheme.kind in (KL_TILTED, KL_PRIME):
+        return p
+
+    def is_one(s: float) -> bool:
+        return upper_bound(scheme, pulls, s) == 1.0
+
+    if is_one(0.0):
+        return 0.0
+    lo = hi = max(0.0, p * (1.0 - sg_radius(scheme, pulls)))
+    step = math.ulp(lo)
+    while is_one(lo):  # then lo moves down, and 0.0 stops it
+        hi, lo, step = lo, max(0.0, lo - step), 2.0 * step
+    while not is_one(hi):  # pulls itself has the bound 1
+        lo, hi, step = hi, min(p, hi + step), 2.0 * step
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
+        lo, hi = (lo, mid) if is_one(mid) else (mid, hi)
+    return hi
+
+
+def grow_full_sums(scheme: BoundScheme, full: list, pulls: int) -> float:
+    """Extend ``full`` (entry t >= 1: ``full_sum`` at t) through ``pulls``; returns that entry.
+
+    Sub-Gaussian counts are searched one by one; kl counts are laid down
+    1024 at a time, as floats counted by 1.0 (exact below 2^53).
+    """
+    n = len(full)
+    if scheme.kind in (KL_TILTED, KL_PRIME):
+        full.extend(islice(count(float(n)), max(pulls + 1 - n, 1024)))
+    else:
+        full.extend(full_sum(scheme, t) for t in range(n, pulls + 1))
+    return full[pulls]
+
+
 def lower_bound(scheme: BoundScheme, pulls: int, reward_sum: float) -> float:
     """Mirror of upper_bound, clamped at 0; never above the empirical mean, exactly as floats."""
     if pulls < 1:

@@ -24,6 +24,7 @@ from lilklucb.cli import derive_seed
 from lilklucb.confidence import (
     BoundScheme,
     _schedule,
+    full_sum,
     lower_bound,
     threshold,
     upper_bound,
@@ -586,21 +587,32 @@ def test_a_sum_reaches_its_count_exactly_when_its_mean_is_one(ones, rewards):
 
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_a_race_stores_no_saturated_bound(kind, monkeypatch):
-    # the best arm's mean is exactly 1, so most of its pulls keep its sum at
-    # its count; only the first pulls' key (1, 1.0) is looked up
-    calls = []
+    # the best arm's mean is exactly 1, and the sub-Gaussian bounds stay
+    # clamped at 1 for the first pulls of every arm; only the first pulls'
+    # keys (1, 0.0) and (1, 1.0) are looked up at 1.0.  A sub-Gaussian
+    # count's full sum is searched once, when an arm first reaches it
+    calls, searched = [], []
 
     def recorded(scheme, pulls, reward_sum):
-        calls.append((pulls, reward_sum))
-        return upper_bound(scheme, pulls, reward_sum)
+        ucb = upper_bound(scheme, pulls, reward_sum)
+        calls.append(((pulls, reward_sum), ucb))
+        return ucb
+
+    def counted(scheme, pulls):
+        searched.append(pulls)
+        return full_sum(scheme, pulls)
 
     monkeypatch.setattr(bandit, "upper_bound", recorded)
+    monkeypatch.setattr(confidence, "full_sum", counted)
     scheme, cache = BoundScheme(kind, 8, 0.05), {}
     record = ucb_race(bernoulli_environment(parametric_means(20, 1.0)), scheme, 2000, 100, 3,
                       Draws(7), bound_cache=cache)
+    first = {(1, 0.0), (1, 1.0)}
     assert record.per_arm_pulls[0] > 100
-    assert {key for key in cache[scheme] if key[0] == key[1]} == {(1, 1.0)}
-    assert [key for key in calls if key[0] == key[1]] == [(1, 1.0)]
+    assert {key for key, ucb in cache[scheme].items() if ucb == 1.0} <= first
+    assert {key for key, ucb in calls if ucb == 1.0} <= first
+    assert len(searched) == len(set(searched)) <= max(record.per_arm_pulls)
+    assert not searched if kind in ("kl", "kl-prime") else searched
 
 
 def _reference_crossing(scheme: BoundScheme, target: float) -> int:

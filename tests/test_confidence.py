@@ -1,6 +1,7 @@
 """Tests for the anytime confidence sequences and their constants."""
 
 import math
+import random
 import tracemalloc
 import warnings
 from array import array
@@ -23,6 +24,8 @@ from lilklucb.confidence import (
     _schedule,
     bound_side,
     coverage_envelope,
+    full_sum,
+    grow_full_sums,
     kappa,
     lower_bound,
     sg_radius,
@@ -549,6 +552,51 @@ class TestBounds:
                 stats = _stats(t, float(mean))
                 assert lower_bound(sg, *stats) <= lower_bound(prime, *stats) + 1e-12
                 assert upper_bound(prime, *stats) <= upper_bound(sg, *stats) + 1e-12
+
+
+class TestFullSum:
+    COUNTS = (*range(1, 4097), 10**7, 2**40, 2**53)  # the large ones past the table cap
+
+    @staticmethod
+    def _sums(scheme: BoundScheme, p: int, full: float, draw: random.Random) -> list:
+        """One float below the full sum, and an integer, a half-unit and an arbitrary float sum.
+
+        A kl sum below the count costs an inversion, so only every 16th
+        count takes the three; at an infinite kl budget every bound is 1.0,
+        so none is taken there.
+        """
+        if scheme.kind in (KL_TILTED, KL_PRIME):
+            if math.isinf(threshold(scheme, p)):
+                return []
+            if p % 16:
+                return [math.nextafter(full, 0.0)]
+        sums = [math.floor(p * draw.random()), math.floor(p * draw.random()) + 0.5,
+                p * draw.random()]
+        return sums + [math.nextafter(full, 0.0)] * (full > 0.0)
+
+    @pytest.mark.parametrize("kind", [KL_TILTED, KL_PRIME, SG1, SG2])
+    def test_is_the_smallest_sum_whose_upper_bound_is_one(self, kind):
+        # at counts 1..4096, as the race's list holds them, and at a few
+        # large counts: upper_bound is 1.0 at the full sum, and a sum at or
+        # below the count reaches 1.0 exactly when it reaches the full sum.
+        # The kl kinds give the count itself.  sg2 ignores the tilt.
+        draw = random.Random(0)
+        for tilt in (8,) if kind == SG2 else (1, 8, MAX_TILT):
+            for delta in (1e-300, 0.05, 0.999999):
+                if kind == KL_PRIME and tilt == 1:
+                    continue
+                scheme = BoundScheme(kind, tilt, delta)
+                full = [math.inf]
+                grow_full_sums(scheme, full, 4096)
+                fulls = full[1:] + [full_sum(scheme, p) for p in self.COUNTS[4096:]]
+                bounds = [upper_bound(scheme, p, f) for p, f in zip(self.COUNTS, fulls)]
+                assert bounds == [1.0] * len(self.COUNTS)
+                if kind in (KL_TILTED, KL_PRIME):
+                    assert fulls == list(self.COUNTS)
+                wrong = [(p, s) for p, f in zip(self.COUNTS, fulls)
+                         for s in self._sums(scheme, p, f, draw)
+                         if (upper_bound(scheme, p, s) == 1.0) != (s >= f)]
+                assert wrong == [], (tilt, delta)
 
 
 class TestSg2Radius:

@@ -304,6 +304,8 @@ def test_ci_checks_the_scalar_goldens_without_installing():
 
     Those commands need only the standard library, so the job shows that
     they start and write their golden bytes without NumPy or the test tools.
+    It checks them twice: as they are, and under ``python -O``, which strips
+    every ``assert``, so that no rule they rely on may live in one.
     """
     yaml = pytest.importorskip("yaml")
     from golden_cases import CASES
@@ -313,11 +315,13 @@ def test_ci_checks_the_scalar_goldens_without_installing():
     job = workflow["jobs"]["scalar-goldens"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert not any("install" in run for run in runs)
-    (command,) = runs
-    prefix = "PYTHONPATH=src python tests/golden_cases.py --check "
-    assert command.startswith(prefix)
     scalar = {name for name, argv in CASES.items() if argv[0] in ("simulate", "replay", "identify")}
-    assert sorted(command[len(prefix):].split()) == sorted(scalar)
+    prefixes = ["PYTHONPATH=src python tests/golden_cases.py --check ",
+                "PYTHONPATH=src python -O tests/golden_cases.py --check "]
+    assert len(runs) == len(prefixes)
+    for command, prefix in zip(runs, prefixes):
+        assert command.startswith(prefix)
+        assert sorted(command[len(prefix):].split()) == sorted(scalar)
     floor = re.search(r'requires-python = ">=([\d.]+)"', (root / "pyproject.toml").read_text())
     assert job["strategy"]["matrix"]["python-version"][0] == floor.group(1)
 
